@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
+from typing import TYPE_CHECKING
 
-from .core import Game
+if TYPE_CHECKING:
+    from .core import Game
 
 
 def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -26,7 +29,7 @@ def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
 
 
 class IntView:
-    """All-integer tables for one game.
+    """All-integer tables for one game; ``Game.int_view`` builds one per game.
 
     Player index convention: senders are 0..num_senders-1 and the receiver is
     index num_senders. For player t, state i:
@@ -82,15 +85,18 @@ class IntView:
 
     def gap_total(self, player: int) -> int:
         """sum(weight * gap), the slack-scale gap between constant actions 0 and 1."""
-        g = self.gap[player]
-        w = self.weight
-        return sum(w[i] * g[i] for i in range(len(w)))
+        return sum(map(mul, self.weight, self.gap[player]))
+
+    def action_total(self, player: int, action: int) -> int:
+        """sum(weight * utility of action), at slack scale."""
+        return sum(map(mul, self.weight, self.u0[player] if action == 0 else self.u1[player]))
+
+    def obey_total(self, player: int, x: list[int]) -> int:
+        """sum(weight * gap * x): with x = D * signal-0 probabilities, D * slack scale * slack0."""
+        return sum(map(mul, map(mul, self.weight, self.gap[player]), x))
 
     def constant_value(self, player: int, action: int) -> Fraction:
-        ua = self.u0[player] if action == 0 else self.u1[player]
-        w = self.weight
-        total = sum(w[i] * ua[i] for i in range(len(w)))
-        return Fraction(total, self.slack_scale(player))
+        return Fraction(self.action_total(player, action), self.slack_scale(player))
 
     def babbling(self) -> tuple[int, list[Fraction]]:
         """Best uninformed receiver action (ties to 0) and per-player values."""

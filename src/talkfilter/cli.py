@@ -22,16 +22,15 @@ from .core import (
     FilterValidationError,
     Game,
     GameValidationError,
-    ZeroProbabilitySignal,
     classify_states,
     parse_rational,
     state_deltas,
     validate_game,
 )
-from .equilibrium import canonical_equilibrium, receiver_ic, sender_ic
+from .equilibrium import canonical_equilibrium, outcome_from_ic, receiver_ic, sender_ic
 from .filter_opt import Objective, receiver_optimal_filter, sender_optimal_filter
 from .multi_sender import WrongSenderCount, majority_outcome, two_sender_optimal
-from .oracle import GridSpec, GridTooLarge, verify_filter_optimality
+from .oracle import GridSpec, verify_filter_optimality
 
 
 def _frac(value: Fraction) -> str:
@@ -70,11 +69,10 @@ def _load_game(path: str) -> Game:
 def _load_filter(path: str) -> BinaryFilter:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    try:
-        table = raw["signal0_prob"]
-    except (TypeError, KeyError) as exc:
+    table = raw.get("signal0_prob") if isinstance(raw, dict) else None
+    if not isinstance(table, dict):
         raise FilterValidationError(
-            "filter file needs a top-level 'signal0_prob' object") from exc
+            "filter file needs a top-level 'signal0_prob' object")
     return BinaryFilter(signal0_prob={
         str(name): parse_rational(value) for name, value in table.items()})
 
@@ -118,6 +116,9 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
 def _cmd_optimize(args) -> int:
     started = time.perf_counter()
     game = _load_game(args.game)
+    if game.num_senders != 1:
+        raise WrongSenderCount(
+            f"optimize needs exactly 1 sender, game has {game.num_senders}")
     objective = Objective(args.objective)
     run = (receiver_optimal_filter if objective is Objective.RECEIVER
            else sender_optimal_filter)
@@ -158,10 +159,10 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     game = _load_game(args.game)
     filt = _load_filter(args.filter)
-    filt.check_for(game)
-    outcome = canonical_equilibrium(game, filt)
-    diagnostics = {"sender_ic": _ic_payload(sender_ic(game, filt)),
-                   "receiver_ic": _ic_payload(receiver_ic(game, filt))}
+    reports = sender_ic(game, filt), receiver_ic(game, filt)
+    outcome = outcome_from_ic(game, filt, *reports)
+    diagnostics = {"sender_ic": _ic_payload(reports[0]),
+                   "receiver_ic": _ic_payload(reports[1])}
     result = _outcome_payload(outcome)
     report = _report("evaluate", game, result, diagnostics, started)
     lines = [f"canonical equilibrium: {outcome.kind.value}",
@@ -220,7 +221,6 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     game = _load_game(args.game)
     filt = _load_filter(args.filter)
-    filt.check_for(game)
     objective = Objective(args.objective)
     spec = GridSpec(resolution=args.grid)
     passed = verify_filter_optimality(game, filt, spec, objective,
@@ -317,8 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GameValidationError, FilterValidationError, ZeroProbabilitySignal,
-            WrongSenderCount, GridTooLarge, ValueError) as exc:
+    except ValueError as exc:  # every validation error of the package is one
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,8 +1,10 @@
 """Exact data model for binary-action sender-receiver games.
 
-Everything numeric is a ``fractions.Fraction``: the solver decides
-incentive-compatibility on boundary cases (slacks exactly zero), so no
-rounding is tolerable anywhere on the solve path.
+Everything numeric is a ``fractions.Fraction`` at the API: the solver
+decides incentive-compatibility on boundary cases (slacks exactly zero), so
+no rounding is tolerable anywhere on the solve path. Sums over states run on
+each game's cached integer view (``Game.int_view``) and become Fractions
+only when reported.
 
 Action convention: signal 0 stands for "play action 0". A binary filter is
 described by the per-state probability of emitting signal 0.
@@ -11,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from ._intview import IntView, scaled_ints
 
 #: Alias for the exact scalar type used throughout the package.
 Rational = Fraction
@@ -70,14 +74,28 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
     """Parse "a/b", integer, or finite decimal notation into a Fraction.
 
     Decimal strings are exact: "0.2" becomes 1/5, not the nearest double.
+    Strings parse exactly as ``Fraction(value.strip())`` does.
     """
-    if isinstance(value, Fraction):
+    if isinstance(value, str):
+        # Integer and "a/b" text skips Fraction's regex, which keeps decimals,
+        # exponents and the verdict on malformed text. Digits next to the
+        # slash rule out signs and spaces there, which int() would accept.
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        try:
+            if not slash:
+                return Fraction(int(text))
+            if num[-1:].isdecimal() and den[:1].isdecimal():
+                return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    elif isinstance(value, float):
         # Floats are rejected on purpose: 0.1 as a double is not 1/10.
         raise ValueError(
             f"refusing float {value!r}; pass a string such as '1/10' instead")
@@ -113,10 +131,18 @@ class Game:
     num_senders: int
     _index: Mapping[str, StateRecord] = field(
         default=None, compare=False, repr=False)  # type: ignore[assignment]
+    _view: Optional[IntView] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index",
                            {rec.name: rec for rec in self.states})
+
+    @property
+    def int_view(self) -> IntView:
+        """The game's integer tables, built on first use and kept for its lifetime."""
+        if self._view is None:
+            object.__setattr__(self, "_view", IntView(self))
+        return self._view
 
     def state(self, name: str) -> StateRecord:
         return self._index[name]
@@ -190,12 +216,18 @@ def validate_game(raw: Mapping) -> Game:
 
     "transmission" demands exactly one sender utility pair per state.
     """
+    if not isinstance(raw, Mapping):
+        raise GameValidationError(
+            f"a game must be a JSON object, not {type(raw).__name__}")
     kind = raw.get("type", "transmission")
     if kind not in ("transmission", "aggregation"):
         raise GameValidationError(f"unknown game type {kind!r}")
     raw_states = raw.get("states")
     if not raw_states:
         raise EmptyStateList("game file has no states")
+    if not isinstance(raw_states, list):
+        raise GameValidationError(
+            f"'states' must be a JSON array, not {type(raw_states).__name__}")
     records = []
     num_senders = None
     for entry in raw_states:
@@ -245,6 +277,24 @@ class BinaryFilter:
             if not (0 <= x <= 1):
                 raise FilterValidationError(
                     f"signal0 probability for {name!r} is {x}, outside [0, 1]")
+
+    def scaled(self, game: Game) -> tuple[list[int], int]:
+        """Signal-0 probabilities in state order as integers over their lcm denominator.
+
+        Checks the filter on the way: a filter that ``check_for`` rejects
+        raises the same error here.
+        """
+        table = self.signal0_prob
+        try:
+            probs = [table[name] for name in game.int_view.names]
+        except KeyError:
+            probs = None
+        if probs is None or len(probs) != len(table):
+            self.check_for(game)
+        x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
+        if min(x) < 0 or max(x) > scale:
+            self.check_for(game)
+        return x, scale
 
     def to_general(self) -> "GeneralFilter":
         table = {}
@@ -408,6 +458,11 @@ class UtilityProfile:
     senders: tuple[Fraction, ...]
     receiver: Fraction
 
+    @staticmethod
+    def of(values: Sequence[Fraction]) -> "UtilityProfile":
+        """From per-player values in IntView order: the senders, then the receiver."""
+        return UtilityProfile(senders=tuple(values[:-1]), receiver=values[-1])
+
     @property
     def sender(self) -> Fraction:
         if len(self.senders) != 1:
@@ -419,29 +474,22 @@ def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
     """Value of obeying the binary signal: action 0 on signal 0, 1 on signal 1.
 
     Pure evaluation; whether that play is anyone's best response is the
-    equilibrium module's business.
+    equilibrium module's business. With x = n / D on the integer view, each
+    player's value is (D * sum(w * u1) + sum(w * gap * n)) / (D * scale).
     """
-    filt.check_for(game)
-    sender_totals = [Fraction(0)] * game.num_senders
-    receiver_total = Fraction(0)
-    for rec in game.states:
-        x = filt.signal0_prob[rec.name]
-        for j, (u0, u1) in enumerate(rec.sender_utils):
-            sender_totals[j] += rec.prior * (x * u0 + (1 - x) * u1)
-        r0, r1 = rec.receiver_utils
-        receiver_total += rec.prior * (x * r0 + (1 - x) * r1)
-    return UtilityProfile(senders=tuple(sender_totals), receiver=receiver_total)
+    view = game.int_view
+    x, xscale = filt.scaled(game)
+    return UtilityProfile.of([
+        Fraction(xscale * view.action_total(t, 1) + view.obey_total(t, x),
+                 xscale * view.slack_scale(t))
+        for t in range(view.num_players)])
 
 
 def constant_action_value(game: Game, action: int) -> UtilityProfile:
     """Expected utilities when the receiver plays one action unconditionally."""
-    sender_totals = [Fraction(0)] * game.num_senders
-    receiver_total = Fraction(0)
-    for rec in game.states:
-        for j, pair in enumerate(rec.sender_utils):
-            sender_totals[j] += rec.prior * pair[action]
-        receiver_total += rec.prior * rec.receiver_utils[action]
-    return UtilityProfile(senders=tuple(sender_totals), receiver=receiver_total)
+    view = game.int_view
+    return UtilityProfile.of([view.constant_value(t, action)
+                              for t in range(view.num_players)])
 
 
 def evaluate_babbling(game: Game) -> tuple[int, UtilityProfile]:
@@ -449,8 +497,5 @@ def evaluate_babbling(game: Game) -> tuple[int, UtilityProfile]:
 
     Filters never enter this computation: babbling ignores all messages.
     """
-    value0 = constant_action_value(game, 0)
-    value1 = constant_action_value(game, 1)
-    if value0.receiver >= value1.receiver:
-        return 0, value0
-    return 1, value1
+    action, values = game.int_view.babbling()
+    return action, UtilityProfile.of(values)

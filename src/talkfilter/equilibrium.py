@@ -11,6 +11,8 @@ both players' two signed linear inequalities hold:
 
 with d(w) the action-0-minus-action-1 utility gap. Slacks of exactly zero
 count as compatible, which is decidable because everything is rational.
+Both sums run on integers (``Game.int_view`` and the filter over its lcm
+denominator); only the reported slacks are Fractions.
 """
 from __future__ import annotations
 
@@ -40,31 +42,30 @@ class ICReport:
     signal1_slack: Fraction
 
 
-def _ic_report(game: Game, filt: BinaryFilter, gaps: list[Fraction]) -> ICReport:
-    slack0 = Fraction(0)
-    slack1 = Fraction(0)
-    for rec, gap in zip(game.states, gaps):
-        if gap:
-            x = filt.signal0_prob[rec.name]
-            slack0 += rec.prior * gap * x
-            slack1 += rec.prior * gap * (1 - x)
-    return ICReport(holds=(slack0 >= 0 and slack1 <= 0),
-                    signal0_slack=slack0, signal1_slack=slack1)
+def _ic_report(game: Game, filt: BinaryFilter, player: int) -> ICReport:
+    # With x = n / D: slack0 = sum(w * d * n) / (D * scale) and
+    # slack1 = (D * sum(w * d) - sum(w * d * n)) / (D * scale).
+    view = game.int_view
+    x, xscale = filt.scaled(game)
+    obey = view.obey_total(player, x)
+    total = xscale * view.gap_total(player)
+    scale = xscale * view.slack_scale(player)
+    return ICReport(holds=(obey >= 0 and obey >= total),
+                    signal0_slack=Fraction(obey, scale),
+                    signal1_slack=Fraction(total - obey, scale))
 
 
 def sender_ic(game: Game, filt: BinaryFilter, sender_index: int = 0) -> ICReport:
     """Is obeying the signal a best response for the sender?"""
-    filt.check_for(game)
-    gaps = [rec.sender_utils[sender_index][0] - rec.sender_utils[sender_index][1]
-            for rec in game.states]
-    return _ic_report(game, filt, gaps)
+    if not 0 <= sender_index < game.num_senders:
+        raise IndexError(f"sender index {sender_index} out of range for "
+                         f"{game.num_senders} senders")
+    return _ic_report(game, filt, sender_index)
 
 
 def receiver_ic(game: Game, filt: BinaryFilter) -> ICReport:
     """Is obeying the signal a best response for the receiver?"""
-    filt.check_for(game)
-    gaps = [rec.receiver_utils[0] - rec.receiver_utils[1] for rec in game.states]
-    return _ic_report(game, filt, gaps)
+    return _ic_report(game, filt, game.num_senders)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,15 @@ def canonical_equilibrium(game: Game,
     """
     if isinstance(filt, GeneralFilter):
         filt = merge_to_binary(game, filt, sender_index)
-    if sender_ic(game, filt, sender_index).holds and receiver_ic(game, filt).holds:
+    return outcome_from_ic(game, filt, sender_ic(game, filt, sender_index),
+                           receiver_ic(game, filt))
+
+
+def outcome_from_ic(game: Game, filt: BinaryFilter,
+                    sender_report: ICReport, receiver_report: ICReport
+                    ) -> EquilibriumOutcome:
+    """Canonical outcome of a binary filter whose two IC reports are in hand."""
+    if sender_report.holds and receiver_report.holds:
         return EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
                                   utilities=evaluate_sigma_s(game, filt))
     action, utilities = evaluate_babbling(game)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ._intview import IntView
-from .core import BinaryFilter, Game, UtilityProfile
-from .equilibrium import EquilibriumKind, EquilibriumOutcome
+from .core import BinaryFilter, Game, evaluate_sigma_s
+from .equilibrium import EquilibriumKind, EquilibriumOutcome, canonical_equilibrium
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -123,7 +123,7 @@ def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
 def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
                       sender_index: int = 0) -> SortedDisagreement:
     """Public view of the optimizer's sort, with exact descaled ratios."""
-    view = IntView(game)
+    view = game.int_view
     _, _, dis = _classify(view, sender_index)
     order = _sorted_disagreement(view, sender_index, dis, objective)
     gs = view.gap[sender_index]
@@ -259,7 +259,7 @@ def precompute_sums(game: Game, sorted_dis: SortedDisagreement,
                     objective: Objective = Objective.RECEIVER,
                     sender_index: int = 0) -> PrefixSums:
     """Build all agreement/prefix/suffix sums in one linear pass after sorting."""
-    view = IntView(game)
+    view = game.int_view
     agree0, agree1, dis = _classify(view, sender_index)
     index = {view.names[i]: i for i in dis}
     order = [index[name] for name in sorted_dis.names]
@@ -328,7 +328,7 @@ def sender_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
 
 
 def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
-    view = IntView(game)
+    view = game.int_view
     agree0, agree1, dis = _classify(view, sidx)
     order = _sorted_disagreement(view, sidx, dis, objective)
     sums = _build_sums(view, sidx, order, agree0, agree1, objective)
@@ -345,7 +345,7 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
         return 1 if go_all[i] > 0 else 0
 
     def result(ones, zeros, interior, pivot_pos, q, fallback):
-        return _finish(view, objective, sums, ones, zeros, interior,
+        return _finish(game, objective, sums, ones, zeros, interior,
                        pivot_pos, q, fallback)
 
     # Step 4: everything at the objective player's preferred extreme. The
@@ -411,11 +411,11 @@ def _objective_ic(sums: PrefixSums, objective: Objective,
     return base0 * qd + coef * qn >= 0 and base1 * qd + coef * (qd - qn) <= 0
 
 
-def _finish(view: IntView, objective: Objective, sums: PrefixSums,
+def _finish(game: Game, objective: Objective, sums: PrefixSums,
             ones: list[int], zeros: list[int],
             interior: Optional[tuple[int, Fraction]], pivot_pos: Optional[int],
             q: Optional[Fraction], fallback: bool) -> OptimizerResult:
-    names = view.names
+    names = game.int_view.names
     x: dict[str, Fraction] = {}
     for i in ones:
         x[names[i]] = _ONE
@@ -426,11 +426,12 @@ def _finish(view: IntView, objective: Objective, sums: PrefixSums,
     filt = BinaryFilter(signal0_prob=x)
 
     if fallback:
-        outcome = _constant_outcome(view, sums.sender_index)
+        # The always-signal-1 constant filter: informative only when both
+        # players' total gaps point at action 1, babbling otherwise.
+        outcome = canonical_equilibrium(game, filt, sums.sender_index)
     else:
-        outcome = EquilibriumOutcome(
-            kind=EquilibriumKind.INFORMATIVE,
-            utilities=_informative_value(view, ones, zeros, interior))
+        outcome = EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
+                                     utilities=evaluate_sigma_s(game, filt))
     return OptimizerResult(
         objective=objective,
         filter=filt,
@@ -440,48 +441,3 @@ def _finish(view: IntView, objective: Objective, sums: PrefixSums,
         pivot_q=q,
         fell_back_to_constant=fallback,
     )
-
-
-def _informative_value(view: IntView, ones: list[int], zeros: list[int],
-                       interior: Optional[tuple[int, Fraction]]) -> UtilityProfile:
-    """Obey-the-signal utilities: integer sums plus one exact pivot term."""
-    w = view.weight
-    values = []
-    for t in range(view.num_players):
-        u0 = view.u0[t]
-        u1 = view.u1[t]
-        total = 0
-        for i in ones:
-            total += w[i] * u0[i]
-        for i in zeros:
-            total += w[i] * u1[i]
-        value = Fraction(total, view.slack_scale(t))
-        if interior is not None:
-            i, xi = interior
-            value += Fraction(w[i], view.slack_scale(t)) * (xi * u0[i] + (1 - xi) * u1[i])
-        values.append(value)
-    return UtilityProfile(senders=tuple(values[:view.num_senders]),
-                          receiver=values[view.receiver])
-
-
-def _constant_outcome(view: IntView, sidx: int) -> EquilibriumOutcome:
-    """Canonical outcome of the always-signal-1 constant filter.
-
-    Obeying it means the receiver always plays action 1, an equilibrium only
-    when the designated sender's and the receiver's total gaps both point at
-    action 1; otherwise babbling. Either way the receiver gets her babbling
-    value.
-    """
-    totals = [view.gap_total(sidx), view.gap_total(view.receiver)]
-    if all(t <= 0 for t in totals):
-        values = [view.constant_value(t, 1) for t in range(view.num_players)]
-        return EquilibriumOutcome(
-            kind=EquilibriumKind.INFORMATIVE,
-            utilities=UtilityProfile(senders=tuple(values[:view.num_senders]),
-                                     receiver=values[view.receiver]))
-    action, values = view.babbling()
-    return EquilibriumOutcome(
-        kind=EquilibriumKind.BABBLING,
-        utilities=UtilityProfile(senders=tuple(values[:view.num_senders]),
-                                 receiver=values[view.receiver]),
-        babbling_action=action)

@@ -140,11 +140,6 @@ class CandidateOutcome:
     feasible: bool
 
 
-def _constant_receiver_value(game: Game, action: int) -> Fraction:
-    return sum((rec.prior * rec.receiver_utils[action] for rec in game.states),
-               Fraction(0))
-
-
 def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutcome]]:
     """Evaluate all six candidate outcomes and return the best feasible one.
 
@@ -152,9 +147,8 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
     candidate order.
     """
     _require_senders(game, 2)
-    total_gap = sum(
-        (rec.prior * (rec.receiver_utils[0] - rec.receiver_utils[1])
-         for rec in game.states), Fraction(0))
+    view = game.int_view
+    total_gap = view.gap_total(view.receiver)
     candidates: list[CandidateOutcome] = []
     for profile in CANDIDATE_ORDER:
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
@@ -162,12 +156,10 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
             x, value = lp_solve(lp)
             feasible = receiver_posthoc_ic(game, profile, x)
             if profile is CandidateProfile.UNANIMOUS_0:
-                base = sum((rec.prior * rec.receiver_utils[1] for rec in game.states),
-                           Fraction(0))
+                base = view.constant_value(view.receiver, 1)
                 signal0 = dict(zip(lp.names, x))
             else:
-                base = sum((rec.prior * rec.receiver_utils[0] for rec in game.states),
-                           Fraction(0))
+                base = view.constant_value(view.receiver, 0)
                 signal0 = {name: 1 - xi for name, xi in zip(lp.names, x)}
             candidates.append(CandidateOutcome(
                 profile=profile,
@@ -189,7 +181,7 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
             candidates.append(CandidateOutcome(
                 profile=profile,
                 filter=None,
-                receiver_utility=_constant_receiver_value(game, action),
+                receiver_utility=view.constant_value(view.receiver, action),
                 feasible=feasible))
     best = None
     for cand in candidates:
@@ -207,13 +199,10 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
     possible utility, state by state.
     """
     _require_senders(game, 3, at_least=True)
-    actions: dict[str, int] = {}
-    sender_totals = [Fraction(0)] * game.num_senders
-    receiver_total = Fraction(0)
-    for rec in game.states:
-        action = 0 if rec.receiver_utils[0] >= rec.receiver_utils[1] else 1
-        actions[rec.name] = action
-        receiver_total += rec.prior * rec.receiver_utils[action]
-        for j, pair in enumerate(rec.sender_utils):
-            sender_totals[j] += rec.prior * pair[action]
-    return actions, UtilityProfile(senders=tuple(sender_totals), receiver=receiver_total)
+    view = game.int_view
+    chosen = [0 if g >= 0 else 1 for g in view.gap[view.receiver]]
+    values = [Fraction(sum(w * (u1 if c else u0) for w, u0, u1, c
+                           in zip(view.weight, view.u0[t], view.u1[t], chosen)),
+                       view.slack_scale(t))
+              for t in range(view.num_players)]
+    return dict(zip(view.names, chosen)), UtilityProfile.of(values)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._intview import IntView
 from .core import (
     RECEIVER,
     BinaryFilter,
@@ -43,9 +42,13 @@ class GridTooLarge(ValueError):
     pass
 
 
+#: Most grid points, (R+1)^k, that GridSpec.check lets one search enumerate.
+MAX_GRID_POINTS = 10 ** 7
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice {0, 1/R, ..., 1} per state, guarded by a state-count cap."""
+    """Lattice {0, 1/R, ..., 1} per state, guarded by state-count and point caps."""
 
     resolution: int = 8
     max_states: int = 6
@@ -54,10 +57,15 @@ class GridSpec:
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
         k = len(game.states)
+        radix = self.resolution + 1
         if k > self.max_states:
             raise GridTooLarge(
-                f"{k} states would need {(self.resolution + 1) ** k} grid points; "
+                f"{k} states would need {radix}^{k} grid points; "
                 f"cap is {self.max_states} states")
+        if radix ** k > MAX_GRID_POINTS:
+            raise GridTooLarge(
+                f"resolution {self.resolution} on {k} states needs {radix}^{k} "
+                f"grid points; cap is {MAX_GRID_POINTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +225,22 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
     return digits
 
 
+def _run_chunks(chunk, args: tuple, total: int, threads: int) -> list:
+    """chunk(*args, start, end) over [0, total), in worker processes when it pays."""
+    if threads <= 1 or total < 4096:
+        return [chunk(*args, 0, total)]
+    bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
+    spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(chunk, *([a] * len(spans) for a in args),
+                             [s for s, _ in spans], [e for _, e in spans]))
+
+
 def _grid_chunk(game: Game, resolution: int, objective_value: str,
                 sender_index: int, start: int, end: int
                 ) -> tuple[Optional[int], Optional[int]]:
     """Best strictly-informative point in [start, end): (scaled value, index)."""
-    view = IntView(game)
+    view = game.int_view
     k = len(view.names)
     R = resolution
     sidx = sender_index
@@ -277,20 +296,8 @@ def grid_search(game: Game, spec: GridSpec,
     spec.check(game)
     R = spec.resolution
     k = len(game.states)
-    total = (R + 1) ** k
-
-    if threads > 1 and total >= 4096:
-        bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
-        chunks = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                _grid_chunk,
-                [game] * len(chunks), [R] * len(chunks),
-                [objective.value] * len(chunks), [sender_index] * len(chunks),
-                [s for s, _ in chunks], [e for _, e in chunks]))
-    else:
-        results = [_grid_chunk(game, R, objective.value, sender_index, 0, total)]
-
+    results = _run_chunks(_grid_chunk, (game, R, objective.value, sender_index),
+                          (R + 1) ** k, threads)
     best_val: Optional[int] = None
     best_idx: Optional[int] = None
     for val, idx in results:
@@ -299,7 +306,7 @@ def grid_search(game: Game, spec: GridSpec,
         if best_val is None or val > best_val or (val == best_val and idx < best_idx):
             best_val, best_idx = val, idx
 
-    view = IntView(game)
+    view = game.int_view
     oidx = view.receiver if objective is Objective.RECEIVER else sender_index
     _, babble_values = view.babbling()
     babble = babble_values[oidx]
@@ -342,7 +349,7 @@ def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
 
 def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
                       ) -> tuple[Optional[int], Optional[int], Optional[str]]:
-    view = IntView(game)
+    view = game.int_view
     k = len(view.names)
     R = resolution
     ridx = view.receiver
@@ -409,19 +416,7 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     spec.check(game)
     R = spec.resolution
     k = len(game.states)
-    total = (R + 1) ** k
-
-    if threads > 1 and total >= 4096:
-        bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
-        chunks = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                _two_sender_chunk,
-                [game] * len(chunks), [R] * len(chunks),
-                [s for s, _ in chunks], [e for _, e in chunks]))
-    else:
-        results = [_two_sender_chunk(game, R, 0, total)]
-
+    results = _run_chunks(_two_sender_chunk, (game, R), (R + 1) ** k, threads)
     best_val: Optional[int] = None
     best_idx: Optional[int] = None
     best_profile: Optional[str] = None
@@ -431,7 +426,7 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
         if best_val is None or val > best_val or (val == best_val and idx < best_idx):
             best_val, best_idx, best_profile = val, idx, profile
 
-    view = IntView(game)
+    view = game.int_view
     ridx = view.receiver
     gap_total = view.gap_total(ridx)
     const_action = 0 if gap_total >= 0 else 1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import talkfilter
 from talkfilter.cli import main
 
 ART = {
@@ -104,6 +109,12 @@ def test_optimize_rejects_zero_prior(write, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "NonPositivePrior" in err
+
+
+def test_optimize_rejects_two_senders(write, capsys):
+    l2 = write("l2.json", L2)
+    assert main(["optimize", l2]) == 2
+    assert "WrongSenderCount" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +243,30 @@ def test_human_output_mentions_filter(write, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["optimize", "/nonexistent/game.json"]) == 2
+
+
+def run_process(argv):
+    """The CLI in a child process, so an uncaught exception shows as a traceback."""
+    src = str(Path(talkfilter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "talkfilter.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("game,filt", [
+    ([1, 2, 3], None),
+    ("states", None),
+    ({"type": "transmission", "states": 5}, None),
+    (ART, [{"OG": "0"}]),
+    (ART, {"signal0_prob": ["0", "1", "1"]}),
+    (ART, {"signal0_prob": "0"}),
+], ids=["game-array", "game-string", "states-number", "filter-array",
+        "signal0-list", "signal0-string"])
+def test_non_object_input_is_input_error(write, game, filt):
+    argv = ["optimize", write("game.json", game)]
+    if filt is not None:
+        argv = ["evaluate", argv[1], "--filter", write("filter.json", filt)]
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -24,10 +24,40 @@ def test_parse_rational(text, expected):
     assert tf.parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/2/3", 0.1, True])
+@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/2/3", 0.1, True,
+                                 "3/-4", "3/+4", "1/", "/2", "--1", "1_/2", "+_1"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         tf.parse_rational(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        return "rejected"
+
+
+_DIGITS = "0123456789" + "\u0660\u0661\u0662\u0663\u0669" + "\uff10\uff11\uff15\uff19"
+_SPACE = st.sampled_from(["", " ", "\t", "\n", "\u2003", "\u3000"])
+_NUMERAL = st.lists(st.text(alphabet=_DIGITS, min_size=1, max_size=4),
+                    min_size=1, max_size=3).map("_".join)
+_RATIONAL_TEXT = st.one_of(
+    st.tuples(_SPACE, st.sampled_from(["", "+", "-"]), _NUMERAL,
+              st.one_of(st.just(""), _NUMERAL.map(lambda n: "/" + n),
+                        st.tuples(_SPACE, _SPACE, _NUMERAL).map(
+                            lambda t: t[0] + "/" + t[1] + t[2])),
+              _SPACE).map("".join),
+    st.text(alphabet="019\u0663 _+-/\u2003", max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RATIONAL_TEXT)
+def test_parse_rational_agrees_with_fraction(text):
+    """Integer and a/b text with signs, '_' separators, non-ASCII digits and
+    surrounding whitespace parses (or is rejected) exactly as Fraction does."""
+    assert _parsed(tf.parse_rational, text) == _parsed(lambda t: F(t.strip()), text)
 
 
 # ---------------------------------------------------------------------------

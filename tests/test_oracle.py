@@ -124,6 +124,19 @@ def test_grid_too_large():
         tf.grid_search(game, tf.GridSpec(resolution=8, max_states=6))
 
 
+def test_grid_point_cap_checked_before_any_search():
+    six = tf.random_game(tf.RandomGameSpec(seed=3, num_states=6))
+    with pytest.raises(tf.GridTooLarge):
+        tf.GridSpec(resolution=100).check(six)      # 101^6, about 1.06e12 points
+    tf.GridSpec(resolution=8).check(six)            # 9^6 = 531,441 points
+    big = tf.GridSpec(resolution=12, max_states=7)  # 13^6 passes, 13^7 does not
+    big.check(six)
+    with pytest.raises(tf.GridTooLarge):
+        big.check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=7)))
+    with pytest.raises(tf.GridTooLarge):                # 9^5000 has too many digits to print
+        tf.GridSpec().check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=5000)))
+
+
 def test_grid_parallel_matches_sequential():
     game = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))
     spec = tf.GridSpec(resolution=8)
