@@ -25,7 +25,6 @@ from .core import (
     Rational,
     SenderCountMismatch,
     StateClassification,
-    StateDelta,
     StateRecord,
     UtilityProfile,
     ZeroProbabilitySignal,
@@ -37,7 +36,6 @@ from .core import (
     parse_rational,
     posterior,
     signal_utility,
-    state_deltas,
     validate_game,
 )
 from .equilibrium import (
@@ -69,7 +67,6 @@ from .multi_sender import (
     CandidateOutcome,
     CandidateProfile,
     LPInstance,
-    TwoSenderDeltas,
     WrongSenderCount,
     build_lp,
     lp_solve,

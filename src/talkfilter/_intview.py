@@ -80,6 +80,36 @@ class IntView:
     def receiver(self) -> int:
         return self.num_senders
 
+    def check_sender(self, sender: int) -> None:
+        if not 0 <= sender < self.num_senders:
+            raise IndexError(f"sender index {sender} out of range for "
+                             f"{self.num_senders} senders")
+
+    def classify(self, sender: int) -> tuple[list[int], list[int], list[int]]:
+        """(agree0, agree1, disagreement) state indices, each in state order.
+
+        Indifference is folded into the agreement lists, so the disagreement
+        list holds strict opposite-sign states only: a sender-indifferent state
+        follows the receiver's side, a receiver-indifferent state the sender's,
+        and a fully indifferent state lands in agree0.
+        """
+        self.check_sender(sender)
+        gs = self.gap[sender]
+        gr = self.gap[self.receiver]
+        agree0: list[int] = []
+        agree1: list[int] = []
+        dis: list[int] = []
+        for i in range(len(gs)):
+            s = gs[i]
+            r = gr[i]
+            if s > 0:
+                (agree0 if r >= 0 else dis).append(i)
+            elif s < 0:
+                (agree1 if r <= 0 else dis).append(i)
+            else:
+                (agree0 if r >= 0 else agree1).append(i)
+        return agree0, agree1, dis
+
     def slack_scale(self, player: int) -> int:
         return self.wscale * self.uscale[player]
 

@@ -24,7 +24,6 @@ from .core import (
     GameValidationError,
     classify_states,
     parse_rational,
-    state_deltas,
     validate_game,
 )
 from .equilibrium import canonical_equilibrium, outcome_from_ic, receiver_ic, sender_ic
@@ -241,7 +240,9 @@ def _cmd_classify(args) -> int:
     started = time.perf_counter()
     game = _load_game(args.game)
     classes = classify_states(game)
-    deltas = state_deltas(game)
+    view = game.int_view
+    deltas = [(name, Fraction(gs, view.uscale[0]), Fraction(gr, view.uscale[view.receiver]))
+              for name, gs, gr in zip(view.names, view.gap[0], view.gap[view.receiver])]
     result = {
         "classes": {
             "agree0": sorted(classes.agree0),
@@ -249,16 +250,16 @@ def _cmd_classify(args) -> int:
             "split01": sorted(classes.split01),
             "split10": sorted(classes.split10),
         },
-        "deltas": [{"state": d.name, "sender": _frac(d.sender),
-                    "receiver": _frac(d.receiver)} for d in deltas],
+        "deltas": [{"state": name, "sender": _frac(sender), "receiver": _frac(receiver)}
+                   for name, sender, receiver in deltas],
     }
     report = _report("classify", game, result, None, started)
     lines = ["state classification:"]
     for label, names in result["classes"].items():
         lines.append(f"  {label}: {', '.join(names) if names else '-'}")
     lines.append("gaps (action 0 minus action 1):")
-    for d in deltas:
-        lines.append(f"  {d.name}: sender {d.sender}, receiver {d.receiver}")
+    for name, sender, receiver in deltas:
+        lines.append(f"  {name}: sender {sender}, receiver {receiver}")
     _emit(args, report, lines)
     return 0
 

@@ -70,11 +70,16 @@ class ZeroProbabilitySignal(ValueError):
 # Parsing
 # ---------------------------------------------------------------------------
 
+#: Largest exponent magnitude parse_rational accepts in decimal notation.
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
     """Parse "a/b", integer, or finite decimal notation into a Fraction.
 
     Decimal strings are exact: "0.2" becomes 1/5, not the nearest double.
-    Strings parse exactly as ``Fraction(value.strip())`` does.
+    Strings parse exactly as ``Fraction(value.strip())`` does, except that
+    exponents beyond ±MAX_DECIMAL_EXPONENT raise ValueError.
     """
     if isinstance(value, str):
         # Integer and "a/b" text skips Fraction's regex, which keeps decimals,
@@ -99,8 +104,19 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
         # Floats are rejected on purpose: 0.1 as a double is not 1/10.
         raise ValueError(
             f"refusing float {value!r}; pass a string such as '1/10' instead")
+    text = str(value).strip()
+    # Fraction builds 10**|exponent| in full, so a huge exponent costs
+    # unbounded time and memory before anything can reject the value.
+    _, e, exponent = text.replace("E", "e").rpartition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_large = False  # not an exponent; Fraction gives the verdict
+        if too_large:
+            raise ValueError(f"decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}: {value!r}")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
 
@@ -204,6 +220,13 @@ def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:
     return _check_states(records, num_senders)
 
 
+def _utility_pair(pair) -> tuple[Fraction, Fraction]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise GameValidationError(
+            f"a utility pair must be an array of two entries, not {pair!r}")
+    return parse_rational(pair[0]), parse_rational(pair[1])
+
+
 def validate_game(raw: Mapping) -> Game:
     """Validate a parsed game-file mapping and return the Game.
 
@@ -234,14 +257,15 @@ def validate_game(raw: Mapping) -> Game:
         try:
             name = str(entry["name"])
             prior = parse_rational(entry["prior"])
-            sender_utils = tuple(
-                (parse_rational(p[0]), parse_rational(p[1]))
-                for p in entry["sender_utilities"])
-            ru = entry["receiver_utility"]
-            receiver_utils = (parse_rational(ru[0]), parse_rational(ru[1]))
+            pairs = entry["sender_utilities"]
+            if not isinstance(pairs, list):
+                raise GameValidationError(
+                    f"'sender_utilities' must be an array of pairs, not {pairs!r}")
+            sender_utils = tuple(_utility_pair(p) for p in pairs)
+            receiver_utils = _utility_pair(entry["receiver_utility"])
         except KeyError as exc:
             raise GameValidationError(f"state entry missing field {exc}") from exc
-        except (TypeError, IndexError) as exc:
+        except TypeError as exc:
             raise GameValidationError(f"malformed state entry: {entry!r}") from exc
         if num_senders is None:
             num_senders = len(sender_utils)
@@ -351,26 +375,8 @@ class GeneralFilter:
 
 
 # ---------------------------------------------------------------------------
-# Deltas and classification
+# Classification
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateDelta:
-    """Action-0 minus action-1 utility, for one sender and the receiver."""
-
-    name: str
-    sender: Fraction
-    receiver: Fraction
-
-
-def state_deltas(game: Game, sender_index: int = 0) -> list[StateDelta]:
-    out = []
-    for rec in game.states:
-        s0, s1 = rec.sender_utils[sender_index]
-        r0, r1 = rec.receiver_utils
-        out.append(StateDelta(rec.name, s0 - s1, r0 - r1))
-    return out
-
 
 @dataclass(frozen=True)
 class StateClassification:
@@ -390,32 +396,16 @@ class StateClassification:
 
 
 def classify_states(game: Game, sender_index: int = 0) -> StateClassification:
-    """Classify states by preference agreement.
-
-    Indifference is folded into the agreement sets so the split sets hold
-    strict disagreements only: a sender-indifferent state follows the
-    receiver's side, a receiver-indifferent state follows the sender's, and
-    a fully indifferent state lands in agree0.
-    """
-    agree0, agree1, split01, split10 = [], [], [], []
-    for rec in game.states:
-        s0, s1 = rec.sender_utils[sender_index]
-        r0, r1 = rec.receiver_utils
-        if s0 > s1:
-            if r0 >= r1:
-                agree0.append(rec.name)
-            else:
-                split01.append(rec.name)
-        elif s0 < s1:
-            if r0 <= r1:
-                agree1.append(rec.name)
-            else:
-                split10.append(rec.name)
-        else:
-            (agree0 if r0 >= r1 else agree1).append(rec.name)
+    """Classify states by preference agreement, with ``IntView.classify``'s tie rules."""
+    view = game.int_view
+    agree0, agree1, dis = view.classify(sender_index)
+    names = view.names
+    gs = view.gap[sender_index]
     return StateClassification(
-        agree0=frozenset(agree0), agree1=frozenset(agree1),
-        split01=frozenset(split01), split10=frozenset(split10))
+        agree0=frozenset(names[i] for i in agree0),
+        agree1=frozenset(names[i] for i in agree1),
+        split01=frozenset(names[i] for i in dis if gs[i] > 0),
+        split10=frozenset(names[i] for i in dis if gs[i] < 0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from ._intview import scaled_ints
 from .core import (
     BinaryFilter,
     Game,
@@ -31,6 +32,8 @@ from .core import (
     evaluate_sigma_s,
     signal_weights,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,7 @@ def _ic_report(game: Game, filt: BinaryFilter, player: int) -> ICReport:
 
 def sender_ic(game: Game, filt: BinaryFilter, sender_index: int = 0) -> ICReport:
     """Is obeying the signal a best response for the sender?"""
-    if not 0 <= sender_index < game.num_senders:
-        raise IndexError(f"sender index {sender_index} out of range for "
-                         f"{game.num_senders} senders")
+    game.int_view.check_sender(sender_index)
     return _ic_report(game, filt, sender_index)
 
 
@@ -93,23 +94,8 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     the merge, and the merged filter is sender-compatible by construction.
     """
     filt.check_for(game)
-    zero_side: list[str] = []
-    for sig in filt.signals():
-        weights = signal_weights(game, filt, sig)
-        if not weights:
-            continue  # never emitted; carries no mass anywhere
-        s_gap = Fraction(0)
-        r_gap = Fraction(0)
-        for name, w in weights.items():
-            rec = game.state(name)
-            s0, s1 = rec.sender_utils[sender_index]
-            r0, r1 = rec.receiver_utils
-            s_gap += w * (s0 - s1)
-            r_gap += w * (r0 - r1)
-        prefers0 = s_gap > 0 or (s_gap == 0 and r_gap >= 0)
-        if prefers0:
-            zero_side.append(sig)
-    chosen = set(zero_side)
+    chosen = {sig for sig, (s, r) in _signal_gap_signs(game, filt, sender_index).items()
+              if s > 0 or (s == 0 and r >= 0)}
     x = {}
     for rec in game.states:
         mass = Fraction(0)
@@ -118,6 +104,26 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
                 mass += prob
         x[rec.name] = mass
     return BinaryFilter(signal0_prob=x)
+
+
+def _signal_gap_signs(game: Game, filt: GeneralFilter,
+                      sender_index: int) -> dict[str, tuple[int, int]]:
+    """Per emitted signal, the signs of the sender's and the receiver's posterior gaps.
+
+    A signal's column of probabilities is scaled to integers, so each sign is
+    that of an exact sum of prior * probability * gap. Signals the filter
+    never emits are left out.
+    """
+    view = game.int_view
+    view.check_sender(sender_index)
+    signs = {}
+    for sig in filt.signals():
+        column, _ = scaled_ints([filt.table[name].get(sig, _ZERO).as_integer_ratio()
+                                 for name in view.names])
+        if any(column):
+            totals = (view.obey_total(t, column) for t in (sender_index, view.receiver))
+            signs[sig] = tuple((v > 0) - (v < 0) for v in totals)
+    return signs
 
 
 def canonical_equilibrium(game: Game,
@@ -170,6 +176,10 @@ class MessageClass(enum.Enum):
     PREFERS_0 = "prefers-0"   # sent on some signal where the sender wants 0
     PREFERS_1 = "prefers-1"
     INDIFFERENT = "indifferent"
+
+
+_CLASS_OF_SIGN = {1: MessageClass.PREFERS_0, -1: MessageClass.PREFERS_1,
+                  0: MessageClass.INDIFFERENT}
 
 
 @dataclass(frozen=True)
@@ -230,18 +240,8 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
 
     # Sender signal classes by posterior preference.
     classes: dict[str, frozenset[MessageClass]] = {}
-    sig_pref: dict[str, MessageClass] = {}
-    for sig, weights in live.items():
-        gap = Fraction(0)
-        for name, w in weights.items():
-            s0, s1 = game.state(name).sender_utils[sender_index]
-            gap += w * (s0 - s1)
-        if gap > 0:
-            sig_pref[sig] = MessageClass.PREFERS_0
-        elif gap < 0:
-            sig_pref[sig] = MessageClass.PREFERS_1
-        else:
-            sig_pref[sig] = MessageClass.INDIFFERENT
+    sig_pref = {sig: _CLASS_OF_SIGN[s]
+                for sig, (s, _) in _signal_gap_signs(game, filt, sender_index).items()}
 
     tags: dict[str, set[MessageClass]] = {m: set() for m in messages}
     for sig, dist in profile.sender_strategy.items():

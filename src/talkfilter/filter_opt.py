@@ -59,27 +59,8 @@ class OptimizerResult:
 
 
 # ---------------------------------------------------------------------------
-# Classification on the integer view
+# Sorting on the integer view
 # ---------------------------------------------------------------------------
-
-def _classify(view: IntView, sidx: int) -> tuple[list[int], list[int], list[int]]:
-    """Return (agree0, agree1, disagreement) state indices; ties follow core rules."""
-    gs = view.gap[sidx]
-    gr = view.gap[view.receiver]
-    agree0: list[int] = []
-    agree1: list[int] = []
-    dis: list[int] = []
-    for i in range(len(gs)):
-        s = gs[i]
-        r = gr[i]
-        if s > 0:
-            (agree0 if r >= 0 else dis).append(i)
-        elif s < 0:
-            (agree1 if r <= 0 else dis).append(i)
-        else:
-            (agree0 if r >= 0 else agree1).append(i)
-    return agree0, agree1, dis
-
 
 def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
                          objective: Objective) -> list[int]:
@@ -124,7 +105,7 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
                       sender_index: int = 0) -> SortedDisagreement:
     """Public view of the optimizer's sort, with exact descaled ratios."""
     view = game.int_view
-    _, _, dis = _classify(view, sender_index)
+    _, _, dis = view.classify(sender_index)
     order = _sorted_disagreement(view, sender_index, dis, objective)
     gs = view.gap[sender_index]
     gr = view.gap[view.receiver]
@@ -260,7 +241,7 @@ def precompute_sums(game: Game, sorted_dis: SortedDisagreement,
                     sender_index: int = 0) -> PrefixSums:
     """Build all agreement/prefix/suffix sums in one linear pass after sorting."""
     view = game.int_view
-    agree0, agree1, dis = _classify(view, sender_index)
+    agree0, agree1, dis = view.classify(sender_index)
     index = {view.names[i]: i for i in dis}
     order = [index[name] for name in sorted_dis.names]
     if sorted(order) != sorted(dis):
@@ -329,7 +310,7 @@ def sender_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
 
 def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
-    agree0, agree1, dis = _classify(view, sidx)
+    agree0, agree1, dis = view.classify(sidx)
     order = _sorted_disagreement(view, sidx, dis, objective)
     sums = _build_sums(view, sidx, order, agree0, agree1, objective)
     kp = len(order)
@@ -366,10 +347,8 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     for pos in range(1, kp + 1):
         i = order[pos - 1]
         bump = view.weight[i] * abs(gc_all[i])
-        prev0, prev1 = slack0, slack1
         slack0 += bump
         slack1 -= bump
-        assert slack0 >= prev0 and slack1 <= prev1
         if slack0 >= 0 and slack1 <= 0:
             q = pivot_q(game, sums, pos)
             if not _objective_ic(sums, objective, pos, q):

@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import _simplex
 from .core import BinaryFilter, Game, UtilityProfile
+from .equilibrium import receiver_ic
 from .filter_opt import receiver_optimal_filter
 
 
@@ -47,27 +48,6 @@ CANDIDATE_ORDER = (
 
 
 @dataclass(frozen=True)
-class TwoSenderDeltas:
-    """Per-state action-0-minus-action-1 gaps for both senders and the receiver."""
-
-    names: tuple[str, ...]
-    sender1: tuple[Fraction, ...]
-    sender2: tuple[Fraction, ...]
-    receiver: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_game(game: Game) -> "TwoSenderDeltas":
-        _require_senders(game, 2)
-        names, s1, s2, rc = [], [], [], []
-        for rec in game.states:
-            names.append(rec.name)
-            s1.append(rec.sender_utils[0][0] - rec.sender_utils[0][1])
-            s2.append(rec.sender_utils[1][0] - rec.sender_utils[1][1])
-            rc.append(rec.receiver_utils[0] - rec.receiver_utils[1])
-        return TwoSenderDeltas(tuple(names), tuple(s1), tuple(s2), tuple(rc))
-
-
-@dataclass(frozen=True)
 class LPInstance:
     """max objective.x subject to both rows >= 0 and 0 <= x <= 1.
 
@@ -93,25 +73,28 @@ def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
     """Prior-weighted LP whose optimum is the best filter for a unanimous profile."""
     if target not in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
         raise ValueError(f"no LP for target {target}")
-    deltas = TwoSenderDeltas.from_game(game)
+    _require_senders(game, 2)
+    view = game.int_view
     sign = 1 if target is CandidateProfile.UNANIMOUS_0 else -1
-    priors = [rec.prior for rec in game.states]
-    objective = tuple(sign * p * c for p, c in zip(priors, deltas.receiver))
-    row_a = tuple(sign * p * a for p, a in zip(priors, deltas.sender1))
-    row_b = tuple(sign * p * b for p, b in zip(priors, deltas.sender2))
-    return LPInstance(target=target, names=deltas.names,
-                      objective=objective, rows=(row_a, row_b))
+
+    def row(t: int) -> tuple[Fraction, ...]:
+        scale = view.slack_scale(t)
+        return tuple(Fraction(sign * w * g, scale) for w, g in zip(view.weight, view.gap[t]))
+
+    return LPInstance(target=target, names=tuple(view.names),
+                      objective=row(view.receiver), rows=(row(0), row(1)))
 
 
 def lp_solve(lp: LPInstance) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact optimal vertex; asserts feasibility and the vertex shape on every solve."""
+    """Exact optimal vertex; checks feasibility and the vertex shape on every solve."""
     x, value = _simplex.maximize(lp.objective, lp.rows)
     for row in lp.rows:
-        slack = sum((c * v for c, v in zip(row, x)), Fraction(0))
-        assert slack >= 0, "simplex returned an infeasible point"
-    assert all(0 <= v <= 1 for v in x)
-    fractional = sum(1 for v in x if 0 < v < 1)
-    assert fractional <= len(lp.rows), "vertex property violated"
+        if sum((c * v for c, v in zip(row, x)), Fraction(0)) < 0:
+            raise ArithmeticError("simplex returned an infeasible point")
+    if not all(0 <= v <= 1 for v in x):
+        raise ArithmeticError("simplex returned a point outside the box")
+    if sum(1 for v in x if 0 < v < 1) > len(lp.rows):
+        raise ArithmeticError("vertex property violated")
     return tuple(x), value
 
 
@@ -119,17 +102,11 @@ def receiver_posthoc_ic(game: Game, target: CandidateProfile,
                         x: tuple[Fraction, ...]) -> bool:
     """Is obeying the unanimous report a receiver best response under x?
 
-    Checks the trigger-signal preference on both branches; a branch with zero
-    signal mass contributes an exactly-zero slack and passes vacuously.
+    That is ``receiver_ic`` of the signal-0 filter, x for unanimous-0 and
+    1 - x for unanimous-1 (whose LP variables are signal-1 probabilities).
     """
-    deltas = TwoSenderDeltas.from_game(game)
-    sign = 1 if target is CandidateProfile.UNANIMOUS_0 else -1
-    slack0 = Fraction(0)
-    slack1 = Fraction(0)
-    for rec, c, xi in zip(game.states, deltas.receiver, x):
-        slack0 += sign * rec.prior * c * xi
-        slack1 += sign * rec.prior * c * (1 - xi)
-    return slack0 >= 0 and slack1 <= 0
+    signal0 = x if target is CandidateProfile.UNANIMOUS_0 else [1 - xi for xi in x]
+    return receiver_ic(game, BinaryFilter(dict(zip(game.int_view.names, signal0)))).holds
 
 
 @dataclass(frozen=True)
@@ -187,7 +164,8 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
     for cand in candidates:
         if cand.feasible and (best is None or cand.receiver_utility > best.receiver_utility):
             best = cand
-    assert best is not None  # the better constant action is always feasible
+    if best is None:
+        raise ArithmeticError("no feasible candidate, yet the better constant action always is")
     return best, candidates
 
 

@@ -12,6 +12,7 @@ any implementation.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,12 +227,16 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
 
 
 def _run_chunks(chunk, args: tuple, total: int, threads: int) -> list:
-    """chunk(*args, start, end) over [0, total), in worker processes when it pays."""
+    """chunk(*args, start, end) over [0, total), in worker processes when it pays.
+
+    At most os.cpu_count() workers start, and never more than there are spans.
+    """
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or total < 4096:
         return [chunk(*args, 0, total)]
     bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
     spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
         return list(pool.map(chunk, *([a] * len(spans) for a in args),
                              [s for s, _ in spans], [e for _, e in spans]))
 
@@ -314,7 +319,8 @@ def grid_search(game: Game, spec: GridSpec,
         # No grid point supports obeying the signal; everything scores babbling.
         return BinaryFilter(signal0_prob={n: _ZERO for n in view.names}), babble
     value = Fraction(best_val, R * view.slack_scale(oidx))
-    assert value >= babble  # informative play beats ignoring the signal
+    if value < babble:
+        raise ArithmeticError("an obeyed grid filter scored below babbling")
     digits = _decode(best_idx, k, R + 1)
     filt = BinaryFilter(signal0_prob={
         name: Fraction(d, R) for name, d in zip(view.names, digits)})

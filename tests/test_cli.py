@@ -220,6 +220,25 @@ def test_classify_art(write, capsys):
     assert deltas["IF"] == {"state": "IF", "sender": "-1", "receiver": "5"}
 
 
+def test_classify_gaps(write, capsys):
+    """Gaps are action-0 minus action-1 utilities, at their exact values."""
+    _, report = run_json(capsys, ["classify", write("art.json", ART)])
+    deltas = {d["state"]: d for d in report["result"]["deltas"]}
+    assert deltas["OG"] == {"state": "OG", "sender": "-1", "receiver": "-1"}
+    assert deltas["DF"] == {"state": "DF", "sender": "5", "receiver": "5"}
+    game = {"type": "transmission", "states": [
+        {"name": "a", "prior": "1/2", "sender_utilities": [["3", "3"]],
+         "receiver_utility": ["1", "2"]},
+        {"name": "b", "prior": "1/2", "sender_utilities": [["1/2", "1/3"]],
+         "receiver_utility": ["0.25", "2"]}]}
+    _, report = run_json(capsys, ["classify", write("ties.json", game)])
+    assert report["result"]["deltas"] == [
+        {"state": "a", "sender": "0", "receiver": "-1"},      # sender indifferent
+        {"state": "b", "sender": "1/6", "receiver": "-7/4"}]
+    assert report["result"]["classes"] == {
+        "agree0": [], "agree1": ["a"], "split01": ["b"], "split10": []}
+
+
 # ---------------------------------------------------------------------------
 # Report contract
 # ---------------------------------------------------------------------------
@@ -253,6 +272,11 @@ def run_process(argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def art_with(**fields):
+    """ART with the first state's fields replaced."""
+    return dict(ART, states=[dict(ART["states"][0], **fields), *ART["states"][1:]])
+
+
 @pytest.mark.parametrize("game,filt", [
     ([1, 2, 3], None),
     ("states", None),
@@ -260,8 +284,14 @@ def run_process(argv):
     (ART, [{"OG": "0"}]),
     (ART, {"signal0_prob": ["0", "1", "1"]}),
     (ART, {"signal0_prob": "0"}),
+    (art_with(receiver_utility="34"), None),
+    (art_with(sender_utilities=["12"]), None),
+    (art_with(sender_utilities="12"), None),
+    (art_with(sender_utilities=[["1", "2", "9"]]), None),
+    (art_with(receiver_utility=["1e1001", "0"]), None),
 ], ids=["game-array", "game-string", "states-number", "filter-array",
-        "signal0-list", "signal0-string"])
+        "signal0-list", "signal0-string", "receiver-pair-string", "sender-pair-string",
+        "sender-pairs-string", "sender-pair-three", "exponent"])
 def test_non_object_input_is_input_error(write, game, filt):
     argv = ["optimize", write("game.json", game)]
     if filt is not None:

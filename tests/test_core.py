@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talkfilter as tf
+from talkfilter.core import MAX_DECIMAL_EXPONENT
 
 F = Fraction
 
@@ -29,6 +30,14 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         tf.parse_rational(bad)
+
+
+@pytest.mark.parametrize("template", ["1e{}", "1e-{}", "1E{}", "1e+{}", "-2.5E-{}", " 7e{} "])
+def test_parse_rational_bounds_exponents(template):
+    bound = MAX_DECIMAL_EXPONENT
+    with pytest.raises(ValueError):
+        tf.parse_rational(template.format(bound + 1))
+    assert tf.parse_rational(template.format(bound)) == F(template.format(bound).strip())
 
 
 def _parsed(parse, text):
@@ -141,19 +150,26 @@ def test_general_filter_distribution_validation(art):
 
 
 # ---------------------------------------------------------------------------
-# Deltas and classification
+# Classification
 # ---------------------------------------------------------------------------
 
+def _state_gaps(game):
+    """Exact action-0 minus action-1 gaps per state: {name: (sender, receiver)}."""
+    view = game.int_view
+    r = view.receiver
+    return {name: (F(gs, view.uscale[0]), F(gr, view.uscale[r]))
+            for name, gs, gr in zip(view.names, view.gap[0], view.gap[r])}
+
+
 def test_state_deltas_art(art):
-    deltas = {d.name: d for d in tf.state_deltas(art)}
-    assert deltas["OG"].sender == -1 and deltas["OG"].receiver == -1
-    assert deltas["DF"].sender == 5 and deltas["DF"].receiver == 5
+    deltas = _state_gaps(art)
+    assert deltas["OG"] == (-1, -1)
+    assert deltas["DF"] == (5, 5)
 
 
 def test_state_delta_indifference():
     game = tf.make_game([("a", "1", ("3", "3"), ("1", "2"))])
-    d = tf.state_deltas(game)[0]
-    assert d.sender == 0 and d.receiver == -1
+    assert _state_gaps(game)["a"] == (0, -1)
 
 
 def test_classify_art(art):
@@ -189,11 +205,58 @@ def test_classification_partitions(seeded_games):
         union = set().union(*parts)
         assert union == set(game.state_names)
         assert sum(len(p) for p in parts) == len(game.states)
-        deltas = {d.name: d for d in tf.state_deltas(game)}
-        for name in cls.split01:
-            assert deltas[name].sender > 0 and deltas[name].receiver < 0
-        for name in cls.split10:
-            assert deltas[name].sender < 0 and deltas[name].receiver > 0
+        for rec in game.states:
+            sender = rec.sender_utils[0][0] - rec.sender_utils[0][1]
+            receiver = rec.receiver_utils[0] - rec.receiver_utils[1]
+            if rec.name in cls.split01:
+                assert sender > 0 and receiver < 0
+            if rec.name in cls.split10:
+                assert sender < 0 and receiver > 0
+
+
+def _classes_by_definition(game, sender_index):
+    """The tie rules of StateClassification, on Fraction gaps."""
+    classes = {"agree0": set(), "agree1": set(), "split01": set(), "split10": set()}
+    for rec in game.states:
+        s = rec.sender_utils[sender_index][0] - rec.sender_utils[sender_index][1]
+        r = rec.receiver_utils[0] - rec.receiver_utils[1]
+        if s > 0 and r < 0:
+            label = "split01"
+        elif s < 0 and r > 0:
+            label = "split10"
+        elif s > 0 or (s == 0 and r >= 0):
+            label = "agree0"
+        else:
+            label = "agree1"
+        classes[label].add(rec.name)
+    return classes
+
+
+def test_classify_matches_definition_with_ties(seeded_games):
+    """Utilities in {-1, 0, 1} make indifferent states common."""
+    games = (seeded_games(30, ks=(3, 6, 9), utility_range=1, seed0=1500)
+             + seeded_games(20, ks=(4, 7), num_senders=2, utility_range=1, seed0=1600))
+    ties = 0
+    for game in games:
+        for sidx in range(game.num_senders):
+            cls = tf.classify_states(game, sidx)
+            expected = _classes_by_definition(game, sidx)
+            assert {label: getattr(cls, label) for label in expected} == expected
+            agree0, agree1, dis = game.int_view.classify(sidx)
+            for indices in (agree0, agree1, dis):
+                assert indices == sorted(indices)    # state order
+            ties += sum(1 for rec in game.states
+                        if rec.sender_utils[sidx][0] == rec.sender_utils[sidx][1]
+                        or rec.receiver_utils[0] == rec.receiver_utils[1])
+    assert ties > 50
+
+
+def test_classify_sender_index_out_of_range(art):
+    """Index 1 on a one-sender game would be the receiver's row of the view."""
+    with pytest.raises(IndexError):
+        tf.classify_states(art, 1)
+    with pytest.raises(IndexError):
+        tf.receiver_optimal_filter(art, sender_index=1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ def test_sender_ic_constant_zero(art):
     filt = tf.BinaryFilter({name: F(0) for name in art.state_names})
     report = tf.sender_ic(art, filt)
     assert report.signal0_slack == 0
-    total = sum(d.sender * rec.prior
-                for d, rec in zip(tf.state_deltas(art), art.states))
+    total = sum(rec.prior * (rec.sender_utils[0][0] - rec.sender_utils[0][1])
+                for rec in art.states)
     assert report.signal1_slack == total
 
 
@@ -103,6 +103,46 @@ def test_merge_tie_goes_to_receiver_side():
     aligned = tf.make_game([("a", "1", ("1", "1"), ("1", "1"))])
     merged2 = tf.merge_to_binary(aligned, tf.GeneralFilter.uninformative(aligned))
     assert merged2.signal0_prob == {"a": F(1)}  # both indifferent: side 0
+
+
+def _merge_by_definition(game, filt, sender_index):
+    """Signal-0 probabilities of the merge, and the count of sender-indifferent signals."""
+    chosen = set()
+    indifferent = 0
+    for sig in filt.signals():
+        mass = s_gap = r_gap = F(0)
+        for rec in game.states:
+            w = rec.prior * filt.table[rec.name].get(sig, F(0))
+            u0, u1 = rec.sender_utils[sender_index]
+            mass += w
+            s_gap += w * (u0 - u1)
+            r_gap += w * (rec.receiver_utils[0] - rec.receiver_utils[1])
+        if not mass:
+            continue
+        indifferent += s_gap == 0
+        if s_gap > 0 or (s_gap == 0 and r_gap >= 0):
+            chosen.add(sig)
+    x = {name: sum((p for sig, p in dist.items() if sig in chosen), F(0))
+         for name, dist in filt.table.items()}
+    return x, indifferent
+
+
+def test_merge_matches_definition_with_dead_and_indifferent_signals(seeded_games):
+    """Utilities in {-1, 0, 1} make sender-indifferent signals common; a
+    signal listed at probability 0 everywhere is never emitted."""
+    games = (seeded_games(30, ks=(2, 3, 5), utility_range=1, seed0=4100)
+             + seeded_games(10, ks=(3, 4), num_senders=2, utility_range=1, seed0=4200))
+    indifferent = 0
+    for j, game in enumerate(games):
+        table = {name: dict(dist) for name, dist
+                 in tf.random_general_filter(game, seed=9100 + j).table.items()}
+        table[game.state_names[0]]["never"] = F(0)
+        for filt in (tf.GeneralFilter(table), tf.GeneralFilter.identity(game)):
+            for sidx in range(game.num_senders):
+                expected, ties = _merge_by_definition(game, filt, sidx)
+                assert tf.merge_to_binary(game, filt, sidx).signal0_prob == expected
+                indifferent += ties
+    assert indifferent > 20
 
 
 def test_merge_preserves_value_and_receiver_ic(seeded_games):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import talkfilter as tf
+from talkfilter import _simplex
 
 F = Fraction
 
@@ -11,15 +12,8 @@ U1 = tf.CandidateProfile.UNANIMOUS_1
 
 
 # ---------------------------------------------------------------------------
-# Deltas and LP construction
+# LP construction
 # ---------------------------------------------------------------------------
-
-def test_two_sender_deltas_l2(l2):
-    d = tf.TwoSenderDeltas.from_game(l2)
-    assert d.sender1 == (F(-1), F(2))
-    assert d.sender2 == (F(2), F(-1))
-    assert d.receiver == (F(1), F(-1))
-
 
 def test_build_lp_l2(l2):
     lp = tf.build_lp(l2, U0)
@@ -47,6 +41,13 @@ def test_build_lp_wrong_sender_count(art):
 # ---------------------------------------------------------------------------
 # lp_solve
 # ---------------------------------------------------------------------------
+
+def test_lp_solve_rejects_an_infeasible_simplex_point(l2, monkeypatch):
+    lp = tf.build_lp(l2, U0)                      # rows (-1/2, 1) and (1, -1/2)
+    monkeypatch.setattr(_simplex, "maximize", lambda objective, rows: ([F(1), F(0)], F(1, 2)))
+    with pytest.raises(ArithmeticError):
+        tf.lp_solve(lp)
+
 
 def test_lp_solve_l2(l2):
     lp = tf.build_lp(l2, U0)
@@ -131,6 +132,32 @@ def test_posthoc_all_zero_vector(l2):
     total = sum(rec.prior * (rec.receiver_utils[0] - rec.receiver_utils[1])
                 for rec in l2.states)
     assert tf.receiver_posthoc_ic(l2, U0, (F(0), F(0))) == (total <= 0)
+
+
+def test_posthoc_matches_definition_for_both_targets(seeded_games):
+    """The receiver obeys the unanimous report: on the trigger signal (mass x)
+    she weakly prefers the trigger action, on the other signal the other one.
+    Utilities in {-1, 0, 1} make zero slacks common."""
+    games = seeded_games(30, ks=(2, 3, 4, 5), num_senders=2, utility_range=1, seed0=3500)
+    verdicts = set()
+    for j, game in enumerate(games):
+        rng = tf.SplitMix64(j)
+        k = len(game.states)
+        for target, trigger in ((U0, 0), (U1, 1)):
+            other = 1 - trigger
+            vectors = [tf.lp_solve(tf.build_lp(game, target))[0],
+                       (F(0),) * k, (F(1),) * k]
+            vectors += [tuple(F(rng.below(5), 4) for _ in range(k)) for _ in range(4)]
+            for x in vectors:
+                on_trigger = on_other = F(0)
+                for rec, xi in zip(game.states, x):
+                    gap = rec.receiver_utils[trigger] - rec.receiver_utils[other]
+                    on_trigger += rec.prior * xi * gap
+                    on_other -= rec.prior * (1 - xi) * gap
+                expected = on_trigger >= 0 and on_other >= 0
+                assert tf.receiver_posthoc_ic(game, target, x) == expected
+                verdicts.add((target, expected))
+    assert len(verdicts) == 4
 
 
 def test_posthoc_opposed_interests_infeasible():

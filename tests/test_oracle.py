@@ -1,8 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 import talkfilter as tf
+from talkfilter import oracle
 
 F = Fraction
 
@@ -147,6 +149,34 @@ def test_grid_parallel_matches_sequential():
     two = tf.random_game(tf.RandomGameSpec(seed=78, num_states=4, num_senders=2))
     assert (tf.two_sender_grid_search(two, spec, threads=1)
             == tf.two_sender_grid_search(two, spec, threads=2))
+
+
+def test_grid_workers_clamped_to_cpus_and_spans(monkeypatch):
+    """A fake pool records max_workers and maps in-process: no process starts."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    game = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))   # 9^4 = 6561 points
+    spec = tf.GridSpec(resolution=8)
+    expected = tf.grid_search(game, spec, threads=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert tf.grid_search(game, spec, threads=1000) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    assert tf.grid_search(game, spec, threads=10_000) == expected     # one point per span
+    assert started == [3, 6561]
 
 
 # ---------------------------------------------------------------------------
