@@ -1,127 +1,157 @@
 """Exact bounded-variable simplex for small dense homogeneous instances.
 
-Maximizes c.x subject to rows.x >= 0 and 0 <= x <= upper, entirely in
-Fractions. The origin is always feasible for homogeneous rows, so a single
-phase starting from the surplus basis suffices. Bland's smallest-index rule
-picks both the entering and the leaving variable, which rules out cycling
-on degenerate vertices (and these instances are degenerate at the origin by
-construction).
+Maximizes c.x subject to rows.x >= 0 and 0 <= x <= 1. The origin is always
+feasible for homogeneous rows, so a single phase starting from the surplus
+basis suffices. Bland's smallest-index rule picks the entering variable, and
+ratio-test ties leave by the smallest (cap, variable index, row), which rules
+out cycling on degenerate vertices (and these instances are degenerate at
+the origin by construction).
+
+The work is done in integers, with Fractions only in the arguments and the
+result. The objective and each row are scaled once by the lcm of their
+denominators; a positive scale changes no pricing sign and no order among
+one pivot's ratio-test caps, so the pivots and the vertex are those of the
+same simplex run on the Fractions. Linear solves are fraction-free (Bareiss)
+and return numerators over a positive common denominator; the basic values
+are kept the same way.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
 
 
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small square exact system by Gaussian elimination."""
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(scale, integers): the values times the lcm of their denominators."""
+    fracs = [Fraction(v) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
+
+
+def _solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve a small nonsingular integer system by fraction-free elimination.
+
+    Returns (numerators, det): the solution is numerators / det, and det is
+    the absolute value of the matrix's determinant (1 for an empty system).
+    """
     m = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+    a = [[*row, b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for k in range(m):
+        pivot = next(r for r in range(k, m) if a[r][k] != 0)
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        for r in range(k + 1, m):
+            row = a[r]
+            # Bareiss: every entry stays an integer minor of the matrix.
+            a[r] = row[:k + 1] + [(top[k] * v - row[k] * p) // prev
+                                  for v, p in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k]
+    det = prev
+    num = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = a[i]
+        num[i] = (det * row[m] - sum(row[j] * num[j] for j in range(i + 1, m))) // row[i]
+    if det < 0:
+        return [-v for v in num], -det
+    return num, det
 
 
-def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
-             upper: Optional[Sequence[Fraction]] = None
+def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
              ) -> tuple[list[Fraction], Fraction]:
     """Return an optimal vertex (x, value) of the box LP described above."""
     n = len(objective)
     m = len(rows)
-    if upper is None:
-        upper = [Fraction(1)] * n
     # Variables 0..n-1 are structural with box bounds; n..n+m-1 are surplus
     # variables (rows.x - s = 0, s >= 0, unbounded above).
     total = n + m
-    cost = [Fraction(v) for v in objective] + [_ZERO] * m
-    ups: list[Optional[Fraction]] = [Fraction(u) for u in upper] + [None] * m
-
-    def column(j: int) -> list[Fraction]:
-        if j < n:
-            return [Fraction(rows[i][j]) for i in range(m)]
-        col = [_ZERO] * m
-        col[j - n] = Fraction(-1)
-        return col
+    scale, cost = _scaled(objective)
+    cost += [0] * m
+    int_rows = [_scaled(row)[1] for row in rows]
+    cols = [tuple(row[j] for row in int_rows) for j in range(n)]
+    cols += [tuple(-1 if i == r else 0 for i in range(m)) for r in range(m)]
+    priced = [(c, *col) for c, col in zip(cost, cols)]
 
     status = [_AT_LOWER] * n + [_BASIC] * m
     basis = list(range(n, total))
-    xb = [_ZERO] * m
+    xnum = [0] * m  # basic values are xnum / xden, with xden > 0
+    xden = 1
 
     while True:
-        bmat = [[column(j)[i] for j in basis] for i in range(m)]
-        # y solves y.B = c_B, i.e. B^T y = c_B
-        y = _solve([[bmat[r][c] for r in range(m)] for c in range(m)],
-                   [cost[j] for j in basis])
+        bcols = [cols[j] for j in basis]
+        # y = ynum / d solves y.B = c_B, i.e. B^T y = c_B, so column j prices
+        # at the sign of d * c_j - ynum.a_j, which is prices . priced[j].
+        ynum, d = _solve(bcols, [cost[j] for j in basis])
 
+        prices = (d, *[-v for v in ynum])
         entering = -1
         rising = True
-        for j in range(total):
-            if status[j] == _BASIC:
+        for j, state in enumerate(status):
+            if state == _BASIC:
                 continue
-            col = column(j)
-            reduced = cost[j] - sum(yi * aij for yi, aij in zip(y, col))
-            if status[j] == _AT_LOWER and reduced > 0:
-                entering, rising = j, True
-                break
-            if status[j] == _AT_UPPER and reduced < 0:
+            reduced = sum(map(mul, prices, priced[j]))
+            if state == _AT_LOWER:
+                if reduced > 0:
+                    entering = j
+                    break
+            elif reduced < 0:
                 entering, rising = j, False
                 break
         if entering < 0:
             break
 
-        delta = _solve(bmat, column(entering))
+        dnum, dden = _solve(list(zip(*bcols)), cols[entering])
         # When the entering variable moves by t (up from its lower bound or
-        # down from its upper one), each basic value moves by -/+ delta * t.
-        candidates: list[tuple[Fraction, int, int]] = []  # (cap, var index, row)
-        if ups[entering] is not None:
-            candidates.append((ups[entering], entering, -1))
+        # down from its upper one), basic value r moves by -/+ dnum[r]/dden * t.
+        # Each cap t is (dden / xden) * p / q with q > 0; the common factor
+        # leaves the order of the caps alone, so only (p, q) is kept.
+        sign = 1 if rising else -1
+        best = None  # (p, q, var index, row); row -1 is a bound flip
+        if entering < n:
+            best = (xden, dden, entering, -1)
         for r in range(m):
-            shrink = delta[r] if rising else -delta[r]
+            shrink = sign * dnum[r]
             jb = basis[r]
             if shrink > 0:
-                candidates.append((xb[r] / shrink, jb, r))
-            elif shrink < 0 and ups[jb] is not None:
-                candidates.append(((ups[jb] - xb[r]) / -shrink, jb, r))
-        if not candidates:
+                cand = (xnum[r], shrink, jb, r)
+            elif shrink < 0 and jb < n:
+                cand = (xden - xnum[r], -shrink, jb, r)
+            else:
+                continue
+            if best is None:
+                best = cand
+                continue
+            left, right = cand[0] * best[1], best[0] * cand[1]
+            if left < right or (left == right and cand[2:] < best[2:]):
+                best = cand
+        if best is None:
             raise ArithmeticError("unbounded improving ray in a box LP")
-        step = min(cap for cap, _, _ in candidates)
-        _, _, row = min((cap, jvar, row) for cap, jvar, row in candidates
-                        if cap == step)
+        p, q, _, row = best
 
-        for r in range(m):
-            xb[r] += (-delta[r] if rising else delta[r]) * step
+        # The step is dden * p / (xden * q); put every basic value over xden * q.
+        xnum = [v * q - sign * dv * p for v, dv in zip(xnum, dnum)]
+        xden *= q
         if row == -1:
             # Full bound flip: the entering variable crosses to its other bound.
             status[entering] = _AT_UPPER if rising else _AT_LOWER
         else:
-            leaving = basis[row]
-            shrink = delta[row] if rising else -delta[row]
-            status[leaving] = _AT_LOWER if shrink > 0 else _AT_UPPER
+            status[basis[row]] = _AT_LOWER if sign * dnum[row] > 0 else _AT_UPPER
             basis[row] = entering
             status[entering] = _BASIC
-            xb[row] = step if rising else ups[entering] - step
+            xnum[row] = dden * p if rising else xden - dden * p
+        common = gcd(xden, *xnum)
+        xnum = [v // common for v in xnum]
+        xden //= common
 
-    values: list[Fraction] = [_ZERO] * total
-    for j in range(total):
-        if status[j] == _AT_UPPER:
-            up = ups[j]
-            assert up is not None
-            values[j] = up
+    values = [xden if state == _AT_UPPER else 0 for state in status]
     for r, j in enumerate(basis):
-        values[j] = xb[r]
-    x = values[:n]
-    value = sum((cj * xj for cj, xj in zip(cost[:n], x)), _ZERO)
+        values[j] = xnum[r]
+    x = [Fraction(v, xden) for v in values[:n]]
+    value = Fraction(sum(map(mul, cost, values[:n])), scale * xden)
     return x, value

@@ -65,6 +65,14 @@ def _load_game(path: str) -> Game:
         return validate_game(json.load(fh))
 
 
+def _load_one_sender_game(args) -> Game:
+    game = _load_game(args.game)
+    if game.num_senders != 1:
+        raise WrongSenderCount(
+            f"{args.command} needs exactly 1 sender, game has {game.num_senders}")
+    return game
+
+
 def _load_filter(path: str) -> BinaryFilter:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -114,10 +122,7 @@ def _emit(args, report: dict, human_lines: list[str]) -> None:
 
 def _cmd_optimize(args) -> int:
     started = time.perf_counter()
-    game = _load_game(args.game)
-    if game.num_senders != 1:
-        raise WrongSenderCount(
-            f"optimize needs exactly 1 sender, game has {game.num_senders}")
+    game = _load_one_sender_game(args)
     objective = Objective(args.objective)
     run = (receiver_optimal_filter if objective is Objective.RECEIVER
            else sender_optimal_filter)
@@ -156,7 +161,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    game = _load_game(args.game)
+    game = _load_one_sender_game(args)
     filt = _load_filter(args.filter)
     reports = sender_ic(game, filt), receiver_ic(game, filt)
     outcome = outcome_from_ic(game, filt, *reports)
@@ -218,7 +223,7 @@ def _cmd_majority(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    game = _load_game(args.game)
+    game = _load_one_sender_game(args)
     filt = _load_filter(args.filter)
     objective = Objective(args.objective)
     spec = GridSpec(resolution=args.grid)
@@ -238,7 +243,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
-    game = _load_game(args.game)
+    game = _load_one_sender_game(args)
     classes = classify_states(game)
     view = game.int_view
     deltas = [(name, Fraction(gs, view.uscale[0]), Fraction(gr, view.uscale[view.receiver]))

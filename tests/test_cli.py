@@ -277,6 +277,28 @@ def art_with(**fields):
     return dict(ART, states=[dict(ART["states"][0], **fields), *ART["states"][1:]])
 
 
+def game_file(game) -> dict:
+    """The game-file form of a Game."""
+    return {"type": "transmission" if game.num_senders == 1 else "aggregation",
+            "states": [{"name": rec.name, "prior": str(rec.prior),
+                        "sender_utilities": [[str(u0), str(u1)] for u0, u1 in rec.sender_utils],
+                        "receiver_utility": [str(u) for u in rec.receiver_utils]}
+                       for rec in game.states]}
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate", "verify"])
+def test_one_sender_commands_reject_two_senders(write, command):
+    game = talkfilter.random_game(talkfilter.RandomGameSpec(seed=5, num_states=4, num_senders=2))
+    argv = [command, write("pair.json", game_file(game))]
+    if command != "classify":
+        argv += ["--filter", write("filter.json", {"signal0_prob": {
+            name: "1/2" for name in game.int_view.names}})]
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "WrongSenderCount" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("game,filt", [
     ([1, 2, 3], None),
     ("states", None),

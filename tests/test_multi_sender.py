@@ -103,19 +103,37 @@ def test_lp_solutions_are_vertices(seeded_games):
             assert value == sum(c * v for c, v in zip(lp.objective, x))
 
 
+def _highs_value(linprog, lp):
+    """The LP's optimum in floats, from scipy's HiGHS."""
+    res = linprog(
+        c=[-float(v) for v in lp.objective],
+        A_ub=[[-float(v) for v in row] for row in lp.rows],
+        b_ub=[0.0, 0.0],
+        bounds=[(0.0, 1.0)] * len(lp.objective),
+        method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 def test_lp_matches_scipy(seeded_games):
     linprog = pytest.importorskip("scipy.optimize").linprog
     for game in seeded_games(25, ks=(2, 3, 4), num_senders=2, seed0=3100):
         lp = tf.build_lp(game, U0)
         _, value = tf.lp_solve(lp)
-        res = linprog(
-            c=[-float(v) for v in lp.objective],
-            A_ub=[[-float(v) for v in row] for row in lp.rows],
-            b_ub=[0.0, 0.0],
-            bounds=[(0.0, 1.0)] * len(lp.objective),
-            method="highs")
-        assert res.status == 0
-        assert abs(float(value) + res.fun) < 1e-9
+        assert abs(float(value) - _highs_value(linprog, lp)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [50, 200])
+@pytest.mark.parametrize("utility_range,prior", [(5, "uniform"), (100, "random-rational")])
+def test_large_lp_matches_scipy(k, utility_range, prior):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for seed in (3300 + k, 3301 + k):
+        game = tf.random_game(tf.RandomGameSpec(
+            seed=seed, num_states=k, num_senders=2, utility_range=utility_range, prior=prior))
+        for target in (U0, U1):
+            lp = tf.build_lp(game, target)
+            _, value = tf.lp_solve(lp)
+            assert float(value) == pytest.approx(_highs_value(linprog, lp), rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
