@@ -55,13 +55,8 @@ from .equilibrium import (
 from .filter_opt import (
     Objective,
     OptimizerResult,
-    PrefixSums,
-    SortedDisagreement,
-    pivot_q,
-    precompute_sums,
     receiver_optimal_filter,
     sender_optimal_filter,
-    sort_disagreement,
 )
 from .multi_sender import (
     CandidateOutcome,
@@ -90,4 +85,30 @@ from .oracle import (
     verify_filter_optimality,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "RECEIVER", "BinaryFilter", "DuplicateStateName", "EmptyStateList",
+    "FilterDomainMismatch", "FilterValidationError", "Game",
+    "GameValidationError", "GeneralFilter", "NonPositivePrior",
+    "PriorNotNormalized", "Rational", "SenderCountMismatch",
+    "StateClassification", "StateRecord", "UtilityProfile",
+    "ZeroProbabilitySignal", "classify_states", "constant_action_value",
+    "evaluate_babbling", "evaluate_sigma_s", "make_game", "parse_rational",
+    "posterior", "signal_utility", "validate_game",
+    # equilibrium
+    "Deviation", "EquilibriumKind", "EquilibriumOutcome", "GeneralProfile",
+    "ICReport", "MessageClass", "SenderICWitness", "canonical_equilibrium",
+    "check_nash_general", "merge_to_binary", "receiver_ic", "sender_ic",
+    # filter_opt
+    "Objective", "OptimizerResult", "receiver_optimal_filter",
+    "sender_optimal_filter",
+    # multi_sender
+    "CandidateOutcome", "CandidateProfile", "LPInstance", "WrongSenderCount",
+    "build_lp", "lp_solve", "majority_outcome", "receiver_posthoc_ic",
+    "two_sender_optimal",
+    # oracle
+    "GridSpec", "GridTooLarge", "RandomGameSpec", "SplitMix64",
+    "exhaustive_nash_check", "grid_search", "profile_value",
+    "random_binary_filter", "random_game", "random_general_filter",
+    "random_profile", "two_sender_grid_search", "verify_filter_optimality",
+]

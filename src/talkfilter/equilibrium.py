@@ -11,8 +11,14 @@ both players' two signed linear inequalities hold:
 
 with d(w) the action-0-minus-action-1 utility gap. Slacks of exactly zero
 count as compatible, which is decidable because everything is rational.
-Both sums run on integers (``Game.int_view`` and the filter over its lcm
-denominator); only the reported slacks are Fractions.
+With s(w) = p(w) * d(w), the second row is s.x >= sum(s), so the two rows
+are one:
+
+    s.x >= max(0, sum(s))
+
+the form that the checks here, the optimizer's walk and the grid oracle's
+sweeps test. Both sums run on integers (``Game.int_view`` and the filter
+over its lcm denominator); only the reported slacks are Fractions.
 """
 from __future__ import annotations
 

@@ -6,10 +6,12 @@ signal, sort the strict-disagreement states by how much objective-player
 utility a unit of the other player's slack costs, then concede the cheapest
 states to the constrained player until obeying the signal becomes compatible
 for them. At most one state ends up with an interior probability, chosen so
-a constrained-player inequality binds exactly.
+the constrained player's incentive row binds exactly.
 
-Hot loops run on the integer-normalized game view; every reported number is
-an exact Fraction.
+Each player's two incentive rows are one row, s.x >= max(0, sum(s)) (see
+the ``equilibrium`` module docstring), so the walk tracks one obey total per
+player. Hot loops run on the integer-normalized game view; every reported
+number is an exact Fraction.
 """
 from __future__ import annotations
 
@@ -29,22 +31,6 @@ _ONE = Fraction(1)
 class Objective(enum.Enum):
     RECEIVER = "receiver"
     SENDER = "sender"
-
-
-@dataclass(frozen=True)
-class SortedDisagreement:
-    """Strict-disagreement states ordered by ascending concession ratio.
-
-    For the receiver objective the ratio is (receiver's gap) / (sender's
-    reversed gap); the sender objective uses the mirror. Strict opposite
-    signs make every ratio finite and positive.
-    """
-
-    entries: tuple[tuple[str, Fraction], ...]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
 
 
 @dataclass(frozen=True)
@@ -102,8 +88,13 @@ def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
 
 
 def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
-                      sender_index: int = 0) -> SortedDisagreement:
-    """Public view of the optimizer's sort, with exact descaled ratios."""
+                      sender_index: int = 0) -> tuple[tuple[str, Fraction], ...]:
+    """The optimizer's sort as (state name, exact ratio) pairs, cheapest first.
+
+    For the receiver objective the ratio is (receiver's gap) / (sender's
+    reversed gap); the sender objective uses the mirror. Strict opposite
+    signs make every ratio finite and positive.
+    """
     view = game.int_view
     _, _, dis = view.classify(sender_index)
     order = _sorted_disagreement(view, sender_index, dis, objective)
@@ -118,185 +109,24 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
         else:
             ratio = Fraction(gs[i] * rscale, -gr[i] * sscale)
         entries.append((view.names[i], ratio))
-    return SortedDisagreement(entries=tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
-# Prefix sums
+# The walk
 # ---------------------------------------------------------------------------
 
-_PLAYER_KEYS = {"sender": 0, "receiver": 1}
+def pivot_q(base: int, target: int, coef: int) -> Fraction:
+    """Signal-0 probability q of the pivot at which base + coef * q == target.
 
-
-@dataclass(frozen=True)
-class PrefixSums:
-    """Slack decompositions along the sorted disagreement list.
-
-    For 1-based sorted position i, player t and signal side b, the
-    obey-the-signal slack of the two-block filter with states before i at
-    the conceded extremes, states after i at the objective-preferred
-    extremes, and the pivot at probability q decomposes as::
-
-        slack_b = agreement(t, b) + before(t, b, i) + after(t, b, i) + pivot
-
-    where the pivot term is weight * gap * q on side 0 and
-    weight * gap * (1 - q) on side 1. The side index of before/after names
-    the slack equation a block feeds, not a set membership.
+    At a walk stop the constrained player's obey total is below the target
+    with the pivot at the objective player's extreme and at or above it
+    with the pivot conceded, so q lies in [0, 1]; of the probabilities at
+    which that player's row holds, it is the one nearest the objective
+    player's extreme.
     """
+    return Fraction(target - base, coef)
 
-    objective: Objective
-    sender_index: int
-    names: tuple[str, ...]               # sorted disagreement states
-    split10: tuple[bool, ...]            # sender strictly prefers 1 there
-    _w: tuple[int, ...]                  # priors of sorted states, scaled
-    _gap: tuple[tuple[int, ...], tuple[int, ...]]      # per player key
-    _scale: tuple[int, int]              # slack scale per player key
-    _agree: tuple[tuple[int, int], tuple[int, int]]    # Y per player key, per side
-    _cum01: tuple[tuple[int, ...], tuple[int, ...]]    # cumulative split01 sums
-    _cum10: tuple[tuple[int, ...], tuple[int, ...]]    # cumulative split10 sums
-
-    def _k(self, player: str) -> int:
-        return _PLAYER_KEYS[player]
-
-    def agreement(self, player: str, side: int) -> Fraction:
-        t = self._k(player)
-        return Fraction(self._agree[t][side], self._scale[t])
-
-    def _before_int(self, t: int, side: int, i: int) -> int:
-        if self.objective is Objective.RECEIVER:
-            cum = self._cum01[t] if side == 0 else self._cum10[t]
-        else:
-            cum = self._cum10[t] if side == 0 else self._cum01[t]
-        return cum[i - 1]
-
-    def _after_int(self, t: int, side: int, i: int) -> int:
-        if self.objective is Objective.RECEIVER:
-            cum = self._cum10[t] if side == 0 else self._cum01[t]
-        else:
-            cum = self._cum01[t] if side == 0 else self._cum10[t]
-        return cum[-1] - cum[i]
-
-    def before(self, player: str, side: int, i: int) -> Fraction:
-        t = self._k(player)
-        return Fraction(self._before_int(t, side, i), self._scale[t])
-
-    def after(self, player: str, side: int, i: int) -> Fraction:
-        t = self._k(player)
-        return Fraction(self._after_int(t, side, i), self._scale[t])
-
-    def slack_with_pivot(self, player: str, side: int, i: int, q: Fraction) -> Fraction:
-        """Reassembled slack for the decomposition above; used by invariant tests."""
-        t = self._k(player)
-        factor = q if side == 0 else 1 - q
-        pivot = Fraction(self._w[i - 1] * self._gap[t][i - 1], self._scale[t]) * factor
-        return (self.agreement(player, side) + self.before(player, side, i)
-                + self.after(player, side, i) + pivot)
-
-
-def _build_sums(view: IntView, sidx: int, order: list[int],
-                agree0: list[int], agree1: list[int],
-                objective: Objective) -> PrefixSums:
-    players = (sidx, view.receiver)
-    w = view.weight
-    gsender = view.gap[sidx]
-    agree = []
-    cum01 = []
-    cum10 = []
-    gaps = []
-    for t in players:
-        g = view.gap[t]
-        y0 = sum(w[i] * g[i] for i in agree0)
-        y1 = sum(w[i] * g[i] for i in agree1)
-        agree.append((y0, y1))
-        c01 = [0]
-        c10 = [0]
-        a01 = a10 = 0
-        for i in order:
-            term = w[i] * g[i]
-            if gsender[i] > 0:            # split01: sender strictly prefers 0
-                a01 += term
-            else:
-                a10 += term
-            c01.append(a01)
-            c10.append(a10)
-        cum01.append(tuple(c01))
-        cum10.append(tuple(c10))
-        gaps.append(tuple(g[i] for i in order))
-    return PrefixSums(
-        objective=objective,
-        sender_index=sidx,
-        names=tuple(view.names[i] for i in order),
-        split10=tuple(gsender[i] < 0 for i in order),
-        _w=tuple(w[i] for i in order),
-        _gap=(gaps[0], gaps[1]),
-        _scale=(view.slack_scale(sidx), view.slack_scale(view.receiver)),
-        _agree=(agree[0], agree[1]),
-        _cum01=(cum01[0], cum01[1]),
-        _cum10=(cum10[0], cum10[1]),
-    )
-
-
-def precompute_sums(game: Game, sorted_dis: SortedDisagreement,
-                    objective: Objective = Objective.RECEIVER,
-                    sender_index: int = 0) -> PrefixSums:
-    """Build all agreement/prefix/suffix sums in one linear pass after sorting."""
-    view = game.int_view
-    agree0, agree1, dis = view.classify(sender_index)
-    index = {view.names[i]: i for i in dis}
-    order = [index[name] for name in sorted_dis.names]
-    if sorted(order) != sorted(dis):
-        raise ValueError("sorted disagreement list does not match the game")
-    return _build_sums(view, sender_index, order, agree0, agree1, objective)
-
-
-# ---------------------------------------------------------------------------
-# Pivot solving
-# ---------------------------------------------------------------------------
-
-def _constrained_key(objective: Objective) -> int:
-    # Receiver objective concedes to the sender and vice versa.
-    return 0 if objective is Objective.RECEIVER else 1
-
-
-def pivot_q(game: Game, sums: PrefixSums, i: int,
-            objective: Optional[Objective] = None) -> Optional[Fraction]:
-    """Best interior probability for sorted state i, or None when nothing binds.
-
-    Solves both binding equations (side-0 slack = 0, side-1 slack = 0) of the
-    constrained player, keeps solutions inside [0, 1] that satisfy both of
-    that player's inequalities, and returns the one the objective player
-    likes best: the maximum when they want the pivot's signal-0 probability
-    high, the minimum otherwise.
-    """
-    del game  # part of the documented signature; sums carry everything
-    if objective is None:
-        objective = sums.objective
-    if objective is not sums.objective:
-        raise ValueError("sums were precomputed for a different objective")
-    c = _constrained_key(objective)
-    o = 1 - c
-    w = sums._w[i - 1]
-    gc = sums._gap[c][i - 1]
-    if gc == 0:
-        return None
-    base0 = sums._agree[c][0] + sums._before_int(c, 0, i) + sums._after_int(c, 0, i)
-    base1 = sums._agree[c][1] + sums._before_int(c, 1, i) + sums._after_int(c, 1, i)
-    coef = w * gc
-    candidates = []
-    for q in (Fraction(-base0, coef), Fraction(coef + base1, coef)):
-        if 0 <= q <= 1:
-            qn, qd = q.numerator, q.denominator
-            if base0 * qd + coef * qn >= 0 and base1 * qd + coef * (qd - qn) <= 0:
-                candidates.append(q)
-    if not candidates:
-        return None
-    wants_high = sums._gap[o][i - 1] > 0
-    return max(candidates) if wants_high else min(candidates)
-
-
-# ---------------------------------------------------------------------------
-# The optimizer
-# ---------------------------------------------------------------------------
 
 def receiver_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
     """Filter maximizing the receiver's canonical-equilibrium utility."""
@@ -310,113 +140,71 @@ def sender_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
 
 def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
-    agree0, agree1, dis = view.classify(sidx)
+    agree0, _, dis = view.classify(sidx)
     order = _sorted_disagreement(view, sidx, dis, objective)
-    sums = _build_sums(view, sidx, order, agree0, agree1, objective)
-    kp = len(order)
-
-    c = _constrained_key(objective)
-    cplayer = (sidx, view.receiver)[c]
-    gs = view.gap[sidx]
-    gr = view.gap[view.receiver]
-    go_all = gr if objective is Objective.RECEIVER else gs
-
-    def opref(i: int) -> int:
-        # The objective player wants signal 0 exactly where their gap is positive.
-        return 1 if go_all[i] > 0 else 0
-
-    def result(ones, zeros, interior, pivot_pos, q, fallback):
-        return _finish(game, objective, sums, ones, zeros, interior,
-                       pivot_pos, q, fallback)
-
-    # Step 4: everything at the objective player's preferred extreme. The
-    # constrained player's slacks follow straight from the precomputed sums.
+    # Receiver objective concedes to the sender and vice versa.
     if objective is Objective.RECEIVER:
-        slack0 = sums._agree[c][0] + sums._cum10[c][-1]
-        slack1 = sums._agree[c][1] + sums._cum01[c][-1]
+        o, c = view.receiver, sidx
     else:
-        slack0 = sums._agree[c][0] + sums._cum01[c][-1]
-        slack1 = sums._agree[c][1] + sums._cum10[c][-1]
+        o, c = sidx, view.receiver
+    go = view.gap[o]
+    gc = view.gap[c]
+    w = view.weight
 
-    if slack0 >= 0 and slack1 <= 0:
-        ones = agree0 + [i for i in order if opref(i) == 1]
-        zeros = agree1 + [i for i in order if opref(i) == 0]
-        return result(ones, zeros, None, None, None, False)
-
-    gc_all = view.gap[cplayer]
-    for pos in range(1, kp + 1):
-        i = order[pos - 1]
-        bump = view.weight[i] * abs(gc_all[i])
-        slack0 += bump
-        slack1 -= bump
-        if slack0 >= 0 and slack1 <= 0:
-            q = pivot_q(game, sums, pos)
-            if not _objective_ic(sums, objective, pos, q):
-                return result([], list(range(len(view.names))), None, pos, q, True)
-            ones = agree0[:]
-            zeros = agree1[:]
-            for j in order[:pos - 1]:
-                (zeros if opref(j) == 1 else ones).append(j)   # conceded extreme
-            for j in order[pos:]:
-                (ones if opref(j) == 1 else zeros).append(j)
-            interior = None
-            if q is None:
-                (zeros if opref(i) == 1 else ones).append(i)
-            elif q == 1:
-                ones.append(i)
-            elif q == 0:
-                zeros.append(i)
-            else:
-                interior = (i, q)
-            return result(ones, zeros, interior, pos, q, False)
-    raise AssertionError("walk must reach a compatible filter by the last state")
-
-
-def _objective_ic(sums: PrefixSums, objective: Objective,
-                  pos: int, q: Optional[Fraction]) -> bool:
-    """Exact IC test of the objective player on the walk's candidate filter."""
-    c = _constrained_key(objective)
-    o = 1 - c
-    base0 = sums._agree[o][0] + sums._before_int(o, 0, pos) + sums._after_int(o, 0, pos)
-    base1 = sums._agree[o][1] + sums._before_int(o, 1, pos) + sums._after_int(o, 1, pos)
-    coef = sums._w[pos - 1] * sums._gap[o][pos - 1]
-    if q is None:
-        # Pivot kept its conceded extreme: signal-0 probability is 1 exactly
-        # when the constrained player's gap there is positive.
-        if sums._gap[c][pos - 1] > 0:
-            return base0 + coef >= 0 and base1 <= 0
-        return base0 >= 0 and base1 + coef <= 0
-    qn, qd = q.numerator, q.denominator
-    return base0 * qd + coef * qn >= 0 and base1 * qd + coef * (qd - qn) <= 0
-
-
-def _finish(game: Game, objective: Objective, sums: PrefixSums,
-            ones: list[int], zeros: list[int],
-            interior: Optional[tuple[int, Fraction]], pivot_pos: Optional[int],
-            q: Optional[Fraction], fallback: bool) -> OptimizerResult:
-    names = game.int_view.names
-    x: dict[str, Fraction] = {}
-    for i in ones:
-        x[names[i]] = _ONE
-    for i in zeros:
-        x[names[i]] = _ZERO
-    if interior is not None:
-        x[names[interior[0]]] = interior[1]
-    filt = BinaryFilter(signal0_prob=x)
-
+    # Agreement states at their shared side; disagreement states where the
+    # objective player wants them: signal 0 exactly where their gap is positive.
+    x = [0] * len(w)
+    for i in agree0:
+        x[i] = 1
+    for i in dis:
+        if go[i] > 0:
+            x[i] = 1
+    obey_c = view.obey_total(c, x)
+    target_c = max(0, view.gap_total(c))
+    pos = 0
+    q = None
+    fallback = False
+    if obey_c < target_c:
+        obey_o = view.obey_total(o, x)
+        target_o = max(0, view.gap_total(o))
+        for pos, i in enumerate(order, start=1):
+            # Conceding i moves x[i] to the constrained player's side: their
+            # total rises by w * |gap| and the objective player's falls.
+            bump = w[i] * abs(gc[i])
+            if obey_c + bump >= target_c:
+                break
+            obey_c += bump
+            obey_o -= w[i] * abs(go[i])
+        else:
+            raise ArithmeticError("the walk conceded every state and never stopped")
+        # Both totals with the pivot's term taken out, then the pivot's
+        # binding probability and the objective player's row there.
+        wc = w[i] * gc[i]
+        wo = w[i] * go[i]
+        q = pivot_q(obey_c - wc * x[i], target_c, wc)
+        base_o = obey_o - wo * x[i]
+        fallback = base_o * q.denominator + wo * q.numerator < target_o * q.denominator
+        for j in order[:pos - 1]:
+            x[j] = 1 - x[j]
+    names = view.names
     if fallback:
         # The always-signal-1 constant filter: informative only when both
         # players' total gaps point at action 1, babbling otherwise.
-        outcome = canonical_equilibrium(game, filt, sums.sender_index)
+        filt = BinaryFilter(signal0_prob=dict.fromkeys(names, _ZERO))
+        outcome = canonical_equilibrium(game, filt, sidx)
     else:
+        probs = [_ONE if xi else _ZERO for xi in x]
+        if pos:
+            probs[order[pos - 1]] = q
+        filt = BinaryFilter(signal0_prob=dict(zip(names, probs)))
         outcome = EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
                                      utilities=evaluate_sigma_s(game, filt))
     return OptimizerResult(
         objective=objective,
         filter=filt,
         outcome=outcome,
-        pivot_index=pivot_pos,
-        pivot_state=sums.names[pivot_pos - 1] if pivot_pos else None,
+        pivot_index=pos or None,
+        pivot_state=names[order[pos - 1]] if pos else None,
         pivot_q=q,
         fell_back_to_constant=fallback,
     )

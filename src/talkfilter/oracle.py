@@ -4,7 +4,9 @@ The grid oracle enumerates every binary filter on the lattice {0, 1/R, ...,
 1}^k and scores each one at its canonical-equilibrium value, so points where
 obeying the signal is not an equilibrium count at their babbling value. That
 makes the grid maximum a true lower bound on the achievable optimum, which
-the closed-form optimizers must meet or beat.
+the closed-form optimizers must meet or beat. The sweeps test each player's
+two IC rows as one, s.x >= max(0, sum(s)) (see the ``equilibrium`` module
+docstring), on integers that carry the extra grid scale R.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -248,26 +250,26 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
     view = game.int_view
     k = len(view.names)
     R = resolution
-    sidx = sender_index
-    ridx = view.receiver
-    oidx = ridx if objective_value == Objective.RECEIVER.value else sidx
+    if objective_value == Objective.RECEIVER.value:
+        oidx, cidx = view.receiver, sender_index
+    else:
+        oidx, cidx = sender_index, view.receiver
     w = view.weight
-    coef_s = [w[i] * view.gap[sidx][i] for i in range(k)]
-    coef_r = [w[i] * view.gap[ridx][i] for i in range(k)]
-    rtot_s = R * sum(coef_s)
-    rtot_r = R * sum(coef_r)
+    coef_o = [w[i] * view.gap[oidx][i] for i in range(k)]
+    coef_c = [w[i] * view.gap[cidx][i] for i in range(k)]
+    t_o = max(0, R * sum(coef_o))
+    t_c = max(0, R * sum(coef_c))
     rbase1_o = R * sum(w[i] * view.u1[oidx][i] for i in range(k))
 
     digits = _decode(start, k, R + 1)
-    s0s = sum(c * d for c, d in zip(coef_s, digits))
-    s0r = sum(c * d for c, d in zip(coef_r, digits))
-    s0o = s0r if oidx == ridx else s0s
+    s0o = sum(c * d for c, d in zip(coef_o, digits))
+    s0c = sum(c * d for c, d in zip(coef_c, digits))
 
     best_val: Optional[int] = None
     best_idx: Optional[int] = None
     index = start
     while True:
-        if s0s >= 0 and s0s >= rtot_s and s0r >= 0 and s0r >= rtot_r:
+        if s0c >= t_c and s0o >= t_o:
             val = rbase1_o + s0o
             if best_val is None or val > best_val:
                 best_val = val
@@ -277,14 +279,13 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
             break
         i = k - 1
         while digits[i] == R:
-            s0s -= R * coef_s[i]
-            s0r -= R * coef_r[i]
+            s0o -= R * coef_o[i]
+            s0c -= R * coef_c[i]
             digits[i] = 0
             i -= 1
         digits[i] += 1
-        s0s += coef_s[i]
-        s0r += coef_r[i]
-        s0o = s0r if oidx == ridx else s0s
+        s0o += coef_o[i]
+        s0c += coef_c[i]
     return best_val, best_idx
 
 
@@ -365,7 +366,9 @@ def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
     coef_c = [w[i] * view.gap[ridx][i] for i in range(k)]
     rtot_a = R * sum(coef_a)
     rtot_b = R * sum(coef_b)
-    rtot_c = R * sum(coef_c)
+    t_a = max(0, rtot_a)
+    t_b = max(0, rtot_b)
+    t_c = max(0, R * sum(coef_c))
     rbase1 = R * sum(w[i] * view.u1[ridx][i] for i in range(k))
 
     digits = _decode(start, k, R + 1)
@@ -376,15 +379,15 @@ def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
     best: tuple[Optional[int], Optional[int], Optional[str]] = (None, None, None)
     index = start
     while True:
-        if sc >= 0 and sc >= rtot_c:
+        if sc >= t_c:
             profile = None
             if sa >= 0 and sb >= 0:
                 profile = CandidateProfile.UNANIMOUS_0.value
             elif sa >= rtot_a and sb >= rtot_b:
                 profile = CandidateProfile.UNANIMOUS_1.value
-            elif sa >= 0 and sa >= rtot_a:
+            elif sa >= t_a:
                 profile = CandidateProfile.FOLLOW_SENDER_1.value
-            elif sb >= 0 and sb >= rtot_b:
+            elif sb >= t_b:
                 profile = CandidateProfile.FOLLOW_SENDER_2.value
             if profile is not None:
                 val = rbase1 + sc

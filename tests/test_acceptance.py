@@ -251,23 +251,72 @@ def test_criterion_8_majority_baseline():
                f"candidate on 50 games ({elapsed:.1f} s)")
 
 
-def test_criterion_9_complexity():
+def _walk_forcing_game(k: int, seed: int = 9) -> tf.Game:
+    """A uniform-prior game whose receiver-optimal walk runs deep.
+
+    Every tenth state agrees (agree0 and agree1 alternate); the rest are
+    split states where the sender's gap is -a and the receiver's +b, with a
+    and b drawn from 1..10^6. The agree0 states carry sender mass 3S/5 + 1/2
+    (S the split states' total a), so the sender's obey total starts near
+    -2S/5 and the walk concedes about two fifths of S. The half keeps the
+    total off zero at every step, so the pivot is interior. The agree1
+    states carry receiver mass -(3E/5 + 1/2) (E the total b), more than the
+    cheapest-first prefix concedes, so the receiver's own row holds.
+    """
+    rng = tf.SplitMix64(seed)
+    pairs = [(1 + rng.below(10 ** 6), 1 + rng.below(10 ** 6)) for i in range(k) if i % 10]
+    split = iter(pairs)
+    sender_mass = sum(a for a, _ in pairs)
+    receiver_mass = sum(b for _, b in pairs)
+    n0, n1 = len(range(0, k, 20)), len(range(10, k, 20))
+    g0 = F(6 * sender_mass + 5, 10 * n0)
+    g1 = F(6 * receiver_mass + 5, 10 * n1)
+    zero, one, prior = F(0), F(1), F(1, k)
+    states = []
+    for i in range(k):
+        if i % 20 == 0:
+            sender, receiver = (g0, zero), (one, zero)
+        elif i % 20 == 10:
+            sender, receiver = (zero, one), (zero, g1)
+        else:
+            a, b = next(split)
+            sender, receiver = (zero, F(a)), (F(b), zero)
+        states.append((f"w{i}", prior, sender, receiver))
+    return tf.make_game(states)
+
+
+def _timings(make, runs_at_100k, check=None):
+    """Best-of-runs receiver solve time per k, with ``check`` on each result."""
     timings = {}
     for k in (1_000, 10_000, 100_000):
-        game = tf.random_game(tf.RandomGameSpec(seed=42, num_states=k,
-                                                utility_range=5))
-        runs = 5 if k < 100_000 else 3
+        game = make(k)
+        runs = 5 if k < 100_000 else runs_at_100k
         best = math.inf
         for _ in range(runs):
             t0 = time.perf_counter()
-            tf.receiver_optimal_filter(game)
+            res = tf.receiver_optimal_filter(game)
             best = min(best, time.perf_counter() - t0)
+        if check:
+            check(k, res)
         timings[k] = best
-    assert timings[100_000] < 1.0
     anchor = timings[1_000] / (1_000 * math.log(1_000))
     for k in (10_000, 100_000):
         assert timings[k] <= 2 * anchor * k * math.log(k), timings
+    return timings
+
+
+def test_criterion_9_complexity():
+    timings = _timings(lambda k: tf.random_game(
+        tf.RandomGameSpec(seed=42, num_states=k, utility_range=5)), runs_at_100k=3)
+    assert timings[100_000] < 1.0
+
+    def deep_interior_walk(k, res):
+        assert res.pivot_index >= k // 10 and 0 < res.pivot_q < 1, res.pivot_index
+        assert not res.fell_back_to_constant
+    # Two runs at 100k: building that game takes about 2 s already.
+    walk = _timings(_walk_forcing_game, runs_at_100k=2, check=deep_interior_walk)
     _report(9, "k=100000 in {:.0f} ms; growth within 2x of k log k "
-               "({:.0f}/{:.0f}/{:.0f} ms)".format(
+               "({:.0f}/{:.0f}/{:.0f} ms; walk-forcing {:.0f}/{:.0f}/{:.0f} ms)".format(
                    timings[100_000] * 1000, timings[1_000] * 1000,
-                   timings[10_000] * 1000, timings[100_000] * 1000))
+                   timings[10_000] * 1000, timings[100_000] * 1000,
+                   walk[1_000] * 1000, walk[10_000] * 1000, walk[100_000] * 1000))

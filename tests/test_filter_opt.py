@@ -1,9 +1,8 @@
 from fractions import Fraction
-
-import pytest
+from functools import partial
 
 import talkfilter as tf
-from talkfilter.filter_opt import PrefixSums
+from talkfilter.filter_opt import sort_disagreement
 
 F = Fraction
 
@@ -16,13 +15,13 @@ SENDER = tf.Objective.SENDER
 # ---------------------------------------------------------------------------
 
 def test_sort_art(art):
-    sd = tf.sort_disagreement(art, RECEIVER)
-    assert sd.entries == (("IF", F(5)),)
+    sd = sort_disagreement(art, RECEIVER)
+    assert sd == (("IF", F(5)),)
 
 
 def test_sort_g3(g3):
-    sd = tf.sort_disagreement(g3, RECEIVER)
-    assert sd.entries == (("w3", F(1, 3)),)
+    sd = sort_disagreement(g3, RECEIVER)
+    assert sd == (("w3", F(1, 3)),)
 
 
 def test_sort_ascending_and_ties_keep_input_order():
@@ -32,9 +31,9 @@ def test_sort_ascending_and_ties_keep_input_order():
         ("c", "1/4", ("-3", "0"), ("3", "0")),    # ratio 1, after b
         ("d", "1/4", ("-1", "0"), ("4", "0")),    # ratio 4
     ])
-    sd = tf.sort_disagreement(game, RECEIVER)
-    assert [name for name, _ in sd.entries] == ["b", "c", "a", "d"]
-    assert [r for _, r in sd.entries] == [F(1), F(1), F(2), F(4)]
+    sd = sort_disagreement(game, RECEIVER)
+    assert [name for name, _ in sd] == ["b", "c", "a", "d"]
+    assert [r for _, r in sd] == [F(1), F(1), F(2), F(4)]
 
 
 def test_sort_exact_on_float_collisions():
@@ -47,8 +46,8 @@ def test_sort_exact_on_float_collisions():
         ("one_b", F(1, 4), (0, 2), (2, 0)),          # ratio exactly 1, later
         ("small", F(1, 4), (0, 2), (1, 0)),          # ratio 1/2
     ])
-    sd = tf.sort_disagreement(game, RECEIVER)
-    assert [n for n, _ in sd.entries] == ["small", "one_a", "one_b", "above"]
+    sd = sort_disagreement(game, RECEIVER)
+    assert [n for n, _ in sd] == ["small", "one_a", "one_b", "above"]
 
 
 def test_sort_handles_ratios_beyond_double_range():
@@ -58,87 +57,17 @@ def test_sort_handles_ratios_beyond_double_range():
         ("plain", F(1, 3), (0, 1), (3, 0)),          # ratio 3
         ("giant2", F(1, 3), (0, 2), (huge, 0)),      # ratio 10**400 / 2
     ])
-    sd = tf.sort_disagreement(game, RECEIVER)
-    assert [n for n, _ in sd.entries] == ["plain", "giant2", "giant"]
+    sd = sort_disagreement(game, RECEIVER)
+    assert [n for n, _ in sd] == ["plain", "giant2", "giant"]
 
 
 def test_sort_ratios_positive(seeded_games):
     for game in seeded_games(20):
         for objective in (RECEIVER, SENDER):
-            sd = tf.sort_disagreement(game, objective)
-            ratios = [r for _, r in sd.entries]
+            sd = sort_disagreement(game, objective)
+            ratios = [r for _, r in sd]
             assert all(r > 0 for r in ratios)
             assert ratios == sorted(ratios)
-
-
-# ---------------------------------------------------------------------------
-# Prefix sums
-# ---------------------------------------------------------------------------
-
-def test_sums_g3(g3):
-    sd = tf.sort_disagreement(g3, RECEIVER)
-    sums = tf.precompute_sums(g3, sd, RECEIVER)
-    assert sums.agreement("sender", 0) == F(1, 3)
-    assert sums.agreement("sender", 1) == F(-1, 3)
-    for side in (0, 1):
-        assert sums.before("sender", side, 1) == 0
-        assert sums.after("sender", side, 1) == 0
-
-
-def test_sums_art(art):
-    sd = tf.sort_disagreement(art, RECEIVER)
-    sums = tf.precompute_sums(art, sd, RECEIVER)
-    assert sums.agreement("sender", 0) == F(5, 3)
-    assert sums.agreement("sender", 1) == F(-1, 3)
-
-
-def test_sums_empty_disagreement():
-    game = tf.make_game([("a", "1/2", ("1", "0"), ("2", "0")),
-                         ("b", "1/2", ("0", "1"), ("0", "3"))])
-    sd = tf.sort_disagreement(game, RECEIVER)
-    assert sd.entries == ()
-    sums = tf.precompute_sums(game, sd, RECEIVER)
-    assert sums.agreement("sender", 0) == F(1, 2)
-    assert sums.agreement("sender", 1) == F(-1, 2)
-
-
-def test_sums_reproduce_ic_slacks(seeded_games):
-    """agreement + before + after + pivot term rebuilds the exact slacks of
-    the corresponding two-block filter, for both players and objectives."""
-    for game in seeded_games(20, seed0=2000):
-        cls = tf.classify_states(game)
-        for objective in (RECEIVER, SENDER):
-            sd = tf.sort_disagreement(game, objective)
-            sums = tf.precompute_sums(game, sd, objective)
-            names = sd.names
-            for i in range(1, len(names) + 1):
-                q = F(1, 3)
-                x = {}
-                for name in cls.agree0:
-                    x[name] = F(1)
-                for name in cls.agree1:
-                    x[name] = F(0)
-                for pos, name in enumerate(names, start=1):
-                    in10 = name in cls.split10
-                    if objective is RECEIVER:
-                        conceded = F(0) if in10 else F(1)
-                        preferred = F(1) if in10 else F(0)
-                    else:
-                        conceded = F(1) if in10 else F(0)
-                        preferred = F(0) if in10 else F(1)
-                    if pos < i:
-                        x[name] = conceded
-                    elif pos > i:
-                        x[name] = preferred
-                    else:
-                        x[name] = q
-                filt = tf.BinaryFilter(x)
-                s = tf.sender_ic(game, filt)
-                r = tf.receiver_ic(game, filt)
-                assert sums.slack_with_pivot("sender", 0, i, q) == s.signal0_slack
-                assert sums.slack_with_pivot("sender", 1, i, q) == s.signal1_slack
-                assert sums.slack_with_pivot("receiver", 0, i, q) == r.signal0_slack
-                assert sums.slack_with_pivot("receiver", 1, i, q) == r.signal1_slack
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +75,7 @@ def test_sums_reproduce_ic_slacks(seeded_games):
 # ---------------------------------------------------------------------------
 
 def test_pivot_q_g3(g3):
-    sd = tf.sort_disagreement(g3, RECEIVER)
-    sums = tf.precompute_sums(g3, sd, RECEIVER)
-    assert tf.pivot_q(g3, sums, 1) == F(1, 3)
-
-
-def test_pivot_q_objective_mismatch(g3):
-    sd = tf.sort_disagreement(g3, RECEIVER)
-    sums = tf.precompute_sums(g3, sd, RECEIVER)
-    with pytest.raises(ValueError):
-        tf.pivot_q(g3, sums, 1, SENDER)
-
-
-def test_pivot_q_degenerate_coefficient(g3):
-    sd = tf.sort_disagreement(g3, RECEIVER)
-    sums = tf.precompute_sums(g3, sd, RECEIVER)
-    degenerate = PrefixSums(
-        objective=sums.objective, sender_index=sums.sender_index,
-        names=sums.names, split10=sums.split10, _w=sums._w,
-        _gap=((0,), sums._gap[1]), _scale=sums._scale, _agree=sums._agree,
-        _cum01=sums._cum01, _cum10=sums._cum10)
-    assert tf.pivot_q(g3, degenerate, 1) is None
+    assert tf.receiver_optimal_filter(g3).pivot_q == F(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +197,19 @@ def test_sender_optimal_aligned_matches_receiver():
 # Structural invariants on random games
 # ---------------------------------------------------------------------------
 
-def _walk_filters(game, objective):
+def _walk_filters(game, objective, sender_index=0):
     """Reconstruct the walk's candidate filters independently of the solver."""
-    cls = tf.classify_states(game)
-    sd = tf.sort_disagreement(game, objective)
+    cls = tf.classify_states(game, sender_index)
+    names = [name for name, _ in sort_disagreement(game, objective, sender_index)]
     base = {}
     for name in cls.agree0:
         base[name] = F(1)
     for name in cls.agree1:
         base[name] = F(0)
     filters = []
-    for flipped in range(len(sd.names) + 1):
+    for flipped in range(len(names) + 1):
         x = dict(base)
-        for pos, name in enumerate(sd.names, start=1):
+        for pos, name in enumerate(names, start=1):
             in10 = name in cls.split10
             if objective is RECEIVER:
                 conceded, preferred = (F(0), F(1)) if in10 else (F(1), F(0))
@@ -309,6 +218,79 @@ def _walk_filters(game, objective):
             x[name] = conceded if pos <= flipped else preferred
         filters.append(tf.BinaryFilter(x))
     return filters
+
+
+def _binding_q(check, game, filt, name, preferred):
+    """The pivot probability nearest the objective player's extreme at which
+    ``check`` holds, solved from the report's Fraction slacks.
+
+    Both slacks are linear in the pivot's probability p, so with the pivot
+    at 0 and at 1 the rows slack0 >= 0 and slack1 <= 0 become bounds on p.
+    """
+    at = [check(game, tf.BinaryFilter({**filt.signal0_prob, name: F(p)}))
+          for p in (0, 1)]
+    lo, hi = F(0), F(1)
+    for k, m in ((at[0].signal0_slack, at[1].signal0_slack - at[0].signal0_slack),
+                 (-at[0].signal1_slack, at[0].signal1_slack - at[1].signal1_slack)):
+        # The row k + m * p >= 0.
+        if m > 0:
+            lo = max(lo, -k / m)
+        elif m < 0:
+            hi = min(hi, -k / m)
+        else:
+            assert k >= 0
+    assert lo <= hi
+    return hi if preferred == 1 else lo
+
+
+def _walk_corpus(seeded_games):
+    """(game, sender index): utility range 1 for ties, both priors, and
+    two-sender games under each sender index."""
+    games = [(g, 0) for g in seeded_games(80, ks=(1, 2, 3, 4, 6), utility_range=1,
+                                          seed0=2600)]
+    games += [(g, 0) for g in seeded_games(80, ks=(2, 3, 5, 8), utility_range=1,
+                                           prior="random-rational", seed0=2700)]
+    games += [(g, 0) for g in seeded_games(40, ks=(3, 6, 10), utility_range=3,
+                                           prior="random-rational", seed0=2800)]
+    games += [(g, j) for g in seeded_games(40, ks=(2, 3, 5), num_senders=2,
+                                           utility_range=1, seed0=2900)
+              for j in (0, 1)]
+    return games
+
+
+def test_walk_matches_definition(seeded_games):
+    """The walk stops at the first candidate filter where the constrained
+    player's IC holds, gives the pivot the binding probability nearest the
+    objective player's extreme, and falls back exactly when the objective
+    player's IC fails there."""
+    walks = fallbacks = 0
+    for game, j in _walk_corpus(seeded_games):
+        sender = partial(tf.sender_ic, sender_index=j)
+        for objective, run, constrained, own in (
+                (RECEIVER, tf.receiver_optimal_filter, sender, tf.receiver_ic),
+                (SENDER, tf.sender_optimal_filter, tf.receiver_ic, sender)):
+            res = run(game, sender_index=j)
+            filters = _walk_filters(game, objective, j)
+            first = [constrained(game, f).holds for f in filters].index(True)
+            if first == 0:
+                assert res.pivot_index is None and res.pivot_q is None
+                assert not res.fell_back_to_constant
+                assert res.filter == filters[0]
+                continue
+            walks += 1
+            name = sort_disagreement(game, objective, j)[first - 1][0]
+            preferred = filters[first - 1].signal0_prob[name]
+            q = _binding_q(constrained, game, filters[first], name, preferred)
+            assert (res.pivot_index, res.pivot_state, res.pivot_q) == (first, name, q)
+            candidate = tf.BinaryFilter({**filters[first].signal0_prob, name: q})
+            fell_back = not own(game, candidate).holds
+            fallbacks += fell_back
+            assert res.fell_back_to_constant == fell_back
+            if fell_back:
+                assert set(res.filter.signal0_prob.values()) == {0}
+            else:
+                assert res.filter == candidate
+    assert walks > 100 and fallbacks > 10, (walks, fallbacks)
 
 
 def test_walk_slacks_are_monotone(seeded_games):
@@ -342,9 +324,9 @@ def test_result_structure(seeded_games):
             assert tf.sender_ic(game, res.filter).holds
             assert tf.receiver_ic(game, res.filter).holds
             assert res.outcome == tf.canonical_equilibrium(game, res.filter)
-            sd = tf.sort_disagreement(game, objective)
+            sd = sort_disagreement(game, objective)
             if res.pivot_index is not None:
-                for pos, name in enumerate(sd.names, start=1):
+                for pos, (name, _) in enumerate(sd, start=1):
                     if pos == res.pivot_index:
                         continue
                     x = res.filter.signal0_prob[name]
