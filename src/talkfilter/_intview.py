@@ -19,10 +19,7 @@ if TYPE_CHECKING:
 
 def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     """Rescale rationals given as (numerator, denominator) to a common integer scale."""
-    scale = 1
-    for _, d in pairs:
-        if d != 1:
-            scale = lcm(scale, d)
+    scale = lcm(*{d for _, d in pairs})
     if scale == 1:
         return [n for n, _ in pairs], 1
     return [n * (scale // d) for n, d in pairs], scale
@@ -47,31 +44,23 @@ class IntView:
                  "num_senders", "num_players")
 
     def __init__(self, game: Game):
+        # Built from the game's parsed rows: (name, prior, per-player
+        # utility pairs), every number a reduced (numerator, denominator).
+        rows = game._rows
         self.num_senders = game.num_senders
         self.num_players = game.num_senders + 1
-        states = game.states
-        self.names = [rec.name for rec in states]
+        self.names = [name for name, _, _ in rows]
+        self.weight, self.wscale = scaled_ints([prior for _, prior, _ in rows])
 
-        self.weight, self.wscale = scaled_ints(
-            [rec.prior.as_integer_ratio() for rec in states])
-
+        k = len(rows)
         self.u0 = []
         self.u1 = []
         self.uscale = []
         for t in range(self.num_players):
-            if t < self.num_senders:
-                raw = [(rec.sender_utils[t][0].as_integer_ratio(),
-                        rec.sender_utils[t][1].as_integer_ratio()) for rec in states]
-            else:
-                raw = [(rec.receiver_utils[0].as_integer_ratio(),
-                        rec.receiver_utils[1].as_integer_ratio()) for rec in states]
-            flat: list[tuple[int, int]] = []
-            for a, b in raw:
-                flat.append(a)
-                flat.append(b)
-            vals, scale = scaled_ints(flat)
-            self.u0.append(vals[0::2])
-            self.u1.append(vals[1::2])
+            pairs = [utils[t] for _, _, utils in rows]
+            vals, scale = scaled_ints([a for a, _ in pairs] + [b for _, b in pairs])
+            self.u0.append(vals[:k])
+            self.u1.append(vals[k:])
             self.uscale.append(scale)
         self.gap = [[a - b for a, b in zip(self.u0[t], self.u1[t])]
                     for t in range(self.num_players)]

@@ -98,7 +98,7 @@ def _report(command: str, game: Game, result: dict,
             diagnostics: Optional[dict], started: float) -> dict:
     report = {
         "command": command,
-        "game": {"states": len(game.states), "senders": game.num_senders},
+        "game": {"states": len(game.int_view.names), "senders": game.num_senders},
         "result": result,
     }
     if diagnostics is not None:

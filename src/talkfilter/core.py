@@ -2,18 +2,24 @@
 
 Everything numeric is a ``fractions.Fraction`` at the API: the solver
 decides incentive-compatibility on boundary cases (slacks exactly zero), so
-no rounding is tolerable anywhere on the solve path. Sums over states run on
-each game's cached integer view (``Game.int_view``) and become Fractions
-only when reported.
+no rounding is tolerable anywhere on the solve path. Game files and
+``make_game`` tuples parse straight to reduced integer (numerator,
+denominator) pairs, and the checks run on those: a prior is positive when
+its numerator is, and the priors sum to exactly 1 when their numerators over
+the lcm of the denominators sum to that lcm. Sums over states run on each
+game's cached integer view (``Game.int_view``), built from the same pairs,
+and become Fractions only when reported; a game's ``StateRecord``s of
+Fractions are built only when a caller reads them.
 
 Action convention: signal 0 stands for "play action 0". A binary filter is
 described by the per-state probability of emitting signal 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from math import gcd
+from typing import Iterable, Mapping, Sequence, Union
 
 from ._intview import IntView, scaled_ints
 
@@ -74,12 +80,11 @@ class ZeroProbabilitySignal(ValueError):
 MAX_DECIMAL_EXPONENT = 1000
 
 
-def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
-    """Parse "a/b", integer, or finite decimal notation into a Fraction.
+def _ratio(value: Union[str, int, Fraction]) -> tuple[int, int]:
+    """Parse a rational to its reduced (numerator, denominator), denominator > 0.
 
-    Decimal strings are exact: "0.2" becomes 1/5, not the nearest double.
-    Strings parse exactly as ``Fraction(value.strip())`` does, except that
-    exponents beyond ±MAX_DECIMAL_EXPONENT raise ValueError.
+    The one parser behind ``parse_rational`` and the game constructors;
+    see ``parse_rational`` for the accepted notation.
     """
     if isinstance(value, str):
         # Integer and "a/b" text skips Fraction's regex, which keeps decimals,
@@ -89,17 +94,20 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
         num, slash, den = text.partition("/")
         try:
             if not slash:
-                return Fraction(int(text))
+                return int(text), 1
             if num[-1:].isdecimal() and den[:1].isdecimal():
-                return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
+                n, d = int(num), int(den)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+        except ValueError:
             pass
     elif isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     elif isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     elif isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     elif isinstance(value, float):
         # Floats are rejected on purpose: 0.1 as a double is not 1/10.
         raise ValueError(
@@ -116,14 +124,30 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
         if too_large:
             raise ValueError(f"decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}: {value!r}")
     try:
-        return Fraction(text)
+        return Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
+
+
+def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
+    """Parse "a/b", integer, or finite decimal notation into a Fraction.
+
+    Decimal strings are exact: "0.2" becomes 1/5, not the nearest double.
+    Strings parse exactly as ``Fraction(value.strip())`` does, except that
+    exponents beyond ±MAX_DECIMAL_EXPONENT raise ValueError.
+    """
+    return Fraction(*_ratio(value))
 
 
 # ---------------------------------------------------------------------------
 # Game
 # ---------------------------------------------------------------------------
+
+Pair = tuple[int, int]            # reduced (numerator, denominator), denominator > 0
+#: One state as parsed: name, prior, and per player (the senders, then the
+#: receiver) the utilities of actions 0 and 1.
+Row = tuple[str, Pair, tuple[tuple[Pair, Pair], ...]]
+
 
 @dataclass(frozen=True)
 class StateRecord:
@@ -135,23 +159,82 @@ class StateRecord:
     receiver_utils: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+def _records(rows: tuple[Row, ...]) -> tuple[StateRecord, ...]:
+    fractions: dict[Pair, Fraction] = {}   # one Fraction per distinct value
+
+    def frac(pair: Pair) -> Fraction:
+        value = fractions.get(pair)
+        if value is None:
+            value = fractions[pair] = Fraction(*pair)
+        return value
+
+    return tuple(
+        StateRecord(name, frac(prior),
+                    tuple((frac(a), frac(b)) for a, b in utils[:-1]),
+                    (frac(utils[-1][0]), frac(utils[-1][1])))
+        for name, prior, utils in rows)
+
+
 class Game:
     """A validated game: ordered states and a fixed sender count.
 
-    Instances are immutable and safe to share between threads; construct
-    them through :func:`make_game` or :func:`validate_game`.
+    The game keeps each state as parsed, in integer (numerator, denominator)
+    pairs; ``int_view`` scales those to integer tables, and the
+    ``StateRecord``s of Fractions behind ``states`` and ``state`` are built
+    only on first access. Instances are immutable and safe to share between
+    threads; construct them through :func:`make_game` or
+    :func:`validate_game`. Equality, hashing and repr are those of the
+    ``states`` tuple and the sender count.
     """
 
-    states: tuple[StateRecord, ...]
-    num_senders: int
-    _index: Mapping[str, StateRecord] = field(
-        default=None, compare=False, repr=False)  # type: ignore[assignment]
-    _view: Optional[IntView] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("num_senders", "_rows", "_states", "_index", "_view")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {rec.name: rec for rec in self.states})
+    def __init__(self, states: Iterable[StateRecord], num_senders: int):
+        """A game of the given records, unchecked."""
+        self._set(tuple(
+            (rec.name, _ratio(rec.prior),
+             tuple((_ratio(a), _ratio(b)) for a, b in
+                   (*rec.sender_utils, rec.receiver_utils)))
+            for rec in states), num_senders)
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[Row, ...], num_senders: int) -> "Game":
+        game = cls.__new__(cls)
+        game._set(rows, num_senders)
+        return game
+
+    def _set(self, rows: tuple[Row, ...], num_senders: int) -> None:
+        for slot, value in (("num_senders", num_senders), ("_rows", rows),
+                            ("_states", None), ("_index", None), ("_view", None)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Reduced pairs with positive denominators are equal exactly when
+        # their Fractions are, so this is the comparison of the records.
+        return (self._rows, self.num_senders) == (other._rows, other.num_senders)
+
+    def __hash__(self):
+        return hash((self.states, self.num_senders))
+
+    def __repr__(self):
+        return f"Game(states={self.states!r}, num_senders={self.num_senders!r})"
+
+    def __reduce__(self):
+        return type(self)._of_rows, (self._rows, self.num_senders)
+
+    @property
+    def states(self) -> tuple[StateRecord, ...]:
+        if self._states is None:
+            object.__setattr__(self, "_states", _records(self._rows))
+        return self._states
 
     @property
     def int_view(self) -> IntView:
@@ -161,11 +244,13 @@ class Game:
         return self._view
 
     def state(self, name: str) -> StateRecord:
+        if self._index is None:
+            object.__setattr__(self, "_index", {rec.name: rec for rec in self.states})
         return self._index[name]
 
     @property
     def state_names(self) -> tuple[str, ...]:
-        return tuple(rec.name for rec in self.states)
+        return tuple(row[0] for row in self._rows)
 
     def utility(self, player: Player, rec: StateRecord, action: int) -> Fraction:
         if player == RECEIVER:
@@ -173,28 +258,30 @@ class Game:
         return rec.sender_utils[player][action]
 
 
-def _check_states(states: Sequence[StateRecord], num_senders: int) -> Game:
+def _checked_game(rows: list[Row], num_senders: int) -> Game:
+    """The Game of parsed rows, once every state and the priors check out."""
     if num_senders < 1:
         raise SenderCountMismatch(f"need at least one sender, got {num_senders}")
-    if not states:
+    if not rows:
         raise EmptyStateList("a game needs at least one state")
     seen: set[str] = set()
-    total = Fraction(0)
-    for rec in states:
-        if rec.name in seen:
-            raise DuplicateStateName(f"duplicate state name {rec.name!r}")
-        seen.add(rec.name)
-        if rec.prior <= 0:
+    for name, prior, utils in rows:
+        if name in seen:
+            raise DuplicateStateName(f"duplicate state name {name!r}")
+        seen.add(name)
+        if prior[0] <= 0:
             raise NonPositivePrior(
-                f"state {rec.name!r} has prior {rec.prior}, which is not > 0")
-        if len(rec.sender_utils) != num_senders:
+                f"state {name!r} has prior {Fraction(*prior)}, which is not > 0")
+        if len(utils) != num_senders + 1:
             raise SenderCountMismatch(
-                f"state {rec.name!r} carries {len(rec.sender_utils)} sender "
+                f"state {name!r} carries {len(utils) - 1} sender "
                 f"utility pairs, expected {num_senders}")
-        total += rec.prior
-    if total != 1:
-        raise PriorNotNormalized(f"priors sum to {total}, expected exactly 1")
-    return Game(states=tuple(states), num_senders=num_senders)
+    weight, wscale = scaled_ints([row[1] for row in rows])
+    total = sum(weight)
+    if total != wscale:
+        raise PriorNotNormalized(
+            f"priors sum to {Fraction(total, wscale)}, expected exactly 1")
+    return Game._of_rows(tuple(rows), num_senders)
 
 
 def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:
@@ -205,26 +292,21 @@ def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:
     list of such pairs, and every scalar is anything ``parse_rational``
     accepts.
     """
-    records = []
+    rows = []
     for name, prior, sender_pairs, receiver_pair in states:
         if sender_pairs and not isinstance(sender_pairs[0], (tuple, list)):
             sender_pairs = [sender_pairs]
-        records.append(StateRecord(
-            name=str(name),
-            prior=parse_rational(prior),
-            sender_utils=tuple(
-                (parse_rational(u0), parse_rational(u1)) for u0, u1 in sender_pairs),
-            receiver_utils=(
-                parse_rational(receiver_pair[0]), parse_rational(receiver_pair[1])),
-        ))
-    return _check_states(records, num_senders)
+        rows.append((str(name), _ratio(prior), (
+            *((_ratio(u0), _ratio(u1)) for u0, u1 in sender_pairs),
+            (_ratio(receiver_pair[0]), _ratio(receiver_pair[1])))))
+    return _checked_game(rows, num_senders)
 
 
-def _utility_pair(pair) -> tuple[Fraction, Fraction]:
+def _utility_pair(pair) -> tuple[Pair, Pair]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise GameValidationError(
             f"a utility pair must be an array of two entries, not {pair!r}")
-    return parse_rational(pair[0]), parse_rational(pair[1])
+    return _ratio(pair[0]), _ratio(pair[1])
 
 
 def validate_game(raw: Mapping) -> Game:
@@ -251,29 +333,29 @@ def validate_game(raw: Mapping) -> Game:
     if not isinstance(raw_states, list):
         raise GameValidationError(
             f"'states' must be a JSON array, not {type(raw_states).__name__}")
-    records = []
+    rows = []
     num_senders = None
     for entry in raw_states:
         try:
             name = str(entry["name"])
-            prior = parse_rational(entry["prior"])
+            prior = _ratio(entry["prior"])
             pairs = entry["sender_utilities"]
             if not isinstance(pairs, list):
                 raise GameValidationError(
                     f"'sender_utilities' must be an array of pairs, not {pairs!r}")
-            sender_utils = tuple(_utility_pair(p) for p in pairs)
-            receiver_utils = _utility_pair(entry["receiver_utility"])
+            utils = tuple(map(_utility_pair, pairs))
+            receiver = _utility_pair(entry["receiver_utility"])
         except KeyError as exc:
             raise GameValidationError(f"state entry missing field {exc}") from exc
         except TypeError as exc:
             raise GameValidationError(f"malformed state entry: {entry!r}") from exc
         if num_senders is None:
-            num_senders = len(sender_utils)
-        records.append(StateRecord(name, prior, sender_utils, receiver_utils))
+            num_senders = len(utils)
+        rows.append((name, prior, (*utils, receiver)))
     if kind == "transmission" and num_senders != 1:
         raise SenderCountMismatch(
             f"transmission games have exactly one sender, file has {num_senders}")
-    return _check_states(records, num_senders or 0)
+    return _checked_game(rows, num_senders or 0)
 
 
 # ---------------------------------------------------------------------------

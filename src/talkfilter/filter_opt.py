@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import Optional
 
 from ._intview import IntView
@@ -53,14 +55,14 @@ def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
     """Sort by exact ascending ratio: float key first, exact fixup on collisions."""
     gs = view.gap[sidx]
     gr = view.gap[view.receiver]
+    if objective is Objective.RECEIVER:
+        num, den = gr, [-g for g in gs]
+    else:
+        num, den = gs, [-g for g in gr]
 
     def fkey(i: int) -> float:
-        if objective is Objective.RECEIVER:
-            num, den = gr[i], -gs[i]
-        else:
-            num, den = gs[i], -gr[i]
         try:
-            return num / den
+            return num[i] / den[i]
         except OverflowError:
             # Ratios are positive; anything past double range outranks every
             # finite key, and inf-keyed states resolve among themselves in
@@ -69,22 +71,32 @@ def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
 
     keyed = sorted(((fkey(i), i) for i in dis))
     order = [i for _, i in keyed]
-    # Re-sort runs whose doubles collide using exact ratios; stability keeps
-    # input order for exactly equal ratios.
+    # Re-sort runs whose doubles collide by their exact ratios. States are
+    # grouped by reduced ratio in input order, and the groups are ordered by
+    # cross-multiplication, which is the stable sort on the exact ratio.
+    # Split01 states have both terms negative; reducing by a gcd of the
+    # denominator's sign makes every denominator positive.
     start = 0
     while start < len(order):
         end = start + 1
         while end < len(order) and keyed[end][0] == keyed[start][0]:
             end += 1
         if end - start > 1:
-            if objective is Objective.RECEIVER:
-                order[start:end] = sorted(order[start:end],
-                                          key=lambda i: Fraction(gr[i], -gs[i]))
-            else:
-                order[start:end] = sorted(order[start:end],
-                                          key=lambda i: Fraction(gs[i], -gr[i]))
+            groups: dict[tuple[int, int], list[int]] = {}
+            for i in order[start:end]:
+                g = gcd(num[i], den[i]) if den[i] > 0 else -gcd(num[i], den[i])
+                groups.setdefault((num[i] // g, den[i] // g), []).append(i)
+            if len(groups) > 1:
+                ratios = sorted(groups, key=cmp_to_key(_compare_ratios))
+                order[start:end] = [i for r in ratios for i in groups[r]]
         start = end
     return order
+
+
+def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Sign of a[0]/a[1] - b[0]/b[1] for positive denominators."""
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,

@@ -15,7 +15,6 @@ any implementation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -59,7 +58,7 @@ class GridSpec:
     def check(self, game: Game) -> None:
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
-        k = len(game.states)
+        k = len(game.int_view.names)
         radix = self.resolution + 1
         if k > self.max_states:
             raise GridTooLarge(
@@ -238,6 +237,9 @@ def _run_chunks(chunk, args: tuple, total: int, threads: int) -> list:
         return [chunk(*args, 0, total)]
     bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
     spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
+    # Imported here: the pool module costs every process that loads talkfilter
+    # tens of milliseconds, and only a multi-worker search needs it.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
         return list(pool.map(chunk, *([a] * len(spans) for a in args),
                              [s for s, _ in spans], [e for _, e in spans]))
@@ -301,7 +303,7 @@ def grid_search(game: Game, spec: GridSpec,
     """
     spec.check(game)
     R = spec.resolution
-    k = len(game.states)
+    k = len(game.int_view.names)
     results = _run_chunks(_grid_chunk, (game, R, objective.value, sender_index),
                           (R + 1) ** k, threads)
     best_val: Optional[int] = None
@@ -424,7 +426,7 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
         raise WrongSenderCount(f"need exactly 2 senders, game has {game.num_senders}")
     spec.check(game)
     R = spec.resolution
-    k = len(game.states)
+    k = len(game.int_view.names)
     results = _run_chunks(_two_sender_chunk, (game, R), (R + 1) ** k, threads)
     best_val: Optional[int] = None
     best_idx: Optional[int] = None

@@ -322,3 +322,15 @@ def test_non_object_input_is_input_error(write, game, filt):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a multi-worker grid search needs concurrent.futures.process."""
+    src = str(Path(talkfilter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, talkfilter.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -61,6 +61,39 @@ def test_sort_handles_ratios_beyond_double_range():
     assert [n for n, _ in sd] == ["plain", "giant2", "giant"]
 
 
+def test_sort_ties_across_split_kinds_keep_input_order():
+    """Split01 and split10 states with one exact ratio, and a double collision."""
+    big = 10 ** 17
+    game = tf.make_game([
+        ("above", F(1, 5), (0, big - 1), (big, 0)),   # split10, a hair above 1
+        ("s01", F(1, 5), (1, 0), (0, 1)),             # split01, ratio (-1)/(-1)
+        ("s10", F(1, 5), (0, 2), (2, 0)),             # split10, ratio 2/2
+        ("s01b", F(1, 5), (3, 0), (0, 3)),            # split01, ratio 1
+        ("half", F(1, 5), (2, 0), (0, 1)),            # split01, ratio 1/2
+    ])
+    assert [n for n, _ in sort_disagreement(game, RECEIVER)] == [
+        "half", "s01", "s10", "s01b", "above"]
+    assert [n for n, _ in sort_disagreement(game, SENDER)] == [
+        "above", "s01", "s10", "s01b", "half"]
+
+
+def test_sort_is_the_stable_sort_on_exact_ratios():
+    """On tie-heavy seeded games, the order is a stable sort by Fraction ratio."""
+    for i in range(60):
+        game = tf.random_game(tf.RandomGameSpec(
+            seed=4200 + i, num_states=5 + i, num_senders=1 + i % 2,
+            utility_range=1 + i % 2, prior="random-rational"))
+        view = game.int_view
+        for j in range(game.num_senders):
+            gs, gr = view.gap[j], view.gap[view.receiver]
+            dis = view.classify(j)[2]
+            for objective, ratio in ((RECEIVER, lambda k: F(gr[k], -gs[k])),
+                                     (SENDER, lambda k: F(gs[k], -gr[k]))):
+                expected = [view.names[k] for k in sorted(dis, key=ratio)]
+                got = [n for n, _ in sort_disagreement(game, objective, j)]
+                assert got == expected, (i, j, objective)
+
+
 def test_sort_ratios_positive(seeded_games):
     for game in seeded_games(20):
         for objective in (RECEIVER, SENDER):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import talkfilter as tf
-from talkfilter import oracle
 
 F = Fraction
 
@@ -168,7 +167,7 @@ def test_grid_workers_clamped_to_cpus_and_spans(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     game = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))   # 9^4 = 6561 points
     spec = tf.GridSpec(resolution=8)
     expected = tf.grid_search(game, spec, threads=1)
