@@ -114,6 +114,14 @@ class IntView:
         """sum(weight * gap * x): with x = D * signal-0 probabilities, D * slack scale * slack0."""
         return sum(map(mul, map(mul, self.weight, self.gap[player]), x))
 
+    def obey_value(self, player: int, x: list[int], scale: int) -> Fraction:
+        """Value of obeying signal-0 probabilities x / scale (action a on signal a).
+
+        That is (scale * sum(w * u1) + sum(w * gap * x)) / (scale * slack scale).
+        """
+        return Fraction(scale * self.action_total(player, 1) + self.obey_total(player, x),
+                        scale * self.slack_scale(player))
+
     def constant_value(self, player: int, action: int) -> Fraction:
         return Fraction(self.action_total(player, action), self.slack_scale(player))
 

@@ -18,20 +18,15 @@ are kept the same way.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
+
+from ._intview import scaled_ints
 
 _AT_LOWER = 0
 _AT_UPPER = 1
 _BASIC = 2
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(scale, integers): the values times the lcm of their denominators."""
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs))
-    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
 
 
 def _solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
@@ -71,9 +66,9 @@ def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
     # Variables 0..n-1 are structural with box bounds; n..n+m-1 are surplus
     # variables (rows.x - s = 0, s >= 0, unbounded above).
     total = n + m
-    scale, cost = _scaled(objective)
+    cost, scale = scaled_ints([v.as_integer_ratio() for v in objective])
     cost += [0] * m
-    int_rows = [_scaled(row)[1] for row in rows]
+    int_rows = [scaled_ints([v.as_integer_ratio() for v in row])[0] for row in rows]
     cols = [tuple(row[j] for row in int_rows) for j in range(n)]
     cols += [tuple(-1 if i == r else 0 for i in range(m)) for r in range(m)]
     priced = [(c, *col) for c, col in zip(cost, cols)]

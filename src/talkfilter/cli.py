@@ -26,7 +26,7 @@ from .core import (
     parse_rational,
     validate_game,
 )
-from .equilibrium import canonical_equilibrium, outcome_from_ic, receiver_ic, sender_ic
+from .equilibrium import binary_equilibrium, canonical_equilibrium
 from .filter_opt import Objective, receiver_optimal_filter, sender_optimal_filter
 from .multi_sender import WrongSenderCount, majority_outcome, two_sender_optimal
 from .oracle import GridSpec, verify_filter_optimality
@@ -136,8 +136,8 @@ def _cmd_optimize(args) -> int:
         "utilities": _utilities(res.outcome.utilities),
         "fallback": res.fell_back_to_constant,
     }
-    diagnostics = {"sender_ic": _ic_payload(sender_ic(game, res.filter)),
-                   "receiver_ic": _ic_payload(receiver_ic(game, res.filter))}
+    sender, receiver, _ = binary_equilibrium(game, res.filter)
+    diagnostics = {"sender_ic": _ic_payload(sender), "receiver_ic": _ic_payload(receiver)}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(_filter_payload(res.filter), fh, indent=2)
@@ -163,10 +163,8 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     game = _load_one_sender_game(args)
     filt = _load_filter(args.filter)
-    reports = sender_ic(game, filt), receiver_ic(game, filt)
-    outcome = outcome_from_ic(game, filt, *reports)
-    diagnostics = {"sender_ic": _ic_payload(reports[0]),
-                   "receiver_ic": _ic_payload(reports[1])}
+    sender, receiver, outcome = binary_equilibrium(game, filt)
+    diagnostics = {"sender_ic": _ic_payload(sender), "receiver_ic": _ic_payload(receiver)}
     result = _outcome_payload(outcome)
     report = _report("evaluate", game, result, diagnostics, started)
     lines = [f"canonical equilibrium: {outcome.kind.value}",

@@ -542,19 +542,18 @@ class UtilityProfile:
         return self.senders[0]
 
 
+def obey_profile(view: IntView, x: list[int], scale: int) -> UtilityProfile:
+    """Every player's ``IntView.obey_value`` of the signal-0 probabilities x / scale."""
+    return UtilityProfile.of([view.obey_value(t, x, scale) for t in range(view.num_players)])
+
+
 def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
     """Value of obeying the binary signal: action 0 on signal 0, 1 on signal 1.
 
     Pure evaluation; whether that play is anyone's best response is the
-    equilibrium module's business. With x = n / D on the integer view, each
-    player's value is (D * sum(w * u1) + sum(w * gap * n)) / (D * scale).
+    equilibrium module's business.
     """
-    view = game.int_view
-    x, xscale = filt.scaled(game)
-    return UtilityProfile.of([
-        Fraction(xscale * view.action_total(t, 1) + view.obey_total(t, x),
-                 xscale * view.slack_scale(t))
-        for t in range(view.num_players)])
+    return obey_profile(game.int_view, *filt.scaled(game))
 
 
 def constant_action_value(game: Game, action: int) -> UtilityProfile:

@@ -19,6 +19,10 @@ are one:
 the form that the checks here, the optimizer's walk and the grid oracle's
 sweeps test. Both sums run on integers (``Game.int_view`` and the filter
 over its lcm denominator); only the reported slacks are Fractions.
+
+``binary_equilibrium`` scales a binary filter to integers once and derives
+both IC reports and the canonical outcome from that one scaling. Every
+obey-the-signal value, here and elsewhere, is ``IntView.obey_value``.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from ._intview import scaled_ints
+from ._intview import IntView, scaled_ints
 from .core import (
     BinaryFilter,
     Game,
@@ -35,7 +39,7 @@ from .core import (
     UtilityProfile,
     ZeroProbabilitySignal,
     evaluate_babbling,
-    evaluate_sigma_s,
+    obey_profile,
     signal_weights,
 )
 
@@ -51,11 +55,9 @@ class ICReport:
     signal1_slack: Fraction
 
 
-def _ic_report(game: Game, filt: BinaryFilter, player: int) -> ICReport:
-    # With x = n / D: slack0 = sum(w * d * n) / (D * scale) and
-    # slack1 = (D * sum(w * d) - sum(w * d * n)) / (D * scale).
-    view = game.int_view
-    x, xscale = filt.scaled(game)
+def _ic_report(view: IntView, player: int, x: list[int], xscale: int) -> ICReport:
+    # With the filter at x / D: slack0 = sum(w * d * x) / (D * scale) and
+    # slack1 = (D * sum(w * d) - sum(w * d * x)) / (D * scale).
     obey = view.obey_total(player, x)
     total = xscale * view.gap_total(player)
     scale = xscale * view.slack_scale(player)
@@ -66,13 +68,14 @@ def _ic_report(game: Game, filt: BinaryFilter, player: int) -> ICReport:
 
 def sender_ic(game: Game, filt: BinaryFilter, sender_index: int = 0) -> ICReport:
     """Is obeying the signal a best response for the sender?"""
-    game.int_view.check_sender(sender_index)
-    return _ic_report(game, filt, sender_index)
+    view = game.int_view
+    view.check_sender(sender_index)
+    return _ic_report(view, sender_index, *filt.scaled(game))
 
 
 def receiver_ic(game: Game, filt: BinaryFilter) -> ICReport:
     """Is obeying the signal a best response for the receiver?"""
-    return _ic_report(game, filt, game.num_senders)
+    return _ic_report(game.int_view, game.num_senders, *filt.scaled(game))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +106,12 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     chosen = {sig for sig, (s, r) in _signal_gap_signs(game, filt, sender_index).items()
               if s > 0 or (s == 0 and r >= 0)}
     x = {}
-    for rec in game.states:
+    for name in game.int_view.names:
         mass = Fraction(0)
-        for sig, prob in filt.table[rec.name].items():
+        for sig, prob in filt.table[name].items():
             if sig in chosen:
                 mass += prob
-        x[rec.name] = mass
+        x[name] = mass
     return BinaryFilter(signal0_prob=x)
 
 
@@ -144,20 +147,34 @@ def canonical_equilibrium(game: Game,
     """
     if isinstance(filt, GeneralFilter):
         filt = merge_to_binary(game, filt, sender_index)
-    return outcome_from_ic(game, filt, sender_ic(game, filt, sender_index),
-                           receiver_ic(game, filt))
+    return binary_equilibrium(game, filt, sender_index)[2]
 
 
-def outcome_from_ic(game: Game, filt: BinaryFilter,
-                    sender_report: ICReport, receiver_report: ICReport
-                    ) -> EquilibriumOutcome:
-    """Canonical outcome of a binary filter whose two IC reports are in hand."""
-    if sender_report.holds and receiver_report.holds:
-        return EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
-                                  utilities=evaluate_sigma_s(game, filt))
-    action, utilities = evaluate_babbling(game)
-    return EquilibriumOutcome(kind=EquilibriumKind.BABBLING,
-                              utilities=utilities, babbling_action=action)
+def binary_equilibrium(game: Game, filt: BinaryFilter, sender_index: int = 0
+                       ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
+    """The sender's and the receiver's IC reports and the canonical outcome.
+
+    The filter is scaled to integers once, and all three come from that one
+    scaling.
+    """
+    game.int_view.check_sender(sender_index)
+    return scaled_equilibrium(game, *filt.scaled(game), sender_index)
+
+
+def scaled_equilibrium(game: Game, x: list[int], xscale: int, sender_index: int
+                       ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
+    """``binary_equilibrium`` of the filter with signal-0 probabilities x / xscale."""
+    view = game.int_view
+    sender = _ic_report(view, sender_index, x, xscale)
+    receiver = _ic_report(view, view.receiver, x, xscale)
+    if sender.holds and receiver.holds:
+        outcome = EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
+                                     utilities=obey_profile(view, x, xscale))
+    else:
+        action, utilities = evaluate_babbling(game)
+        outcome = EquilibriumOutcome(kind=EquilibriumKind.BABBLING,
+                                     utilities=utilities, babbling_action=action)
+    return sender, receiver, outcome
 
 
 # ---------------------------------------------------------------------------

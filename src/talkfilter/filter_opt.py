@@ -23,8 +23,8 @@ from math import gcd
 from typing import Optional
 
 from ._intview import IntView
-from .core import BinaryFilter, Game, evaluate_sigma_s
-from .equilibrium import EquilibriumKind, EquilibriumOutcome, canonical_equilibrium
+from .core import BinaryFilter, Game
+from .equilibrium import EquilibriumOutcome, scaled_equilibrium
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -198,23 +198,26 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
         fallback = base_o * q.denominator + wo * q.numerator < target_o * q.denominator
         for j in order[:pos - 1]:
             x[j] = 1 - x[j]
-    names = view.names
     if fallback:
         # The always-signal-1 constant filter: informative only when both
         # players' total gaps point at action 1, babbling otherwise.
-        filt = BinaryFilter(signal0_prob=dict.fromkeys(names, _ZERO))
-        outcome = canonical_equilibrium(game, filt, sidx)
-    else:
-        probs = [_ONE if xi else _ZERO for xi in x]
-        if pos:
-            probs[order[pos - 1]] = q
-        filt = BinaryFilter(signal0_prob=dict(zip(names, probs)))
-        outcome = EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
-                                     utilities=evaluate_sigma_s(game, filt))
+        x = [0] * len(x)
+    probs = [_ONE if xi else _ZERO for xi in x]
+    den = 1
+    if pos and not fallback:
+        # The filter over the pivot's denominator D: 0 or D per state, and
+        # D * q at the pivot.
+        den = q.denominator
+        x = [xi * den for xi in x]
+        x[order[pos - 1]] = q.numerator
+        probs[order[pos - 1]] = q
+    names = view.names
     return OptimizerResult(
         objective=objective,
-        filter=filt,
-        outcome=outcome,
+        filter=BinaryFilter(signal0_prob=dict(zip(names, probs))),
+        # The walk makes obeying the signal compatible for both players, so
+        # only the fallback can come out babbling.
+        outcome=scaled_equilibrium(game, x, den, sidx)[2],
         pivot_index=pos or None,
         pivot_state=names[order[pos - 1]] if pos else None,
         pivot_q=q,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import _simplex
-from .core import BinaryFilter, Game, UtilityProfile
+from .core import BinaryFilter, Game, UtilityProfile, obey_profile
 from .equilibrium import receiver_ic
 from .filter_opt import receiver_optimal_filter
 
@@ -174,13 +174,11 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
 
     Everyone reports the state; the receiver plays her per-state best action
     (ties to 0). No filter enters: the receiver already extracts the maximal
-    possible utility, state by state.
+    possible utility, state by state. The utilities are the obey values of
+    the 0/1 filter that signals each state's chosen action.
     """
     _require_senders(game, 3, at_least=True)
     view = game.int_view
-    chosen = [0 if g >= 0 else 1 for g in view.gap[view.receiver]]
-    values = [Fraction(sum(w * (u1 if c else u0) for w, u0, u1, c
-                           in zip(view.weight, view.u0[t], view.u1[t], chosen)),
-                       view.slack_scale(t))
-              for t in range(view.num_players)]
-    return dict(zip(view.names, chosen)), UtilityProfile.of(values)
+    play0 = [1 if g >= 0 else 0 for g in view.gap[view.receiver]]
+    return ({name: 1 - x for name, x in zip(view.names, play0)},
+            obey_profile(view, play0, 1))

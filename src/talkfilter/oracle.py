@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._intview import IntView
 from .core import (
     RECEIVER,
     BinaryFilter,
@@ -27,13 +28,7 @@ from .core import (
     UtilityProfile,
     make_game,
 )
-from .equilibrium import (
-    EquilibriumKind,
-    GeneralProfile,
-    canonical_equilibrium,
-    receiver_ic,
-    sender_ic,
-)
+from .equilibrium import GeneralProfile, canonical_equilibrium
 from .filter_opt import Objective
 from .multi_sender import CandidateProfile, WrongSenderCount
 
@@ -227,28 +222,46 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
     return digits
 
 
-def _run_chunks(chunk, args: tuple, total: int, threads: int) -> list:
-    """chunk(*args, start, end) over [0, total), in worker processes when it pays.
+def _best_of_chunks(chunk, args: tuple, total: int, threads: int) -> Optional[tuple]:
+    """Best of chunk(*args, start, end) over [0, total), in worker processes when it pays.
 
-    At most os.cpu_count() workers start, and never more than there are spans.
+    Each chunk returns None or its best (score, index, ...) tuple. The best
+    overall has the highest score, ties to the lowest index, so it is the
+    same under any split. At most os.cpu_count() workers start, and never
+    more than there are spans.
     """
     threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or total < 4096:
-        return [chunk(*args, 0, total)]
+        return chunk(*args, 0, total)
     bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
     spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
     # Imported here: the pool module costs every process that loads talkfilter
     # tens of milliseconds, and only a multi-worker search needs it.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-        return list(pool.map(chunk, *([a] * len(spans) for a in args),
-                             [s for s, _ in spans], [e for _, e in spans]))
+        results = list(pool.map(chunk, *([a] * len(spans) for a in args),
+                                [s for s, _ in spans], [e for _, e in spans]))
+    return max((r for r in results if r is not None), key=lambda r: (r[0], -r[1]),
+               default=None)
+
+
+def _lattice_filter(view: IntView, player: int, index: int, resolution: int
+                    ) -> tuple[BinaryFilter, Fraction]:
+    """The grid filter at an enumeration index and the player's obey value of it."""
+    digits = _decode(index, len(view.names), resolution + 1)
+    filt = BinaryFilter(signal0_prob={
+        name: Fraction(d, resolution) for name, d in zip(view.names, digits)})
+    return filt, view.obey_value(player, digits, resolution)
 
 
 def _grid_chunk(game: Game, resolution: int, objective_value: str,
                 sender_index: int, start: int, end: int
-                ) -> tuple[Optional[int], Optional[int]]:
-    """Best strictly-informative point in [start, end): (scaled value, index)."""
+                ) -> Optional[tuple[int, int]]:
+    """Best obeyed point in [start, end): (objective player's obey total, index).
+
+    The obey value is a constant plus that total, so the total alone ranks
+    the points.
+    """
     view = game.int_view
     k = len(view.names)
     R = resolution
@@ -261,7 +274,6 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
     coef_c = [w[i] * view.gap[cidx][i] for i in range(k)]
     t_o = max(0, R * sum(coef_o))
     t_c = max(0, R * sum(coef_c))
-    rbase1_o = R * sum(w[i] * view.u1[oidx][i] for i in range(k))
 
     digits = _decode(start, k, R + 1)
     s0o = sum(c * d for c, d in zip(coef_o, digits))
@@ -271,11 +283,9 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
     best_idx: Optional[int] = None
     index = start
     while True:
-        if s0c >= t_c and s0o >= t_o:
-            val = rbase1_o + s0o
-            if best_val is None or val > best_val:
-                best_val = val
-                best_idx = index
+        if s0c >= t_c and s0o >= t_o and (best_idx is None or s0o > best_val):
+            best_val = s0o
+            best_idx = index
         index += 1
         if index >= end:
             break
@@ -288,7 +298,7 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
         digits[i] += 1
         s0o += coef_o[i]
         s0c += coef_c[i]
-    return best_val, best_idx
+    return None if best_idx is None else (best_val, best_idx)
 
 
 def grid_search(game: Game, spec: GridSpec,
@@ -302,31 +312,19 @@ def grid_search(game: Game, spec: GridSpec,
     the range, so results are schedule-independent.
     """
     spec.check(game)
-    R = spec.resolution
-    k = len(game.int_view.names)
-    results = _run_chunks(_grid_chunk, (game, R, objective.value, sender_index),
-                          (R + 1) ** k, threads)
-    best_val: Optional[int] = None
-    best_idx: Optional[int] = None
-    for val, idx in results:
-        if val is None:
-            continue
-        if best_val is None or val > best_val or (val == best_val and idx < best_idx):
-            best_val, best_idx = val, idx
-
     view = game.int_view
+    R = spec.resolution
+    best = _best_of_chunks(_grid_chunk, (game, R, objective.value, sender_index),
+                           (R + 1) ** len(view.names), threads)
     oidx = view.receiver if objective is Objective.RECEIVER else sender_index
     _, babble_values = view.babbling()
     babble = babble_values[oidx]
-    if best_val is None:
+    if best is None:
         # No grid point supports obeying the signal; everything scores babbling.
         return BinaryFilter(signal0_prob={n: _ZERO for n in view.names}), babble
-    value = Fraction(best_val, R * view.slack_scale(oidx))
+    filt, value = _lattice_filter(view, oidx, best[1], R)
     if value < babble:
         raise ArithmeticError("an obeyed grid filter scored below babbling")
-    digits = _decode(best_idx, k, R + 1)
-    filt = BinaryFilter(signal0_prob={
-        name: Fraction(d, R) for name, d in zip(view.names, digits)})
     return filt, value
 
 
@@ -335,17 +333,12 @@ def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
                              sender_index: int = 0, threads: int = 1) -> bool:
     """Certify a candidate filter against the grid.
 
-    An informative claim must satisfy both exact IC systems (it does by
-    definition of the canonical outcome; checked again here) and the
-    candidate's canonical value for the objective player must be at least the
-    grid maximum. The candidate may exceed the grid: interior pivots need not
-    lie on the lattice.
+    The candidate's canonical value for the objective player (informative
+    exactly when both exact IC systems hold) must be at least the grid
+    maximum. The candidate may exceed the grid: interior pivots need not lie
+    on the lattice.
     """
     outcome = canonical_equilibrium(game, filt, sender_index)
-    if outcome.kind is EquilibriumKind.INFORMATIVE:
-        if not (sender_ic(game, filt, sender_index).holds
-                and receiver_ic(game, filt).holds):
-            return False
     value = (outcome.utilities.receiver if objective is Objective.RECEIVER
              else outcome.utilities.senders[sender_index])
     _, best = grid_search(game, spec, objective, sender_index, threads)
@@ -357,7 +350,11 @@ def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
 # ---------------------------------------------------------------------------
 
 def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
-                      ) -> tuple[Optional[int], Optional[int], Optional[str]]:
+                      ) -> Optional[tuple[int, int, str]]:
+    """Best point in [start, end) that a candidate profile makes an equilibrium.
+
+    Returns (receiver's obey total, index, profile value), or None.
+    """
     view = game.int_view
     k = len(view.names)
     R = resolution
@@ -371,14 +368,13 @@ def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
     t_a = max(0, rtot_a)
     t_b = max(0, rtot_b)
     t_c = max(0, R * sum(coef_c))
-    rbase1 = R * sum(w[i] * view.u1[ridx][i] for i in range(k))
 
     digits = _decode(start, k, R + 1)
     sa = sum(c * d for c, d in zip(coef_a, digits))
     sb = sum(c * d for c, d in zip(coef_b, digits))
     sc = sum(c * d for c, d in zip(coef_c, digits))
 
-    best: tuple[Optional[int], Optional[int], Optional[str]] = (None, None, None)
+    best: Optional[tuple[int, int, str]] = None
     index = start
     while True:
         if sc >= t_c:
@@ -391,10 +387,8 @@ def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
                 profile = CandidateProfile.FOLLOW_SENDER_1.value
             elif sb >= t_b:
                 profile = CandidateProfile.FOLLOW_SENDER_2.value
-            if profile is not None:
-                val = rbase1 + sc
-                if best[0] is None or val > best[0]:
-                    best = (val, index, profile)
+            if profile is not None and (best is None or sc > best[0]):
+                best = (sc, index, profile)
         index += 1
         if index >= end:
             break
@@ -425,31 +419,16 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     if game.num_senders != 2:
         raise WrongSenderCount(f"need exactly 2 senders, game has {game.num_senders}")
     spec.check(game)
-    R = spec.resolution
-    k = len(game.int_view.names)
-    results = _run_chunks(_two_sender_chunk, (game, R), (R + 1) ** k, threads)
-    best_val: Optional[int] = None
-    best_idx: Optional[int] = None
-    best_profile: Optional[str] = None
-    for val, idx, profile in results:
-        if val is None:
-            continue
-        if best_val is None or val > best_val or (val == best_val and idx < best_idx):
-            best_val, best_idx, best_profile = val, idx, profile
-
     view = game.int_view
+    R = spec.resolution
+    best = _best_of_chunks(_two_sender_chunk, (game, R), (R + 1) ** len(view.names), threads)
     ridx = view.receiver
-    gap_total = view.gap_total(ridx)
-    const_action = 0 if gap_total >= 0 else 1
+    const_action = 0 if view.gap_total(ridx) >= 0 else 1
     const_value = view.constant_value(ridx, const_action)
-
-    if best_val is not None:
-        value = Fraction(best_val, R * view.slack_scale(ridx))
+    if best is not None:
+        filt, value = _lattice_filter(view, ridx, best[1], R)
         if value >= const_value:
-            digits = _decode(best_idx, k, R + 1)
-            filt = BinaryFilter(signal0_prob={
-                name: Fraction(d, R) for name, d in zip(view.names, digits)})
-            return value, filt, CandidateProfile(best_profile)
+            return value, filt, CandidateProfile(best[2])
     profile = (CandidateProfile.CONSTANT_0 if const_action == 0
                else CandidateProfile.CONSTANT_1)
     return const_value, None, profile

@@ -289,8 +289,10 @@ def test_feasible_unanimous_candidates_are_nash(seeded_games):
 def test_two_sender_beats_grid(seeded_games):
     for game in seeded_games(30, ks=(2, 3), num_senders=2, seed0=3300):
         best, _ = tf.two_sender_optimal(game)
-        grid_value, _, _ = tf.two_sender_grid_search(game, tf.GridSpec(resolution=8))
+        grid_value, grid_filter, _ = tf.two_sender_grid_search(game, tf.GridSpec(resolution=8))
         assert best.receiver_utility >= grid_value
+        if grid_filter is not None:
+            assert grid_value == tf.evaluate_sigma_s(game, grid_filter).receiver
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +340,9 @@ def test_majority_is_pointwise_max(seeded_games):
         _, utilities = tf.majority_outcome(game)
         pointwise = sum(rec.prior * max(rec.receiver_utils) for rec in game.states)
         assert utilities.receiver == pointwise
+        # The receiver's choice per state, ties to 0; each sender is paid at it.
+        choice = {rec.name: 0 if rec.receiver_utils[0] >= rec.receiver_utils[1] else 1
+                  for rec in game.states}
+        for j in range(game.num_senders):
+            assert utilities.senders[j] == sum(
+                rec.prior * rec.sender_utils[j][choice[rec.name]] for rec in game.states)

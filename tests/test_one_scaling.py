@@ -1,0 +1,65 @@
+"""Each command scales its filter to integers once; the optimizer never does."""
+import json
+
+import pytest
+
+import talkfilter as tf
+from talkfilter.cli import main
+
+
+@pytest.fixture
+def scalings(monkeypatch):
+    """One entry per BinaryFilter.scaled call made while the test runs."""
+    calls = []
+    scaled = tf.BinaryFilter.scaled
+
+    def counting(self, game):
+        calls.append(1)
+        return scaled(self, game)
+
+    monkeypatch.setattr(tf.BinaryFilter, "scaled", counting)
+    return calls
+
+
+def game_file(path, game):
+    path.write_text(json.dumps({"type": "transmission", "states": [
+        {"name": rec.name, "prior": str(rec.prior),
+         "sender_utilities": [[str(u) for u in rec.sender_utils[0]]],
+         "receiver_utility": [str(u) for u in rec.receiver_utils]}
+        for rec in game.states]}), encoding="utf-8")
+    return str(path)
+
+
+def seeded(seed, k):
+    return tf.random_game(tf.RandomGameSpec(seed=seed, num_states=k, prior="random-rational"))
+
+
+# Seeds 1-4 at 3 states fall back to the constant filter; the others mostly walk.
+CASES = [(seed, k) for seed in range(1, 9) for k in (3, 40)]
+
+
+def test_optimizer_scales_no_filter(scalings):
+    pivots = fallbacks = 0
+    for seed, k in CASES:
+        game = seeded(seed, k)
+        for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter):
+            scalings.clear()
+            res = run(game)
+            assert not scalings
+            pivots += res.pivot_index is not None and not res.fell_back_to_constant
+            fallbacks += res.fell_back_to_constant
+    assert pivots >= 5 and fallbacks >= 2
+
+
+@pytest.mark.parametrize("objective", ["receiver", "sender"])
+def test_optimize_and_evaluate_scale_once(scalings, tmp_path, capsys, objective):
+    for seed, k in CASES:
+        path = game_file(tmp_path / f"g{seed}_{k}.json", seeded(seed, k))
+        out = str(tmp_path / "filter.json")
+        scalings.clear()
+        assert main(["optimize", path, "--objective", objective, "--out", out, "--json"]) == 0
+        assert len(scalings) == 1
+        scalings.clear()
+        assert main(["evaluate", path, "--filter", out, "--json"]) == 0
+        assert len(scalings) == 1
+        capsys.readouterr()

@@ -200,6 +200,9 @@ def test_solve_and_check_build_no_records(records_built):
             tf.receiver_ic(game, res.filter)
             tf.evaluate_sigma_s(game, res.filter)
             tf.canonical_equilibrium(game, res.filter)
+        general = tf.random_general_filter(game, 6400 + i)
+        tf.merge_to_binary(game, general)
+        tf.canonical_equilibrium(game, general)
         tf.classify_states(game)
         assert not records_built
         assert len(game.states) == len(raw["states"])

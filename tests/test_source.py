@@ -1,0 +1,16 @@
+"""Invariants of the package source itself."""
+import ast
+from pathlib import Path
+
+import talkfilter as tf
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so every invariant of the package
+    # must be an explicit check that raises.
+    found = []
+    for path in sorted(Path(tf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
