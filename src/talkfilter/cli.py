@@ -3,14 +3,13 @@
 Subcommands: optimize, evaluate, two-sender, majority, verify, classify.
 Each prints a short human summary followed by the machine report as JSON;
 --json keeps only the JSON for clean piping. Exit codes: 0 success, 2 input
-or validation error, 3 verification failure. TALKFILTER_THREADS caps the
-verifier's parallel grid enumeration (default: machine parallelism).
+or validation error, 3 verification failure. verify sweeps the grid in two
+halves of (R+1)^ceil(k/2) points each, in one process.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -21,15 +20,14 @@ from .core import (
     BinaryFilter,
     FilterValidationError,
     Game,
-    GameValidationError,
     classify_states,
     parse_rational,
     validate_game,
 )
-from .equilibrium import binary_equilibrium, canonical_equilibrium
+from .equilibrium import binary_equilibrium
 from .filter_opt import Objective, receiver_optimal_filter, sender_optimal_filter
 from .multi_sender import WrongSenderCount, majority_outcome, two_sender_optimal
-from .oracle import GridSpec, verify_filter_optimality
+from .oracle import GridSpec, _verify
 
 
 def _frac(value: Fraction) -> str:
@@ -82,16 +80,6 @@ def _load_filter(path: str) -> BinaryFilter:
             "filter file needs a top-level 'signal0_prob' object")
     return BinaryFilter(signal0_prob={
         str(name): parse_rational(value) for name, value in table.items()})
-
-
-def _threads() -> int:
-    raw = os.environ.get("TALKFILTER_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise GameValidationError(f"TALKFILTER_THREADS is not an integer: {raw!r}")
-    return os.cpu_count() or 1
 
 
 def _report(command: str, game: Game, result: dict,
@@ -225,11 +213,7 @@ def _cmd_verify(args) -> int:
     filt = _load_filter(args.filter)
     objective = Objective(args.objective)
     spec = GridSpec(resolution=args.grid)
-    passed = verify_filter_optimality(game, filt, spec, objective,
-                                      threads=_threads())
-    outcome = canonical_equilibrium(game, filt)
-    value = (outcome.utilities.receiver if objective is Objective.RECEIVER
-             else outcome.utilities.senders[0])
+    passed, value = _verify(game, filt, spec, objective, 0)
     result = {"objective": objective.value, "grid": args.grid,
               "passes": passed, "filter_value": _frac(value)}
     report = _report("verify", game, result, None, started)

@@ -8,15 +8,24 @@ the closed-form optimizers must meet or beat. The sweeps test each player's
 two IC rows as one, s.x >= max(0, sum(s)) (see the ``equilibrium`` module
 docstring), on integers that carry the extra grid scale R.
 
+Each sweep covers every lattice point exactly, in one process, by meeting in
+the middle (the subset-sum split of Horowitz and Sahni): it tabulates the
+linear forms it ranks by over the first k // 2 states and over the rest,
+(R+1)^ceil(k/2) points at most per half, and pairs each head point with its
+best tail through a sorted query (a max-Fenwick tree where two bounds
+apply). Ties go to the lowest enumeration index, as a point-by-point sweep
+in that order would give.
+
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
 any implementation.
 """
 from __future__ import annotations
 
-import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from ._intview import IntView
@@ -212,8 +221,15 @@ def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile
 
 
 # ---------------------------------------------------------------------------
-# Single-sender grid search
+# Meet-in-the-middle sweeps
 # ---------------------------------------------------------------------------
+#
+# A sweep ranks lattice points by linear forms sum(c_i * d_i) of their digits
+# d_i in 0..R. The head is the first k // 2 states and the tail the rest, so
+# with M = (R+1)^(k - k//2) tail points the point (head, tail) has index
+# head * M + tail: the lowest index is the lowest head, then the lowest tail.
+# Candidate tails are ranked by one int, key = score * M + (M - 1 - tail),
+# whose order is highest score, then lowest tail.
 
 def _decode(index: int, k: int, radix: int) -> list[int]:
     digits = [0] * k
@@ -222,28 +238,89 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
     return digits
 
 
-def _best_of_chunks(chunk, args: tuple, total: int, threads: int) -> Optional[tuple]:
-    """Best of chunk(*args, start, end) over [0, total), in worker processes when it pays.
+def _half_sums(coefs: list[list[int]], states: range, resolution: int
+               ) -> list[list[int]]:
+    """Per form, its sum at every point of the states' lattice, in enumeration order."""
+    tables = []
+    for coef in coefs:
+        vals = [0]
+        for i in states:
+            steps = [coef[i] * d for d in range(resolution + 1)]
+            vals = [v + s for v in vals for s in steps]
+        tables.append(vals)
+    return tables
 
-    Each chunk returns None or its best (score, index, ...) tuple. The best
-    overall has the highest score, ties to the lowest index, so it is the
-    same under any split. At most os.cpu_count() workers start, and never
-    more than there are spans.
+
+def _best_above(head_obj: list[int], head_con: list[int],
+                tail_obj: list[int], tail_con: list[int], t_con: int
+                ) -> Optional[tuple[int, int]]:
+    """Highest objective, lowest index, over points with con >= t_con.
+
+    Tails sorted by con, highest first, qualify for a head as a prefix, so
+    each head takes its prefix's best tail: (objective, index), or None.
     """
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or total < 4096:
-        return chunk(*args, 0, total)
-    bounds = [total * j // (threads * 4) for j in range(threads * 4 + 1)]
-    spans = [(s, e) for s, e in zip(bounds, bounds[1:]) if s < e]
-    # Imported here: the pool module costs every process that loads talkfilter
-    # tens of milliseconds, and only a multi-worker search needs it.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-        results = list(pool.map(chunk, *([a] * len(spans) for a in args),
-                                [s for s, _ in spans], [e for _, e in spans]))
-    return max((r for r in results if r is not None), key=lambda r: (r[0], -r[1]),
-               default=None)
+    M = len(tail_obj)
+    order = sorted(range(M), key=tail_con.__getitem__, reverse=True)
+    neg_con = [-tail_con[t] for t in order]
+    prefix = list(accumulate((tail_obj[t] * M + M - 1 - t for t in order), max))
+    best = None
+    for h, (obj, con) in enumerate(zip(head_obj, head_con)):
+        p = bisect_right(neg_con, con - t_con)
+        if p:
+            key = prefix[p - 1]
+            total = obj + key // M
+            if best is None or total > best[0]:
+                best = (total, h * M + M - 1 - key % M)
+    return best
 
+
+def _best_above_both(head_obj: list[int], head_a: list[int], head_b: list[int],
+                     tail_obj: list[int], tail_a: list[int], tail_b: list[int],
+                     t_a: int, t_b: int) -> Optional[tuple[int, int]]:
+    """Highest objective, lowest index, over points with a >= t_a and b >= t_b.
+
+    Heads are taken from the strictest need on a down; tails join a
+    max-Fenwick tree over their rank in b (highest b first) once their a
+    meets the need, and each head queries the ranks that meet its need on b.
+    """
+    M = len(tail_obj)
+    by_a = sorted(range(M), key=tail_a.__getitem__, reverse=True)
+    levels = sorted(set(tail_b), reverse=True)
+    neg_levels = [-v for v in levels]
+    rank = {v: r for r, v in enumerate(levels, 1)}
+    n = len(levels)
+    low = min(tail_obj) * M - 1
+    tree = [low] * (n + 1)
+    best = None
+    j = 0
+    for h in sorted(range(len(head_obj)), key=head_a.__getitem__):
+        need_a = t_a - head_a[h]
+        while j < M and tail_a[by_a[j]] >= need_a:
+            t = by_a[j]
+            key = tail_obj[t] * M + M - 1 - t
+            r = rank[tail_b[t]]
+            while r <= n:
+                if key > tree[r]:
+                    tree[r] = key
+                r += r & -r
+            j += 1
+        key = low
+        r = bisect_right(neg_levels, head_b[h] - t_b)
+        while r:
+            if tree[r] > key:
+                key = tree[r]
+            r -= r & -r
+        if key > low:
+            total = head_obj[h] + key // M
+            index = h * M + M - 1 - key % M
+            if best is None or (total, -index) > (best[0], -best[1]):
+                best = (total, index)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Single-sender grid search
+# ---------------------------------------------------------------------------
 
 def _lattice_filter(view: IntView, player: int, index: int, resolution: int
                     ) -> tuple[BinaryFilter, Fraction]:
@@ -254,18 +331,19 @@ def _lattice_filter(view: IntView, player: int, index: int, resolution: int
     return filt, view.obey_value(player, digits, resolution)
 
 
-def _grid_chunk(game: Game, resolution: int, objective_value: str,
-                sender_index: int, start: int, end: int
-                ) -> Optional[tuple[int, int]]:
-    """Best obeyed point in [start, end): (objective player's obey total, index).
+def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: int
+               ) -> Optional[tuple[int, int]]:
+    """Best obeyed lattice point: (objective player's obey total, index), or None.
 
     The obey value is a constant plus that total, so the total alone ranks
-    the points.
+    the points. A point is obeyed when both totals clear their IC bounds; the
+    best tail under the other player's bound maximizes the objective, so a
+    head whose best point misses the objective's own bound has none.
     """
     view = game.int_view
     k = len(view.names)
     R = resolution
-    if objective_value == Objective.RECEIVER.value:
+    if objective is Objective.RECEIVER:
         oidx, cidx = view.receiver, sender_index
     else:
         oidx, cidx = sender_index, view.receiver
@@ -274,31 +352,10 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
     coef_c = [w[i] * view.gap[cidx][i] for i in range(k)]
     t_o = max(0, R * sum(coef_o))
     t_c = max(0, R * sum(coef_c))
-
-    digits = _decode(start, k, R + 1)
-    s0o = sum(c * d for c, d in zip(coef_o, digits))
-    s0c = sum(c * d for c, d in zip(coef_c, digits))
-
-    best_val: Optional[int] = None
-    best_idx: Optional[int] = None
-    index = start
-    while True:
-        if s0c >= t_c and s0o >= t_o and (best_idx is None or s0o > best_val):
-            best_val = s0o
-            best_idx = index
-        index += 1
-        if index >= end:
-            break
-        i = k - 1
-        while digits[i] == R:
-            s0o -= R * coef_o[i]
-            s0c -= R * coef_c[i]
-            digits[i] = 0
-            i -= 1
-        digits[i] += 1
-        s0o += coef_o[i]
-        s0c += coef_c[i]
-    return None if best_idx is None else (best_val, best_idx)
+    head_o, head_c = _half_sums([coef_o, coef_c], range(k // 2), R)
+    tail_o, tail_c = _half_sums([coef_o, coef_c], range(k // 2, k), R)
+    best = _best_above(head_o, head_c, tail_o, tail_c, t_c)
+    return best if best is not None and best[0] >= t_o else None
 
 
 def grid_search(game: Game, spec: GridSpec,
@@ -307,15 +364,16 @@ def grid_search(game: Game, spec: GridSpec,
                 ) -> tuple[BinaryFilter, Fraction]:
     """Best canonical-equilibrium value for the objective player on the grid.
 
-    Ties go to the first filter in enumeration order (counting up in base
-    R+1, last state fastest), regardless of how many worker processes share
-    the range, so results are schedule-independent.
+    Every lattice point counts; ties go to the first filter in enumeration
+    order (counting up in base R+1, last state fastest). The sweep meets in
+    the middle: it tabulates the two halves of the states, (R+1)^ceil(k/2)
+    points each, and pairs every head point with its best tail by a sorted
+    query. ``threads`` is accepted and has no effect.
     """
     spec.check(game)
     view = game.int_view
     R = spec.resolution
-    best = _best_of_chunks(_grid_chunk, (game, R, objective.value, sender_index),
-                           (R + 1) ** len(view.names), threads)
+    best = _grid_best(game, R, objective, sender_index)
     oidx = view.receiver if objective is Objective.RECEIVER else sender_index
     _, babble_values = view.babbling()
     babble = babble_values[oidx]
@@ -328,6 +386,16 @@ def grid_search(game: Game, spec: GridSpec,
     return filt, value
 
 
+def _verify(game: Game, filt: BinaryFilter, spec: GridSpec, objective: Objective,
+            sender_index: int) -> tuple[bool, Fraction]:
+    """(the filter's canonical value is at least the grid maximum, that value)."""
+    outcome = canonical_equilibrium(game, filt, sender_index)
+    value = (outcome.utilities.receiver if objective is Objective.RECEIVER
+             else outcome.utilities.senders[sender_index])
+    _, best = grid_search(game, spec, objective, sender_index)
+    return value >= best, value
+
+
 def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
                              objective: Objective = Objective.RECEIVER,
                              sender_index: int = 0, threads: int = 1) -> bool:
@@ -336,74 +404,59 @@ def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
     The candidate's canonical value for the objective player (informative
     exactly when both exact IC systems hold) must be at least the grid
     maximum. The candidate may exceed the grid: interior pivots need not lie
-    on the lattice.
+    on the lattice. ``threads`` is accepted and has no effect.
     """
-    outcome = canonical_equilibrium(game, filt, sender_index)
-    value = (outcome.utilities.receiver if objective is Objective.RECEIVER
-             else outcome.utilities.senders[sender_index])
-    _, best = grid_search(game, spec, objective, sender_index, threads)
-    return value >= best
+    return _verify(game, filt, spec, objective, sender_index)[0]
 
 
 # ---------------------------------------------------------------------------
 # Two-sender grid search
 # ---------------------------------------------------------------------------
 
-def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
-                      ) -> Optional[tuple[int, int, str]]:
-    """Best point in [start, end) that a candidate profile makes an equilibrium.
+def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, str]]:
+    """Best point that a candidate profile makes an equilibrium.
 
-    Returns (receiver's obey total, index, profile value), or None.
+    Returns (receiver's obey total, index, profile value), or None. A point
+    qualifies when the receiver's total clears its bound and the senders'
+    totals (a, b) lie in one of four regions: unanimous 0 (a, b >= 0),
+    unanimous 1 (a, b at least their all-ones totals), follow sender 1 or
+    follow sender 2 (that sender's IC bound). The best point of the union is
+    the best of the four regions' best points; its profile is the first
+    region, in that order, that holds it.
     """
     view = game.int_view
     k = len(view.names)
     R = resolution
-    ridx = view.receiver
     w = view.weight
-    coef_a = [w[i] * view.gap[0][i] for i in range(k)]
-    coef_b = [w[i] * view.gap[1][i] for i in range(k)]
-    coef_c = [w[i] * view.gap[ridx][i] for i in range(k)]
-    rtot_a = R * sum(coef_a)
-    rtot_b = R * sum(coef_b)
+    coefs = [[w[i] * view.gap[t][i] for i in range(k)] for t in (0, 1, view.receiver)]
+    rtot_a, rtot_b, rtot_c = (R * sum(coef) for coef in coefs)
     t_a = max(0, rtot_a)
     t_b = max(0, rtot_b)
-    t_c = max(0, R * sum(coef_c))
-
-    digits = _decode(start, k, R + 1)
-    sa = sum(c * d for c, d in zip(coef_a, digits))
-    sb = sum(c * d for c, d in zip(coef_b, digits))
-    sc = sum(c * d for c, d in zip(coef_c, digits))
-
-    best: Optional[tuple[int, int, str]] = None
-    index = start
-    while True:
-        if sc >= t_c:
-            profile = None
-            if sa >= 0 and sb >= 0:
-                profile = CandidateProfile.UNANIMOUS_0.value
-            elif sa >= rtot_a and sb >= rtot_b:
-                profile = CandidateProfile.UNANIMOUS_1.value
-            elif sa >= t_a:
-                profile = CandidateProfile.FOLLOW_SENDER_1.value
-            elif sb >= t_b:
-                profile = CandidateProfile.FOLLOW_SENDER_2.value
-            if profile is not None and (best is None or sc > best[0]):
-                best = (sc, index, profile)
-        index += 1
-        if index >= end:
-            break
-        i = k - 1
-        while digits[i] == R:
-            sa -= R * coef_a[i]
-            sb -= R * coef_b[i]
-            sc -= R * coef_c[i]
-            digits[i] = 0
-            i -= 1
-        digits[i] += 1
-        sa += coef_a[i]
-        sb += coef_b[i]
-        sc += coef_c[i]
-    return best
+    t_c = max(0, rtot_c)
+    head_a, head_b, head_c = _half_sums(coefs, range(k // 2), R)
+    tail_a, tail_b, tail_c = _half_sums(coefs, range(k // 2, k), R)
+    regions = [
+        _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, 0, 0),
+        _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, rtot_a, rtot_b),
+        _best_above(head_c, head_a, tail_c, tail_a, t_a),
+        _best_above(head_c, head_b, tail_c, tail_b, t_b),
+    ]
+    found = [r for r in regions if r is not None and r[0] >= t_c]
+    if not found:
+        return None
+    sc, index = max(found, key=lambda r: (r[0], -r[1]))
+    h, t = divmod(index, len(tail_c))
+    sa = head_a[h] + tail_a[t]
+    sb = head_b[h] + tail_b[t]
+    if sa >= 0 and sb >= 0:
+        profile = CandidateProfile.UNANIMOUS_0
+    elif sa >= rtot_a and sb >= rtot_b:
+        profile = CandidateProfile.UNANIMOUS_1
+    elif sa >= t_a:
+        profile = CandidateProfile.FOLLOW_SENDER_1
+    else:
+        profile = CandidateProfile.FOLLOW_SENDER_2
+    return sc, index, profile.value
 
 
 def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
@@ -414,14 +467,16 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     Each grid point is scored by the best equilibrium among unanimous-report
     and follow-one-sender play (whichever is compatible for the senders it
     relies on, with the receiver obeying); constant actions enter as
-    filter-independent baselines.
+    filter-independent baselines. The sweep meets in the middle as in
+    :func:`grid_search`, with the same tie rule. ``threads`` is accepted and
+    has no effect.
     """
     if game.num_senders != 2:
         raise WrongSenderCount(f"need exactly 2 senders, game has {game.num_senders}")
     spec.check(game)
     view = game.int_view
     R = spec.resolution
-    best = _best_of_chunks(_two_sender_chunk, (game, R), (R + 1) ** len(view.names), threads)
+    best = _two_sender_best(game, R)
     ridx = view.receiver
     const_action = 0 if view.gap_total(ridx) >= 0 else 1
     const_value = view.constant_value(ridx, const_action)

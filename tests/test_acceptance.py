@@ -17,6 +17,8 @@ RECEIVER = tf.Objective.RECEIVER
 SENDER = tf.Objective.SENDER
 
 GRID8 = tf.GridSpec(resolution=8)
+#: Past the default 6-state cap: at 8 states, 7^8 = 5,764,801 grid points.
+GRID6_WIDE = tf.GridSpec(resolution=6, max_states=8)
 
 
 def _report(number: int, text: str) -> None:
@@ -32,6 +34,21 @@ def corpus():
                                  utility_range=5)
         games.append(tf.random_game(spec))
     return games
+
+
+def _wide_games(num_senders: int) -> list[tf.Game]:
+    """16 seeded 7- and 8-state games for GRID6_WIDE, 4 per state count and prior."""
+    return [tf.random_game(tf.RandomGameSpec(
+                seed=50000 + 100 * num_senders + i, num_states=7 + i % 2,
+                num_senders=num_senders, utility_range=5,
+                prior=("uniform", "random-rational")[i // 2 % 2]))
+            for i in range(16)]
+
+
+def _certified(corpus) -> list[tuple[tf.Game, tf.GridSpec]]:
+    """The corpus at grid 8, then the 7- and 8-state games at grid 6."""
+    return ([(game, GRID8) for game in corpus]
+            + [(game, GRID6_WIDE) for game in _wide_games(1)])
 
 
 @pytest.fixture(scope="module")
@@ -103,29 +120,30 @@ def test_criterion_3_interior_pivot_trace(g3):
 def test_criterion_4_oracle_optimality_sweep(corpus):
     started = time.perf_counter()
     fallbacks = 0
-    for game in corpus:
+    for game, grid in _certified(corpus):
         res = tf.receiver_optimal_filter(game)
         if res.fell_back_to_constant:
             fallbacks += 1
         else:
             assert tf.sender_ic(game, res.filter).holds
             assert tf.receiver_ic(game, res.filter).holds
-        assert tf.verify_filter_optimality(game, res.filter, GRID8, RECEIVER)
+        assert tf.verify_filter_optimality(game, res.filter, grid, RECEIVER)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
-    _report(4, f"200/200 receiver-optimal filters certified at grid 8 "
-               f"({fallbacks} babbling games, {elapsed:.1f} s)")
+    _report(4, f"200/200 receiver-optimal filters certified at grid 8 and 16/16 "
+               f"7- and 8-state ones at grid 6 ({fallbacks} babbling games, "
+               f"{elapsed:.1f} s)")
 
 
 def test_criterion_5_pareto_property(corpus):
     started = time.perf_counter()
     improvements = 0
-    for game in corpus:
+    for game, grid in _certified(corpus):
         res = tf.sender_optimal_filter(game)
         if not res.fell_back_to_constant:
             assert tf.sender_ic(game, res.filter).holds
             assert tf.receiver_ic(game, res.filter).holds
-        assert tf.verify_filter_optimality(game, res.filter, GRID8, SENDER)
+        assert tf.verify_filter_optimality(game, res.filter, grid, SENDER)
         base = tf.canonical_equilibrium(game, tf.GeneralFilter.identity(game))
         if res.outcome.utilities.sender > base.utilities.sender:
             improvements += 1
@@ -213,11 +231,17 @@ def test_criterion_7_two_sender_lp():
         grid_value, _, _ = tf.two_sender_grid_search(game, GRID8)
         if best.receiver_utility < grid_value:
             failures += 1
+    for game in _wide_games(2):
+        best, _ = tf.two_sender_optimal(game)
+        grid_value, _, _ = tf.two_sender_grid_search(game, GRID6_WIDE)
+        if best.receiver_utility < grid_value:
+            failures += 1
     assert failures == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
-    _report(7, f"LP vertex (1, 1/2) worth 3/4 and 100/100 games at or above "
-               f"the grid ({elapsed:.1f} s)")
+    _report(7, f"LP vertex (1, 1/2) worth 3/4, 100/100 games at or above "
+               f"the grid 8 and 16/16 7- and 8-state games at or above the grid 6 "
+               f"({elapsed:.1f} s)")
 
 
 def test_criterion_8_majority_baseline():

@@ -63,3 +63,26 @@ def test_optimize_and_evaluate_scale_once(scalings, tmp_path, capsys, objective)
         assert main(["evaluate", path, "--filter", out, "--json"]) == 0
         assert len(scalings) == 1
         capsys.readouterr()
+
+
+def test_verify_scales_once(scalings, tmp_path, capsys):
+    """verify takes its verdict and its reported value from one evaluation."""
+    codes = set()
+    for seed, k in CASES:
+        if k > 6:
+            continue
+        game = seeded(seed, k)
+        path = game_file(tmp_path / f"g{seed}_{k}.json", game)
+        constant = tmp_path / "constant.json"
+        constant.write_text(json.dumps({"signal0_prob": {n: "0" for n in game.state_names}}),
+                            encoding="utf-8")
+        for objective in ("receiver", "sender"):
+            out = str(tmp_path / "filter.json")
+            assert main(["optimize", path, "--objective", objective, "--out", out, "--json"]) == 0
+            for filt in (out, str(constant)):
+                scalings.clear()
+                codes.add(main(["verify", path, "--filter", filt, "--grid", "4",
+                                "--objective", objective, "--json"]))
+                assert len(scalings) == 1
+        capsys.readouterr()
+    assert codes == {0, 3}

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -150,32 +149,22 @@ def test_grid_parallel_matches_sequential():
             == tf.two_sender_grid_search(two, spec, threads=2))
 
 
-def test_grid_workers_clamped_to_cpus_and_spans(monkeypatch):
-    """A fake pool records max_workers and maps in-process: no process starts."""
-    started = []
+def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
+    """Any threads value gives the threads=1 result, and no process pool is built."""
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a grid search built a ProcessPoolExecutor")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    game = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))   # 9^4 = 6561 points
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", no_pool)
     spec = tf.GridSpec(resolution=8)
-    expected = tf.grid_search(game, spec, threads=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert tf.grid_search(game, spec, threads=1000) == expected
-    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
-    assert tf.grid_search(game, spec, threads=10_000) == expected     # one point per span
-    assert started == [3, 6561]
+    one = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))   # 9^4 = 6561 points
+    for objective in (tf.Objective.RECEIVER, tf.Objective.SENDER):
+        assert (tf.grid_search(one, spec, objective, threads=1000)
+                == tf.grid_search(one, spec, objective, threads=1))
+    two = tf.random_game(tf.RandomGameSpec(seed=78, num_states=4, num_senders=2))
+    assert (tf.two_sender_grid_search(two, spec, threads=1000)
+            == tf.two_sender_grid_search(two, spec, threads=1))
 
 
 # ---------------------------------------------------------------------------
