@@ -1,10 +1,12 @@
 """Integer-normalized snapshots of a game for exact hot loops.
 
-Priors and per-player utilities are rescaled to integers by the lcm of their
-denominators, so sorting keys, incentive slacks and grid sweeps run on plain
-ints (exact, and much faster than Fraction arithmetic at solver scale).
-Fractions are reconstructed only at API boundaries by dividing the scales
-back out.
+Each player's whole game, for binary-action purposes, is one prior-weighted
+gap row s = prior * (u0 - u1), plus the value of constant action 1. Priors
+and utilities are rescaled to integers by the lcm of their denominators, and
+this module is the only place that multiplies the two: sorting keys,
+incentive slacks and grid sweeps then run on plain ints (exact, and much
+faster than Fraction arithmetic at solver scale). Fractions are
+reconstructed only at API boundaries by dividing the scales back out.
 """
 from __future__ import annotations
 
@@ -29,18 +31,20 @@ class IntView:
     """All-integer tables for one game; ``Game.int_view`` builds one per game.
 
     Player index convention: senders are 0..num_senders-1 and the receiver is
-    index num_senders. For player t, state i:
+    index num_senders. For player t, state i, with the prior
+    weight[i] / wscale and utilities at scale uscale[t], the slack scale is
+    wscale * uscale[t], and at that scale:
 
-        utility(action a) = ua[t][i] / uscale[t]
-        prior             = weight[i] / wscale
-        gap[t][i]         = u0[t][i] - u1[t][i]   (same uscale[t] scale)
+        s[t][i]     = weight[i] * (u0 - u1)[t][i]   prior times utility gap
+        s_total[t]  = sum(s[t])                     constant 0 minus constant 1
+        u1_total[t] = sum(weight * u1[t])           value of constant action 1
 
-    An obey-the-signal slack computed as sum(weight * gap * x) therefore has
-    scale wscale * uscale[t]; only signs and same-player comparisons are ever
-    taken on raw ints.
+    An obey-the-signal slack sum(s * x) therefore has scale wscale *
+    uscale[t]; only signs and same-player comparisons are ever taken on raw
+    ints.
     """
 
-    __slots__ = ("names", "weight", "wscale", "u0", "u1", "gap", "uscale",
+    __slots__ = ("names", "weight", "wscale", "s", "s_total", "u1_total", "uscale",
                  "num_senders", "num_players")
 
     def __init__(self, game: Game):
@@ -53,17 +57,19 @@ class IntView:
         self.weight, self.wscale = scaled_ints([prior for _, prior, _ in rows])
 
         k = len(rows)
-        self.u0 = []
-        self.u1 = []
+        self.s = []
+        self.s_total = []
+        self.u1_total = []
         self.uscale = []
         for t in range(self.num_players):
             pairs = [utils[t] for _, _, utils in rows]
             vals, scale = scaled_ints([a for a, _ in pairs] + [b for _, b in pairs])
-            self.u0.append(vals[:k])
-            self.u1.append(vals[k:])
+            u0, u1 = vals[:k], vals[k:]
+            s = [w * (a - b) for w, a, b in zip(self.weight, u0, u1)]
+            self.s.append(s)
+            self.s_total.append(sum(s))
+            self.u1_total.append(sum(map(mul, self.weight, u1)))
             self.uscale.append(scale)
-        self.gap = [[a - b for a, b in zip(self.u0[t], self.u1[t])]
-                    for t in range(self.num_players)]
 
     @property
     def receiver(self) -> int:
@@ -83,14 +89,14 @@ class IntView:
         and a fully indifferent state lands in agree0.
         """
         self.check_sender(sender)
-        gs = self.gap[sender]
-        gr = self.gap[self.receiver]
+        ss = self.s[sender]
+        sr = self.s[self.receiver]
         agree0: list[int] = []
         agree1: list[int] = []
         dis: list[int] = []
-        for i in range(len(gs)):
-            s = gs[i]
-            r = gr[i]
+        for i in range(len(ss)):
+            s = ss[i]
+            r = sr[i]
             if s > 0:
                 (agree0 if r >= 0 else dis).append(i)
             elif s < 0:
@@ -102,31 +108,28 @@ class IntView:
     def slack_scale(self, player: int) -> int:
         return self.wscale * self.uscale[player]
 
-    def gap_total(self, player: int) -> int:
-        """sum(weight * gap), the slack-scale gap between constant actions 0 and 1."""
-        return sum(map(mul, self.weight, self.gap[player]))
-
-    def action_total(self, player: int, action: int) -> int:
-        """sum(weight * utility of action), at slack scale."""
-        return sum(map(mul, self.weight, self.u0[player] if action == 0 else self.u1[player]))
+    def state_gaps(self, player: int) -> list[Fraction]:
+        """Per state, the player's utility gap u0 - u1: s over prior times slack scale."""
+        return [Fraction(s, w * self.uscale[player])
+                for s, w in zip(self.s[player], self.weight)]
 
     def obey_total(self, player: int, x: list[int]) -> int:
-        """sum(weight * gap * x): with x = D * signal-0 probabilities, D * slack scale * slack0."""
-        return sum(map(mul, map(mul, self.weight, self.gap[player]), x))
+        """sum(s * x): with x = D * signal-0 probabilities, D * slack scale * slack0."""
+        return sum(map(mul, self.s[player], x))
 
     def obey_value(self, player: int, x: list[int], scale: int) -> Fraction:
         """Value of obeying signal-0 probabilities x / scale (action a on signal a).
 
-        That is (scale * sum(w * u1) + sum(w * gap * x)) / (scale * slack scale).
+        That is (scale * u1_total + sum(s * x)) / (scale * slack scale).
         """
-        return Fraction(scale * self.action_total(player, 1) + self.obey_total(player, x),
+        return Fraction(scale * self.u1_total[player] + self.obey_total(player, x),
                         scale * self.slack_scale(player))
 
     def constant_value(self, player: int, action: int) -> Fraction:
-        return Fraction(self.action_total(player, action), self.slack_scale(player))
+        total = self.u1_total[player] + (self.s_total[player] if action == 0 else 0)
+        return Fraction(total, self.slack_scale(player))
 
     def babbling(self) -> tuple[int, list[Fraction]]:
         """Best uninformed receiver action (ties to 0) and per-player values."""
-        r = self.receiver
-        action = 0 if self.gap_total(r) >= 0 else 1
+        action = 0 if self.s_total[self.receiver] >= 0 else 1
         return action, [self.constant_value(t, action) for t in range(self.num_players)]

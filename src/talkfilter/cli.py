@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -20,6 +19,7 @@ from .core import (
     BinaryFilter,
     FilterValidationError,
     Game,
+    GameValidationError,
     classify_states,
     parse_rational,
     validate_game,
@@ -30,25 +30,21 @@ from .multi_sender import WrongSenderCount, majority_outcome, two_sender_optimal
 from .oracle import GridSpec, _verify
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _utilities(profile) -> dict:
-    return {"senders": [_frac(u) for u in profile.senders],
-            "receiver": _frac(profile.receiver)}
+    return {"senders": [str(u) for u in profile.senders],
+            "receiver": str(profile.receiver)}
 
 
 def _filter_payload(filt: Optional[BinaryFilter]) -> Optional[dict]:
     if filt is None:
         return None
-    return {"signal0_prob": {name: _frac(x) for name, x in filt.signal0_prob.items()}}
+    return {"signal0_prob": {name: str(x) for name, x in filt.signal0_prob.items()}}
 
 
 def _ic_payload(report) -> dict:
     return {"holds": report.holds,
-            "signal0_slack": _frac(report.signal0_slack),
-            "signal1_slack": _frac(report.signal1_slack)}
+            "signal0_slack": str(report.signal0_slack),
+            "signal1_slack": str(report.signal1_slack)}
 
 
 def _outcome_payload(outcome) -> dict:
@@ -58,9 +54,16 @@ def _outcome_payload(outcome) -> dict:
     return payload
 
 
-def _load_game(path: str) -> Game:
+def _load_json(path: str, error: type[ValueError], what: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_game(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise error(f"{what} file nests deeper than the JSON parser allows") from exc
+
+
+def _load_game(path: str) -> Game:
+    return validate_game(_load_json(path, GameValidationError, "game"))
 
 
 def _load_one_sender_game(args) -> Game:
@@ -72,8 +75,7 @@ def _load_one_sender_game(args) -> Game:
 
 
 def _load_filter(path: str) -> BinaryFilter:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path, FilterValidationError, "filter")
     table = raw.get("signal0_prob") if isinstance(raw, dict) else None
     if not isinstance(table, dict):
         raise FilterValidationError(
@@ -119,7 +121,7 @@ def _cmd_optimize(args) -> int:
         "objective": objective.value,
         "filter": _filter_payload(res.filter),
         "pivot_state": res.pivot_state,
-        "pivot_q": _frac(res.pivot_q) if res.pivot_q is not None else None,
+        "pivot_q": str(res.pivot_q) if res.pivot_q is not None else None,
         "equilibrium": _outcome_payload(res.outcome),
         "utilities": _utilities(res.outcome.utilities),
         "fallback": res.fell_back_to_constant,
@@ -175,11 +177,11 @@ def _cmd_two_sender(args) -> int:
     result = {
         "best": {"profile": best.profile.value,
                  "filter": _filter_payload(best.filter),
-                 "receiver_utility": _frac(best.receiver_utility)},
+                 "receiver_utility": str(best.receiver_utility)},
         "candidates": [
             {"profile": c.profile.value,
              "filter": _filter_payload(c.filter),
-             "receiver_utility": _frac(c.receiver_utility),
+             "receiver_utility": str(c.receiver_utility),
              "feasible": c.feasible}
             for c in candidates],
     }
@@ -215,7 +217,7 @@ def _cmd_verify(args) -> int:
     spec = GridSpec(resolution=args.grid)
     passed, value = _verify(game, filt, spec, objective, 0)
     result = {"objective": objective.value, "grid": args.grid,
-              "passes": passed, "filter_value": _frac(value)}
+              "passes": passed, "filter_value": str(value)}
     report = _report("verify", game, result, None, started)
     verdict = "PASS" if passed else "FAIL"
     _emit(args, report, [f"verify ({objective.value}, grid {args.grid}): {verdict}",
@@ -228,8 +230,7 @@ def _cmd_classify(args) -> int:
     game = _load_one_sender_game(args)
     classes = classify_states(game)
     view = game.int_view
-    deltas = [(name, Fraction(gs, view.uscale[0]), Fraction(gr, view.uscale[view.receiver]))
-              for name, gs, gr in zip(view.names, view.gap[0], view.gap[view.receiver])]
+    deltas = list(zip(view.names, view.state_gaps(0), view.state_gaps(view.receiver)))
     result = {
         "classes": {
             "agree0": sorted(classes.agree0),
@@ -237,7 +238,7 @@ def _cmd_classify(args) -> int:
             "split01": sorted(classes.split01),
             "split10": sorted(classes.split10),
         },
-        "deltas": [{"state": name, "sender": _frac(sender), "receiver": _frac(receiver)}
+        "deltas": [{"state": name, "sender": str(sender), "receiver": str(receiver)}
                    for name, sender, receiver in deltas],
     }
     report = _report("classify", game, result, None, started)

@@ -368,9 +368,6 @@ class BinaryFilter:
 
     signal0_prob: Mapping[str, Fraction]
 
-    def prob0(self, name: str) -> Fraction:
-        return self.signal0_prob[name]
-
     def check_for(self, game: Game) -> None:
         names = set(game.state_names)
         have = set(self.signal0_prob)
@@ -482,31 +479,30 @@ def classify_states(game: Game, sender_index: int = 0) -> StateClassification:
     view = game.int_view
     agree0, agree1, dis = view.classify(sender_index)
     names = view.names
-    gs = view.gap[sender_index]
+    ss = view.s[sender_index]
     return StateClassification(
         agree0=frozenset(names[i] for i in agree0),
         agree1=frozenset(names[i] for i in agree1),
-        split01=frozenset(names[i] for i in dis if gs[i] > 0),
-        split10=frozenset(names[i] for i in dis if gs[i] < 0))
+        split01=frozenset(names[i] for i in dis if ss[i] > 0),
+        split10=frozenset(names[i] for i in dis if ss[i] < 0))
 
 
 # ---------------------------------------------------------------------------
 # Posteriors and evaluation
 # ---------------------------------------------------------------------------
 
-def signal_weights(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fraction]:
-    """Unnormalized posterior weights p(state) * P(signal | state)."""
-    out = {}
+def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fraction]:
+    """Exact Bayes posterior over states given one emitted signal.
+
+    Computed on the game's ``StateRecord``s in Fractions, straight from the
+    definition, apart from the integer rows that the solver and its checks
+    use.
+    """
+    weights = {}
     for rec in game.states:
         prob = filt.table[rec.name].get(signal, Fraction(0))
         if prob:
-            out[rec.name] = rec.prior * prob
-    return out
-
-
-def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fraction]:
-    """Exact Bayes posterior over states given one emitted signal."""
-    weights = signal_weights(game, filt, signal)
+            weights[rec.name] = rec.prior * prob
     total = sum(weights.values(), Fraction(0))
     if total == 0:
         raise ZeroProbabilitySignal(f"signal {signal!r} is never emitted")

@@ -17,18 +17,26 @@ are one:
     s.x >= max(0, sum(s))
 
 the form that the checks here, the optimizer's walk and the grid oracle's
-sweeps test. Both sums run on integers (``Game.int_view`` and the filter
-over its lcm denominator); only the reported slacks are Fractions.
+sweeps test. ``IntView`` keeps s and sum(s) per player as integers, and the
+filter is scaled to integers over its lcm denominator, so both sums run on
+integers; only the reported slacks are Fractions.
 
 ``binary_equilibrium`` scales a binary filter to integers once and derives
 both IC reports and the canonical outcome from that one scaling. Every
 obey-the-signal value, here and elsewhere, is ``IntView.obey_value``.
+
+General filters reduce to the same rows. A signal's column of probabilities,
+scaled to integers, gives each player's gap on that signal as s.column, and
+``merge_to_binary`` and ``check_nash_general`` read their signal classes and
+the receiver's per-message gaps from those integers, never from the game's
+``StateRecord``s.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Union
 
 from ._intview import IntView, scaled_ints
@@ -40,7 +48,6 @@ from .core import (
     ZeroProbabilitySignal,
     evaluate_babbling,
     obey_profile,
-    signal_weights,
 )
 
 _ZERO = Fraction(0)
@@ -56,10 +63,10 @@ class ICReport:
 
 
 def _ic_report(view: IntView, player: int, x: list[int], xscale: int) -> ICReport:
-    # With the filter at x / D: slack0 = sum(w * d * x) / (D * scale) and
-    # slack1 = (D * sum(w * d) - sum(w * d * x)) / (D * scale).
+    # With the filter at x / D: slack0 = sum(s * x) / (D * scale) and
+    # slack1 = (D * sum(s) - sum(s * x)) / (D * scale).
     obey = view.obey_total(player, x)
-    total = xscale * view.gap_total(player)
+    total = xscale * view.s_total[player]
     scale = xscale * view.slack_scale(player)
     return ICReport(holds=(obey >= 0 and obey >= total),
                     signal0_slack=Fraction(obey, scale),
@@ -103,7 +110,7 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     the merge, and the merged filter is sender-compatible by construction.
     """
     filt.check_for(game)
-    chosen = {sig for sig, (s, r) in _signal_gap_signs(game, filt, sender_index).items()
+    chosen = {sig for sig, (s, r) in _signal_gaps(game, filt, sender_index).items()
               if s > 0 or (s == 0 and r >= 0)}
     x = {}
     for name in game.int_view.names:
@@ -115,24 +122,28 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     return BinaryFilter(signal0_prob=x)
 
 
-def _signal_gap_signs(game: Game, filt: GeneralFilter,
-                      sender_index: int) -> dict[str, tuple[int, int]]:
-    """Per emitted signal, the signs of the sender's and the receiver's posterior gaps.
+def _signal_gaps(game: Game, filt: GeneralFilter,
+                 sender_index: int) -> dict[str, tuple[int, int]]:
+    """Per emitted signal, the sender's and the receiver's exact gaps on it.
 
-    A signal's column of probabilities is scaled to integers, so each sign is
-    that of an exact sum of prior * probability * gap. Signals the filter
+    A gap is the sum of prior * P(signal | state) * (u0 - u1). The filter's
+    probabilities are scaled to integers over one lcm D, so every signal's
+    gap comes out as an int at the player's scale D * slack scale: the gaps
+    of different signals compare and add as they are. Signals the filter
     never emits are left out.
     """
     view = game.int_view
     view.check_sender(sender_index)
-    signs = {}
+    scale = lcm(*(p.as_integer_ratio()[1] for dist in filt.table.values()
+                  for p in dist.values()))
+    gaps = {}
     for sig in filt.signals():
-        column, _ = scaled_ints([filt.table[name].get(sig, _ZERO).as_integer_ratio()
-                                 for name in view.names])
+        column = [n * (scale // d) for n, d in (
+            filt.table[name].get(sig, _ZERO).as_integer_ratio() for name in view.names)]
         if any(column):
-            totals = (view.obey_total(t, column) for t in (sender_index, view.receiver))
-            signs[sig] = tuple((v > 0) - (v < 0) for v in totals)
-    return signs
+            gaps[sig] = (view.obey_total(sender_index, column),
+                         view.obey_total(view.receiver, column))
+    return gaps
 
 
 def canonical_equilibrium(game: Game,
@@ -242,16 +253,12 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
     strategy entries for signals the filter never emits are rejected.
     """
     filt.check_for(game)
-    live: dict[str, dict[str, Fraction]] = {}
-    for sig in filt.signals():
-        weights = signal_weights(game, filt, sig)
-        if weights:
-            live[sig] = weights
+    gaps = _signal_gaps(game, filt, sender_index)
     for sig in profile.sender_strategy:
-        if sig not in live:
+        if sig not in gaps:
             raise ZeroProbabilitySignal(
                 f"profile defines behaviour on signal {sig!r}, which is never emitted")
-    missing = [sig for sig in live if sig not in profile.sender_strategy]
+    missing = [sig for sig in gaps if sig not in profile.sender_strategy]
     if missing:
         raise ValueError(f"profile missing sender behaviour for signals {sorted(missing)}")
 
@@ -263,8 +270,7 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
 
     # Sender signal classes by posterior preference.
     classes: dict[str, frozenset[MessageClass]] = {}
-    sig_pref = {sig: _CLASS_OF_SIGN[s]
-                for sig, (s, _) in _signal_gap_signs(game, filt, sender_index).items()}
+    sig_pref = {sig: _CLASS_OF_SIGN[(s > 0) - (s < 0)] for sig, (s, _) in gaps.items()}
 
     tags: dict[str, set[MessageClass]] = {m: set() for m in messages}
     for sig, dist in profile.sender_strategy.items():
@@ -287,20 +293,16 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
             return False, Deviation("sender", at=sig, current=m, better=better)
 
     # Receiver: each action in the support of the reply must be optimal for
-    # the posterior induced by the message.
+    # the posterior induced by the message. Its gap is the sum over signals
+    # of P(message | signal) times the signal's receiver gap, with those
+    # probabilities scaled to integers too.
     for m in messages:
-        gap = Fraction(0)
-        seen = False
-        for sig, dist in profile.sender_strategy.items():
-            prob = dist.get(m, Fraction(0))
-            if not prob:
-                continue
-            for name, w in live[sig].items():
-                r0, r1 = game.state(name).receiver_utils
-                gap += w * prob * (r0 - r1)
-                seen = True
-        if not seen:
+        sent = [(sig, dist[m]) for sig, dist in profile.sender_strategy.items()
+                if dist.get(m)]
+        if not sent:
             continue  # message never sent; any reply is a best response
+        shares, _ = scaled_ints([prob.as_integer_ratio() for _, prob in sent])
+        gap = sum(c * gaps[sig][1] for c, (sig, _) in zip(shares, sent))
         if play0[m] > 0 and gap < 0:
             return False, Deviation("receiver", at=m, current="action 0", better="action 1")
         if play0[m] < 1 and gap > 0:

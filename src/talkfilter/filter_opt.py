@@ -50,15 +50,16 @@ class OptimizerResult:
 # Sorting on the integer view
 # ---------------------------------------------------------------------------
 
+def _players(view: IntView, objective: Objective, sidx: int) -> tuple[int, int]:
+    """(objective player, constrained player): each objective concedes to the other."""
+    return (view.receiver, sidx) if objective is Objective.RECEIVER else (sidx, view.receiver)
+
+
 def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
                          objective: Objective) -> list[int]:
     """Sort by exact ascending ratio: float key first, exact fixup on collisions."""
-    gs = view.gap[sidx]
-    gr = view.gap[view.receiver]
-    if objective is Objective.RECEIVER:
-        num, den = gr, [-g for g in gs]
-    else:
-        num, den = gs, [-g for g in gr]
+    o, c = _players(view, objective, sidx)
+    num, den = view.s[o], [-v for v in view.s[c]]
 
     def fkey(i: int) -> float:
         try:
@@ -104,24 +105,18 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
     """The optimizer's sort as (state name, exact ratio) pairs, cheapest first.
 
     For the receiver objective the ratio is (receiver's gap) / (sender's
-    reversed gap); the sender objective uses the mirror. Strict opposite
-    signs make every ratio finite and positive.
+    reversed gap); the sender objective uses the mirror. Both gaps carry the
+    state's prior, which cancels. Strict opposite signs make every ratio
+    finite and positive.
     """
     view = game.int_view
     _, _, dis = view.classify(sender_index)
     order = _sorted_disagreement(view, sender_index, dis, objective)
-    gs = view.gap[sender_index]
-    gr = view.gap[view.receiver]
-    sscale = view.uscale[sender_index]
-    rscale = view.uscale[view.receiver]
-    entries = []
-    for i in order:
-        if objective is Objective.RECEIVER:
-            ratio = Fraction(gr[i] * sscale, -gs[i] * rscale)
-        else:
-            ratio = Fraction(gs[i] * rscale, -gr[i] * sscale)
-        entries.append((view.names[i], ratio))
-    return tuple(entries)
+    o, c = _players(view, objective, sender_index)
+    so, sc = view.s[o], view.s[c]
+    oscale, cscale = view.slack_scale(o), view.slack_scale(c)
+    return tuple((view.names[i], Fraction(so[i] * cscale, -sc[i] * oscale))
+                 for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -154,48 +149,41 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
     agree0, _, dis = view.classify(sidx)
     order = _sorted_disagreement(view, sidx, dis, objective)
-    # Receiver objective concedes to the sender and vice versa.
-    if objective is Objective.RECEIVER:
-        o, c = view.receiver, sidx
-    else:
-        o, c = sidx, view.receiver
-    go = view.gap[o]
-    gc = view.gap[c]
-    w = view.weight
+    o, c = _players(view, objective, sidx)
+    so = view.s[o]
+    sc = view.s[c]
 
     # Agreement states at their shared side; disagreement states where the
     # objective player wants them: signal 0 exactly where their gap is positive.
-    x = [0] * len(w)
+    x = [0] * len(so)
     for i in agree0:
         x[i] = 1
     for i in dis:
-        if go[i] > 0:
+        if so[i] > 0:
             x[i] = 1
     obey_c = view.obey_total(c, x)
-    target_c = max(0, view.gap_total(c))
+    target_c = max(0, view.s_total[c])
     pos = 0
     q = None
     fallback = False
     if obey_c < target_c:
         obey_o = view.obey_total(o, x)
-        target_o = max(0, view.gap_total(o))
+        target_o = max(0, view.s_total[o])
         for pos, i in enumerate(order, start=1):
             # Conceding i moves x[i] to the constrained player's side: their
-            # total rises by w * |gap| and the objective player's falls.
-            bump = w[i] * abs(gc[i])
+            # total rises by |s| and the objective player's falls.
+            bump = abs(sc[i])
             if obey_c + bump >= target_c:
                 break
             obey_c += bump
-            obey_o -= w[i] * abs(go[i])
+            obey_o -= abs(so[i])
         else:
             raise ArithmeticError("the walk conceded every state and never stopped")
         # Both totals with the pivot's term taken out, then the pivot's
         # binding probability and the objective player's row there.
-        wc = w[i] * gc[i]
-        wo = w[i] * go[i]
-        q = pivot_q(obey_c - wc * x[i], target_c, wc)
-        base_o = obey_o - wo * x[i]
-        fallback = base_o * q.denominator + wo * q.numerator < target_o * q.denominator
+        q = pivot_q(obey_c - sc[i] * x[i], target_c, sc[i])
+        base_o = obey_o - so[i] * x[i]
+        fallback = base_o * q.denominator + so[i] * q.numerator < target_o * q.denominator
         for j in order[:pos - 1]:
             x[j] = 1 - x[j]
     if fallback:

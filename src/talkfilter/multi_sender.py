@@ -79,7 +79,7 @@ def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
 
     def row(t: int) -> tuple[Fraction, ...]:
         scale = view.slack_scale(t)
-        return tuple(Fraction(sign * w * g, scale) for w, g in zip(view.weight, view.gap[t]))
+        return tuple(Fraction(sign * v, scale) for v in view.s[t])
 
     return LPInstance(target=target, names=tuple(view.names),
                       objective=row(view.receiver), rows=(row(0), row(1)))
@@ -125,7 +125,7 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
     """
     _require_senders(game, 2)
     view = game.int_view
-    total_gap = view.gap_total(view.receiver)
+    total_gap = view.s_total[view.receiver]
     candidates: list[CandidateOutcome] = []
     for profile in CANDIDATE_ORDER:
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
@@ -179,6 +179,6 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
     """
     _require_senders(game, 3, at_least=True)
     view = game.int_view
-    play0 = [1 if g >= 0 else 0 for g in view.gap[view.receiver]]
+    play0 = [1 if v >= 0 else 0 for v in view.s[view.receiver]]
     return ({name: 1 - x for name, x in zip(view.names, play0)},
             obey_profile(view, play0, 1))

@@ -347,13 +347,11 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
         oidx, cidx = view.receiver, sender_index
     else:
         oidx, cidx = sender_index, view.receiver
-    w = view.weight
-    coef_o = [w[i] * view.gap[oidx][i] for i in range(k)]
-    coef_c = [w[i] * view.gap[cidx][i] for i in range(k)]
-    t_o = max(0, R * sum(coef_o))
-    t_c = max(0, R * sum(coef_c))
-    head_o, head_c = _half_sums([coef_o, coef_c], range(k // 2), R)
-    tail_o, tail_c = _half_sums([coef_o, coef_c], range(k // 2, k), R)
+    coefs = [view.s[oidx], view.s[cidx]]
+    t_o = max(0, R * view.s_total[oidx])
+    t_c = max(0, R * view.s_total[cidx])
+    head_o, head_c = _half_sums(coefs, range(k // 2), R)
+    tail_o, tail_c = _half_sums(coefs, range(k // 2, k), R)
     best = _best_above(head_o, head_c, tail_o, tail_c, t_c)
     return best if best is not None and best[0] >= t_o else None
 
@@ -427,9 +425,9 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
     view = game.int_view
     k = len(view.names)
     R = resolution
-    w = view.weight
-    coefs = [[w[i] * view.gap[t][i] for i in range(k)] for t in (0, 1, view.receiver)]
-    rtot_a, rtot_b, rtot_c = (R * sum(coef) for coef in coefs)
+    players = (0, 1, view.receiver)
+    coefs = [view.s[t] for t in players]
+    rtot_a, rtot_b, rtot_c = (R * view.s_total[t] for t in players)
     t_a = max(0, rtot_a)
     t_b = max(0, rtot_b)
     t_c = max(0, rtot_c)
@@ -478,7 +476,7 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     R = spec.resolution
     best = _two_sender_best(game, R)
     ridx = view.receiver
-    const_action = 0 if view.gap_total(ridx) >= 0 else 1
+    const_action = 0 if view.s_total[ridx] >= 0 else 1
     const_value = view.constant_value(ridx, const_action)
     if best is not None:
         filt, value = _lattice_filter(view, ridx, best[1], R)

@@ -34,9 +34,8 @@ def _grid_chunk(game: Game, resolution: int, objective_value: str,
         oidx, cidx = view.receiver, sender_index
     else:
         oidx, cidx = sender_index, view.receiver
-    w = view.weight
-    coef_o = [w[i] * view.gap[oidx][i] for i in range(k)]
-    coef_c = [w[i] * view.gap[cidx][i] for i in range(k)]
+    coef_o = view.s[oidx]
+    coef_c = view.s[cidx]
     t_o = max(0, R * sum(coef_o))
     t_c = max(0, R * sum(coef_c))
 
@@ -76,10 +75,9 @@ def _two_sender_chunk(game: Game, resolution: int, start: int, end: int
     k = len(view.names)
     R = resolution
     ridx = view.receiver
-    w = view.weight
-    coef_a = [w[i] * view.gap[0][i] for i in range(k)]
-    coef_b = [w[i] * view.gap[1][i] for i in range(k)]
-    coef_c = [w[i] * view.gap[ridx][i] for i in range(k)]
+    coef_a = view.s[0]
+    coef_b = view.s[1]
+    coef_c = view.s[ridx]
     rtot_a = R * sum(coef_a)
     rtot_b = R * sum(coef_b)
     t_a = max(0, rtot_a)

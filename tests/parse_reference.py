@@ -3,8 +3,8 @@
 ``validate_game`` and ``make_game`` here parse every number to a Fraction,
 build the ``StateRecord``s at once and sum the priors as Fractions, as
 talkfilter did before it parsed game files straight into integer pairs.
-``int_tables`` builds the integer view from those records the old way, by
-``as_integer_ratio()`` of each Fraction. Errors are talkfilter's own
+``int_tables`` builds the integer view's tables from those records on its
+own, by ``as_integer_ratio()`` of each Fraction. Errors are talkfilter's own
 classes, with the old messages.
 """
 from __future__ import annotations
@@ -168,7 +168,7 @@ def int_tables(game: Game) -> dict:
     """The integer view's tables, built from the records' Fractions."""
     states = game.states
     weight, wscale = _scaled_ints([rec.prior.as_integer_ratio() for rec in states])
-    u0, u1, uscale = [], [], []
+    s, s_total, u1_total, uscale = [], [], [], []
     for t in range(game.num_senders + 1):
         if t < game.num_senders:
             raw = [(rec.sender_utils[t][0].as_integer_ratio(),
@@ -178,9 +178,10 @@ def int_tables(game: Game) -> dict:
                     rec.receiver_utils[1].as_integer_ratio()) for rec in states]
         flat = [r for pair in raw for r in pair]
         vals, scale = _scaled_ints(flat)
-        u0.append(vals[0::2])
-        u1.append(vals[1::2])
+        row = [w * (a - b) for w, a, b in zip(weight, vals[0::2], vals[1::2])]
+        s.append(row)
+        s_total.append(sum(row))
+        u1_total.append(sum(w * b for w, b in zip(weight, vals[1::2])))
         uscale.append(scale)
     return {"names": [rec.name for rec in states], "weight": weight, "wscale": wscale,
-            "u0": u0, "u1": u1, "uscale": uscale,
-            "gap": [[a - b for a, b in zip(u0[t], u1[t])] for t in range(len(u0))]}
+            "s": s, "s_total": s_total, "u1_total": u1_total, "uscale": uscale}

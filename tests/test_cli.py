@@ -324,8 +324,19 @@ def test_non_object_input_is_input_error(write, game, filt):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("deep", ["game", "filter"])
+def test_deeply_nested_json_is_input_error(write, tmp_path, deep):
+    nested = tmp_path / "deep.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    game = str(nested) if deep == "game" else write("art.json", ART)
+    proc = run_process(["evaluate", game, "--filter", str(nested)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {deep.capitalize()}ValidationError: ")
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
-    """Only a multi-worker grid search needs concurrent.futures.process."""
+    """No command runs a process pool, so the CLI never imports concurrent.futures.process."""
     src = str(Path(talkfilter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import sys, talkfilter.cli; "

@@ -156,9 +156,7 @@ def test_general_filter_distribution_validation(art):
 def _state_gaps(game):
     """Exact action-0 minus action-1 gaps per state: {name: (sender, receiver)}."""
     view = game.int_view
-    r = view.receiver
-    return {name: (F(gs, view.uscale[0]), F(gr, view.uscale[r]))
-            for name, gs, gr in zip(view.names, view.gap[0], view.gap[r])}
+    return dict(zip(view.names, zip(view.state_gaps(0), view.state_gaps(view.receiver))))
 
 
 def test_state_deltas_art(art):

@@ -84,8 +84,9 @@ def test_sort_is_the_stable_sort_on_exact_ratios():
             seed=4200 + i, num_states=5 + i, num_senders=1 + i % 2,
             utility_range=1 + i % 2, prior="random-rational"))
         view = game.int_view
+        gr = [u0 - u1 for u0, u1 in (rec.receiver_utils for rec in game.states)]
         for j in range(game.num_senders):
-            gs, gr = view.gap[j], view.gap[view.receiver]
+            gs = [rec.sender_utils[j][0] - rec.sender_utils[j][1] for rec in game.states]
             dis = view.classify(j)[2]
             for objective, ratio in ((RECEIVER, lambda k: F(gr[k], -gs[k])),
                                      (SENDER, lambda k: F(gs[k], -gr[k]))):

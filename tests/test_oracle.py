@@ -137,18 +137,6 @@ def test_grid_point_cap_checked_before_any_search():
         tf.GridSpec().check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=5000)))
 
 
-def test_grid_parallel_matches_sequential():
-    game = tf.random_game(tf.RandomGameSpec(seed=77, num_states=4))
-    spec = tf.GridSpec(resolution=8)
-    seq_filter, seq_value = tf.grid_search(game, spec, threads=1)
-    par_filter, par_value = tf.grid_search(game, spec, threads=2)
-    assert seq_value == par_value
-    assert seq_filter.signal0_prob == par_filter.signal0_prob
-    two = tf.random_game(tf.RandomGameSpec(seed=78, num_states=4, num_senders=2))
-    assert (tf.two_sender_grid_search(two, spec, threads=1)
-            == tf.two_sender_grid_search(two, spec, threads=2))
-
-
 def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
     """Any threads value gives the threads=1 result, and no process pool is built."""
 

@@ -7,6 +7,7 @@ tables, or reject the file with the same error class and message.
 """
 import json
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ import talkfilter as tf
 
 F = Fraction
 
-VIEW_TABLES = ("names", "weight", "wscale", "u0", "u1", "uscale", "gap")
+VIEW_TABLES = ("names", "weight", "wscale", "s", "s_total", "u1_total", "uscale")
 
 
 def outcome(build, raw):
@@ -188,33 +189,42 @@ def records_built(monkeypatch):
 
 
 def test_solve_and_check_build_no_records(records_built):
+    spec = tf.GridSpec(resolution=4)
     for i in range(12):
-        game = tf.random_game(tf.RandomGameSpec(
-            seed=6300 + i, num_states=3 + 50 * i, prior="random-rational"))
-        raw = json.loads(json.dumps(_spelled(game, i)))
+        large = tf.RandomGameSpec(seed=6300 + i, num_states=3 + 50 * i, prior="random-rational")
+        small = tf.RandomGameSpec(seed=6500 + i, num_states=2 + i % 5, prior="random-rational")
+        generated = [tf.random_game(s) for s in (large, small, replace(small, num_senders=2))]
+        raws = [json.loads(json.dumps(_spelled(g, i))) for g in generated]
+        # The profile generator reads records, so it runs on the generated game.
+        general = tf.random_general_filter(generated[0], 6400 + i)
+        profile = tf.random_profile(generated[0], general, 6500 + i)
         records_built.clear()
-        game = tf.validate_game(raw)
+        game, one, pair = map(tf.validate_game, raws)
         for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter):
             res = run(game)
             tf.sender_ic(game, res.filter)
             tf.receiver_ic(game, res.filter)
             tf.evaluate_sigma_s(game, res.filter)
             tf.canonical_equilibrium(game, res.filter)
-        general = tf.random_general_filter(game, 6400 + i)
         tf.merge_to_binary(game, general)
         tf.canonical_equilibrium(game, general)
+        tf.check_nash_general(game, general, profile)
         tf.classify_states(game)
+        for objective in tf.Objective:
+            tf.grid_search(one, spec, objective)
+        tf.two_sender_optimal(pair)
+        tf.two_sender_grid_search(pair, spec)
         assert not records_built
-        assert len(game.states) == len(raw["states"])
-        assert len(records_built) == len(raw["states"])
+        assert len(game.states) == len(raws[0]["states"])
+        assert len(records_built) == len(raws[0]["states"])
 
 
-def test_game_pickles_equal_and_grid_workers_agree():
+def test_game_pickles_equal_and_stays_frozen():
     game = tf.validate_game(_spelled(tf.random_game(tf.RandomGameSpec(
         seed=77, num_states=4, prior="random-rational")), 5))
     twin = pickle.loads(pickle.dumps(game))
     assert twin == game and hash(twin) == hash(game) and repr(twin) == repr(game)
-    spec = tf.GridSpec(resolution=8)     # 9^4 points: enough to start workers
-    assert tf.grid_search(game, spec, threads=2) == tf.grid_search(game, spec, threads=1)
+    spec = tf.GridSpec(resolution=8)
+    assert tf.grid_search(twin, spec) == tf.grid_search(game, spec)
     with pytest.raises(AttributeError):
         game.num_senders = 2
