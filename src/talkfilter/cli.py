@@ -4,7 +4,9 @@ Subcommands: optimize, evaluate, two-sender, majority, verify, classify.
 Each prints a short human summary followed by the machine report as JSON;
 --json keeps only the JSON for clean piping. Exit codes: 0 success, 2 input
 or validation error, 3 verification failure. verify sweeps the grid in two
-halves of (R+1)^ceil(k/2) points each, in one process.
+halves of (R+1)^ceil(k/2) points each, in one process, and refuses (exit 2,
+GridTooLarge) a half of more than 200,000 points: it certifies up to 14
+states at --grid 4, 12 at --grid 6 and 10 at the default --grid 8.
 """
 from __future__ import annotations
 

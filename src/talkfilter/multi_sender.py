@@ -131,16 +131,21 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
-            feasible = receiver_posthoc_ic(game, profile, x)
-            if profile is CandidateProfile.UNANIMOUS_0:
-                base = view.constant_value(view.receiver, 1)
-                signal0 = dict(zip(lp.names, x))
-            else:
-                base = view.constant_value(view.receiver, 0)
-                signal0 = {name: 1 - xi for name, xi in zip(lp.names, x)}
+            unanimous0 = profile is CandidateProfile.UNANIMOUS_0
+            # receiver_posthoc_ic holds exactly when the value reaches
+            # max(0, sum(objective)), the objective being +-s over the slack scale.
+            sign = 1 if unanimous0 else -1
+            feasible = (value * view.slack_scale(view.receiver)
+                        >= max(0, sign * total_gap))
+            filt = None
+            if feasible:
+                signal0 = x if unanimous0 else [1 - xi for xi in x]
+                filt = BinaryFilter(signal0_prob=dict(zip(lp.names, signal0)))
+            # Unanimous-0 plays 1 unless both report 0; unanimous-1 the reverse.
+            base = view.constant_value(view.receiver, 1 if unanimous0 else 0)
             candidates.append(CandidateOutcome(
                 profile=profile,
-                filter=BinaryFilter(signal0_prob=signal0) if feasible else None,
+                filter=filt,
                 receiver_utility=base + value,
                 feasible=feasible))
         elif profile in (CandidateProfile.FOLLOW_SENDER_1,

@@ -12,9 +12,10 @@ Each sweep covers every lattice point exactly, in one process, by meeting in
 the middle (the subset-sum split of Horowitz and Sahni): it tabulates the
 linear forms it ranks by over the first k // 2 states and over the rest,
 (R+1)^ceil(k/2) points at most per half, and pairs each head point with its
-best tail through a sorted query (a max-Fenwick tree where two bounds
-apply). Ties go to the lowest enumeration index, as a point-by-point sweep
-in that order would give.
+best tail through one query, a max-Fenwick tree under two bounds. Ties go to
+the lowest enumeration index, as a point-by-point sweep in that order would
+give. ``GridSpec.check`` caps the half at MAX_HALF_POINTS, which admits up
+to 14 states at R = 4, 12 at R = 6 and 10 at R = 8.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -25,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional, Union
 
 from ._intview import IntView
@@ -48,30 +48,31 @@ class GridTooLarge(ValueError):
     pass
 
 
-#: Most grid points, (R+1)^k, that GridSpec.check lets one search enumerate.
-MAX_GRID_POINTS = 10 ** 7
+#: Most points per half, (R+1)^ceil(k/2), that GridSpec.check lets a sweep tabulate.
+MAX_HALF_POINTS = 2 * 10 ** 5
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice {0, 1/R, ..., 1} per state, guarded by state-count and point caps."""
+    """Lattice {0, 1/R, ..., 1} per state, capped at MAX_HALF_POINTS points per half.
+
+    A sweep tabulates (R+1)^ceil(k/2) points per half, so the cap admits up
+    to 14 states at R = 4, 12 at R = 6 and 10 at R = 8.
+    """
 
     resolution: int = 8
-    max_states: int = 6
 
     def check(self, game: Game) -> None:
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
         k = len(game.int_view.names)
         radix = self.resolution + 1
-        if k > self.max_states:
+        half = k - k // 2
+        # radix >= 2 and 2^18 is over the cap, so larger halves need no power.
+        if half > 17 or radix ** half > MAX_HALF_POINTS:
             raise GridTooLarge(
-                f"{k} states would need {radix}^{k} grid points; "
-                f"cap is {self.max_states} states")
-        if radix ** k > MAX_GRID_POINTS:
-            raise GridTooLarge(
-                f"resolution {self.resolution} on {k} states needs {radix}^{k} "
-                f"grid points; cap is {MAX_GRID_POINTS}")
+                f"resolution {self.resolution} on {k} states needs {radix}^{half} "
+                f"grid points per half; cap is {MAX_HALF_POINTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +252,6 @@ def _half_sums(coefs: list[list[int]], states: range, resolution: int
     return tables
 
 
-def _best_above(head_obj: list[int], head_con: list[int],
-                tail_obj: list[int], tail_con: list[int], t_con: int
-                ) -> Optional[tuple[int, int]]:
-    """Highest objective, lowest index, over points with con >= t_con.
-
-    Tails sorted by con, highest first, qualify for a head as a prefix, so
-    each head takes its prefix's best tail: (objective, index), or None.
-    """
-    M = len(tail_obj)
-    order = sorted(range(M), key=tail_con.__getitem__, reverse=True)
-    neg_con = [-tail_con[t] for t in order]
-    prefix = list(accumulate((tail_obj[t] * M + M - 1 - t for t in order), max))
-    best = None
-    for h, (obj, con) in enumerate(zip(head_obj, head_con)):
-        p = bisect_right(neg_con, con - t_con)
-        if p:
-            key = prefix[p - 1]
-            total = obj + key // M
-            if best is None or total > best[0]:
-                best = (total, h * M + M - 1 - key % M)
-    return best
-
-
 def _best_above_both(head_obj: list[int], head_a: list[int], head_b: list[int],
                      tail_obj: list[int], tail_a: list[int], tail_b: list[int],
                      t_a: int, t_b: int) -> Optional[tuple[int, int]]:
@@ -282,6 +260,7 @@ def _best_above_both(head_obj: list[int], head_a: list[int], head_b: list[int],
     Heads are taken from the strictest need on a down; tails join a
     max-Fenwick tree over their rank in b (highest b first) once their a
     meets the need, and each head queries the ranks that meet its need on b.
+    An all-zero b with t_b = 0 leaves the one bound on a.
     """
     M = len(tail_obj)
     by_a = sorted(range(M), key=tail_a.__getitem__, reverse=True)
@@ -352,7 +331,8 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     t_c = max(0, R * view.s_total[cidx])
     head_o, head_c = _half_sums(coefs, range(k // 2), R)
     tail_o, tail_c = _half_sums(coefs, range(k // 2, k), R)
-    best = _best_above(head_o, head_c, tail_o, tail_c, t_c)
+    best = _best_above_both(head_o, head_c, [0] * len(head_o),
+                            tail_o, tail_c, [0] * len(tail_o), t_c, 0)
     return best if best is not None and best[0] >= t_o else None
 
 
@@ -433,11 +413,13 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
     t_c = max(0, rtot_c)
     head_a, head_b, head_c = _half_sums(coefs, range(k // 2), R)
     tail_a, tail_b, tail_c = _half_sums(coefs, range(k // 2, k), R)
+    head_0 = [0] * len(head_c)
+    tail_0 = [0] * len(tail_c)
     regions = [
         _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, 0, 0),
         _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, rtot_a, rtot_b),
-        _best_above(head_c, head_a, tail_c, tail_a, t_a),
-        _best_above(head_c, head_b, tail_c, tail_b, t_b),
+        _best_above_both(head_c, head_a, head_0, tail_c, tail_a, tail_0, t_a, 0),
+        _best_above_both(head_c, head_b, head_0, tail_c, tail_b, tail_0, t_b, 0),
     ]
     found = [r for r in regions if r is not None and r[0] >= t_c]
     if not found:
@@ -476,8 +458,8 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     R = spec.resolution
     best = _two_sender_best(game, R)
     ridx = view.receiver
-    const_action = 0 if view.s_total[ridx] >= 0 else 1
-    const_value = view.constant_value(ridx, const_action)
+    const_action, const_values = view.babbling()
+    const_value = const_values[ridx]
     if best is not None:
         filt, value = _lattice_filter(view, ridx, best[1], R)
         if value >= const_value:

@@ -17,8 +17,10 @@ RECEIVER = tf.Objective.RECEIVER
 SENDER = tf.Objective.SENDER
 
 GRID8 = tf.GridSpec(resolution=8)
-#: Past the default 6-state cap: at 8 states, 7^8 = 5,764,801 grid points.
-GRID6_WIDE = tf.GridSpec(resolution=6, max_states=8)
+#: At 8 states, 7^8 = 5,764,801 grid points, swept as two halves of 7^4 = 2,401.
+GRID6_WIDE = tf.GridSpec(resolution=6)
+#: At 12 states, 5^12 (about 2.4e8) grid points, swept as two halves of 5^6 = 15,625.
+GRID4_LARGE = tf.GridSpec(resolution=4)
 
 
 def _report(number: int, text: str) -> None:
@@ -36,19 +38,36 @@ def corpus():
     return games
 
 
+def _games(num_senders: int, seed0: int, state_counts: tuple[int, ...],
+           count: int) -> list[tf.Game]:
+    """Seeded games cycling over the state counts, utilities in [-5, 5].
+
+    The prior switches between uniform and random-rational after each cycle.
+    """
+    n = len(state_counts)
+    return [tf.random_game(tf.RandomGameSpec(
+                seed=seed0 + 100 * num_senders + i, num_states=state_counts[i % n],
+                num_senders=num_senders, utility_range=5,
+                prior=("uniform", "random-rational")[i // n % 2]))
+            for i in range(count)]
+
+
 def _wide_games(num_senders: int) -> list[tf.Game]:
     """16 seeded 7- and 8-state games for GRID6_WIDE, 4 per state count and prior."""
-    return [tf.random_game(tf.RandomGameSpec(
-                seed=50000 + 100 * num_senders + i, num_states=7 + i % 2,
-                num_senders=num_senders, utility_range=5,
-                prior=("uniform", "random-rational")[i // 2 % 2]))
-            for i in range(16)]
+    return _games(num_senders, 50000, (7, 8), 16)
+
+
+def _large_games(num_senders: int) -> list[tf.Game]:
+    """12 seeded 10-, 11- and 12-state games for GRID4_LARGE, 2 per state count and prior."""
+    return _games(num_senders, 51000, (10, 11, 12), 12)
 
 
 def _certified(corpus) -> list[tuple[tf.Game, tf.GridSpec]]:
-    """The corpus at grid 8, then the 7- and 8-state games at grid 6."""
+    """The corpus at grid 8, the 7- and 8-state games at grid 6, then the
+    10- to 12-state games at grid 4."""
     return ([(game, GRID8) for game in corpus]
-            + [(game, GRID6_WIDE) for game in _wide_games(1)])
+            + [(game, GRID6_WIDE) for game in _wide_games(1)]
+            + [(game, GRID4_LARGE) for game in _large_games(1)])
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +149,9 @@ def test_criterion_4_oracle_optimality_sweep(corpus):
         assert tf.verify_filter_optimality(game, res.filter, grid, RECEIVER)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
-    _report(4, f"200/200 receiver-optimal filters certified at grid 8 and 16/16 "
-               f"7- and 8-state ones at grid 6 ({fallbacks} babbling games, "
-               f"{elapsed:.1f} s)")
+    _report(4, f"200/200 receiver-optimal filters certified at grid 8, 16/16 "
+               f"7- and 8-state ones at grid 6 and 12/12 10- to 12-state ones "
+               f"at grid 4 ({fallbacks} babbling games, {elapsed:.1f} s)")
 
 
 def test_criterion_5_pareto_property(corpus):
@@ -231,16 +250,18 @@ def test_criterion_7_two_sender_lp():
         grid_value, _, _ = tf.two_sender_grid_search(game, GRID8)
         if best.receiver_utility < grid_value:
             failures += 1
-    for game in _wide_games(2):
-        best, _ = tf.two_sender_optimal(game)
-        grid_value, _, _ = tf.two_sender_grid_search(game, GRID6_WIDE)
-        if best.receiver_utility < grid_value:
-            failures += 1
+    for games, grid in ((_wide_games(2), GRID6_WIDE), (_large_games(2), GRID4_LARGE)):
+        for game in games:
+            best, _ = tf.two_sender_optimal(game)
+            grid_value, _, _ = tf.two_sender_grid_search(game, grid)
+            if best.receiver_utility < grid_value:
+                failures += 1
     assert failures == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     _report(7, f"LP vertex (1, 1/2) worth 3/4, 100/100 games at or above "
-               f"the grid 8 and 16/16 7- and 8-state games at or above the grid 6 "
+               f"the grid 8, 16/16 7- and 8-state games at or above the grid 6 "
+               f"and 12/12 10- to 12-state games at or above the grid 4 "
                f"({elapsed:.1f} s)")
 
 

@@ -190,8 +190,7 @@ def test_majority_needs_three_senders(write, capsys):
 # verify / classify
 # ---------------------------------------------------------------------------
 
-def test_verify_passes_on_optimal_filter(write, capsys, monkeypatch):
-    monkeypatch.setenv("TALKFILTER_THREADS", "1")
+def test_verify_passes_on_optimal_filter(write, capsys):
     art = write("art.json", ART)
     filt = write("filter.json", {"signal0_prob": {"OG": "0", "IF": "1", "DF": "1"}})
     code, report = run_json(capsys, ["verify", art, "--filter", filt,
@@ -201,13 +200,34 @@ def test_verify_passes_on_optimal_filter(write, capsys, monkeypatch):
     assert report["result"]["filter_value"] == "1/3"
 
 
-def test_verify_fails_on_suboptimal_filter(write, capsys, monkeypatch):
-    monkeypatch.setenv("TALKFILTER_THREADS", "1")
+def test_verify_fails_on_suboptimal_filter(write, capsys):
     g3 = write("g3.json", G3)
     filt = write("const.json", {"signal0_prob": {"w1": "0", "w2": "0", "w3": "0"}})
     code, report = run_json(capsys, ["verify", g3, "--filter", filt, "--grid", "3"])
     assert code == 3
     assert report["result"]["passes"] is False
+
+
+@pytest.mark.parametrize("k,grid", [(10, "8"), (12, "6")])
+def test_verify_certifies_up_to_the_per_half_cap(write, tmp_path, capsys, k, grid):
+    """10 states at grid 8 (9^5 points per half) and 12 at grid 6 (7^6)."""
+    game = talkfilter.random_game(talkfilter.RandomGameSpec(
+        seed=70 + k, num_states=k, prior="random-rational"))
+    path = write("game.json", game_file(game))
+    filt = str(tmp_path / "filter.json")
+    assert main(["optimize", path, "--out", filt, "--json"]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["verify", path, "--filter", filt, "--grid", grid])
+    assert code == 0 and report["result"]["passes"] is True
+
+
+def test_verify_refuses_a_grid_over_the_per_half_cap(write, capsys):
+    """11 states at grid 8 need 9^6 = 531,441 points per half."""
+    game = talkfilter.random_game(talkfilter.RandomGameSpec(seed=81, num_states=11))
+    path = write("game.json", game_file(game))
+    filt = write("filter.json", {"signal0_prob": {name: "0" for name in game.state_names}})
+    assert main(["verify", path, "--filter", filt, "--grid", "8"]) == 2
+    assert "GridTooLarge" in capsys.readouterr().err
 
 
 def test_classify_art(write, capsys):

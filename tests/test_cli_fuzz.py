@@ -93,8 +93,7 @@ COMMANDS = [
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(files=st.one_of(mutated(valid_pairs()), mutated(valid_pairs()),
                       st.fixed_dictionaries({"game": json_values, "filter": json_values})))
-def test_cli_exits_cleanly_on_any_file(tmp_path, monkeypatch, capsys, files):
-    monkeypatch.setenv("TALKFILTER_THREADS", "1")
+def test_cli_exits_cleanly_on_any_file(tmp_path, capsys, files):
     game, filt = files.get("game"), files.get("filter")
     game_path = tmp_path / "game.json"
     filter_path = tmp_path / "filter.json"

@@ -11,7 +11,7 @@ import talkfilter as tf
 from talkfilter import oracle
 
 #: (k, R) with at most 4096 lattice points: the reference visits every one.
-SHAPES = [(k, R) for k in range(1, 7) for R in range(1, 9) if (R + 1) ** k <= 4096]
+SHAPES = [(k, R) for k in range(1, 13) for R in range(1, 9) if (R + 1) ** k <= 4096]
 
 
 def _agree(game, resolution: int) -> int:
@@ -41,7 +41,7 @@ def test_sweeps_match_the_odometer_on_seeded_games():
                             seed=seed, num_states=k, num_senders=num_senders,
                             utility_range=utility_range, prior=prior))
                         compared += _agree(game, R)
-    assert len(SHAPES) == 38 and compared >= 3000
+    assert len(SHAPES) == 45 and compared >= 3000
 
 
 def test_sweeps_match_the_odometer_on_the_certify_corpus():

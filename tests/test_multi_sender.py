@@ -203,6 +203,34 @@ def test_posthoc_opposed_interests_infeasible():
     assert all(x == 1 for x in best.filter.signal0_prob.values())
 
 
+def test_posthoc_and_feasible_are_the_value_test():
+    """Obeying a unanimous report is a receiver best response at the LP's
+    vertex exactly when the LP value is at least max(0, sum(objective)), so
+    the verdict does not depend on which optimal vertex the solver returns.
+    Seeded games with k = 1..20, utility ranges 1 and 5, both priors."""
+    verdicts = set()
+    for k in range(1, 21):
+        for utility_range in (1, 5):
+            for prior in ("uniform", "random-rational"):
+                for rep in range(2):
+                    game = tf.random_game(tf.RandomGameSpec(
+                        seed=90000 + 100 * k + 10 * utility_range + 2 * rep
+                        + (prior == "uniform"), num_states=k, num_senders=2,
+                        utility_range=utility_range, prior=prior))
+                    _, candidates = tf.two_sender_optimal(game)
+                    byname = {c.profile: c for c in candidates}
+                    for target in (U0, U1):
+                        lp = tf.build_lp(game, target)
+                        x, value = tf.lp_solve(lp)
+                        expected = value >= max(0, sum(lp.objective))
+                        assert tf.receiver_posthoc_ic(game, target, x) == expected
+                        cand = byname[target]
+                        assert cand.feasible == expected
+                        assert (cand.filter is None) == (not expected)
+                        verdicts.add((target, expected))
+    assert len(verdicts) == 4
+
+
 # ---------------------------------------------------------------------------
 # two_sender_optimal
 # ---------------------------------------------------------------------------

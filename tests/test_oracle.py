@@ -119,9 +119,13 @@ def test_grid_self_consistency_nested_resolutions(seeded_games):
 
 
 def test_grid_too_large():
-    game = tf.random_game(tf.RandomGameSpec(seed=2, num_states=7))
+    """The cap is on points per half: 11 states at R = 8 need 9^6 = 531,441."""
     with pytest.raises(tf.GridTooLarge):
-        tf.grid_search(game, tf.GridSpec(resolution=8, max_states=6))
+        tf.grid_search(tf.random_game(tf.RandomGameSpec(seed=2, num_states=11)),
+                       tf.GridSpec(resolution=8))
+    ten = tf.random_game(tf.RandomGameSpec(seed=2, num_states=10))   # 9^5 = 59,049
+    filt, _ = tf.grid_search(ten, tf.GridSpec(resolution=8))
+    assert set(filt.signal0_prob) == set(ten.state_names)
 
 
 def test_grid_point_cap_checked_before_any_search():
@@ -129,12 +133,15 @@ def test_grid_point_cap_checked_before_any_search():
     with pytest.raises(tf.GridTooLarge):
         tf.GridSpec(resolution=100).check(six)      # 101^6, about 1.06e12 points
     tf.GridSpec(resolution=8).check(six)            # 9^6 = 531,441 points
-    big = tf.GridSpec(resolution=12, max_states=7)  # 13^6 passes, 13^7 does not
-    big.check(six)
+    big = tf.GridSpec(resolution=12)                # 13^4 = 28,561 per half passes, 13^5 does not
+    big.check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=8)))
     with pytest.raises(tf.GridTooLarge):
-        big.check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=7)))
+        big.check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=9)))
     with pytest.raises(tf.GridTooLarge):                # 9^5000 has too many digits to print
         tf.GridSpec().check(tf.random_game(tf.RandomGameSpec(seed=3, num_states=5000)))
+    with pytest.raises(tf.GridTooLarge):                # refused before any power is taken
+        tf.GridSpec(resolution=10 ** 100).check(
+            tf.random_game(tf.RandomGameSpec(seed=3, num_states=5000)))
 
 
 def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
