@@ -1,152 +1,215 @@
-"""Exact bounded-variable simplex for small dense homogeneous instances.
+"""The exact one-row kernel, and the two-row box LP solved on it.
 
-Maximizes c.x subject to rows.x >= 0 and 0 <= x <= 1. The origin is always
-feasible for homogeneous rows, so a single phase starting from the surplus
-basis suffices. Bland's smallest-index rule picks the entering variable, and
-ratio-test ties leave by the smallest (cap, variable index, row), which rules
-out cycling on degenerate vertices (and these instances are degenerate at
-the origin by construction).
-
-The work is done in integers, with Fractions only in the arguments and the
-result. The objective and each row are scaled once by the lcm of their
-denominators; a positive scale changes no pricing sign and no order among
-one pivot's ratio-test caps, so the pivots and the vertex are those of the
-same simplex run on the Fractions. Linear solves are fraction-free (Bareiss)
-and return numerators over a positive common denominator; the basic values
-are kept the same way.
+``_solve`` maximizes e.x subject to b.x >= t on the box 0 <= x <= 1 by a
+ratio sort and a concession walk: it is the one-sender optimizer, and the
+inner problem of ``maximize``'s exact search over a row multiplier. Nothing
+here pivots a basis or solves a linear system. The module and both names
+are kept because the benchmark's tracer (``bench/tracer.py``) wraps them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._intview import scaled_ints
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
-    """Solve a small nonsingular integer system by fraction-free elimination.
+def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int]:
+    """``dis`` by exact ascending e/(-b): float key first, exact fixup on collisions."""
 
-    Returns (numerators, det): the solution is numerators / det, and det is
-    the absolute value of the matrix's determinant (1 for an empty system).
+    def fkey(i: int) -> float:
+        try:
+            return e[i] / -b[i]
+        except OverflowError:
+            # Ratios are positive; anything past double range outranks every
+            # finite key, and inf-keyed states resolve among themselves in
+            # the exact pass below.
+            return float("inf")
+
+    keyed = sorted(((fkey(i), i) for i in dis))
+    order = [i for _, i in keyed]
+    # Re-sort runs whose doubles collide by their exact ratios. States are
+    # grouped by reduced ratio in input order, and the groups are ordered by
+    # exact value, which is the stable sort on the exact ratio.
+    # States with e < 0 < b have both terms negative; reducing by a gcd of
+    # the denominator's sign makes every denominator positive.
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and keyed[end][0] == keyed[start][0]:
+            end += 1
+        if end - start > 1:
+            groups: dict[tuple[int, int], list[int]] = {}
+            for i in order[start:end]:
+                num, den = e[i], -b[i]
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                groups.setdefault((num // g, den // g), []).append(i)
+            if len(groups) > 1:
+                ratios = sorted(groups, key=lambda r: Fraction(*r))
+                order[start:end] = [i for r in ratios for i in groups[r]]
+        start = end
+    return order
+
+
+def _solve(e: Sequence[int], b: Sequence[int], t: int
+           ) -> tuple[list[int], int, int, Fraction]:
+    """max e.x subject to b.x >= t and 0 <= x <= 1, by a sort and a concession walk.
+
+    The start sets x_i = 1 exactly where e_i >= 0 and b_i >= 0, or e_i > 0 > b_i:
+    disagreement states (strict opposite signs) start on e's side. While
+    b.x < t, they move to b's side in ascending order of e_i / -b_i. The
+    first whose move would meet the row is the pivot, worth
+    (t - b.x) / b[pivot] at the optimum. Returns (x, step, pivot, y): x is
+    0/1 with the pivot's entry 0, step the pivot's 1-based place in the
+    order, and y = |e| / |b| there the row's multiplier, so that
+    e.x <= sum(max(0, e_i + y * b_i)) - y * t on the row, with equality at
+    the optimum. Without a walk, (x, 0, -1, 0). Raises ArithmeticError when
+    no point of the box meets the row.
     """
-    m = len(matrix)
-    a = [[*row, b] for row, b in zip(matrix, rhs)]
-    prev = 1
-    for k in range(m):
-        pivot = next(r for r in range(k, m) if a[r][k] != 0)
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k]
-        for r in range(k + 1, m):
-            row = a[r]
-            # Bareiss: every entry stays an integer minor of the matrix.
-            a[r] = row[:k + 1] + [(top[k] * v - row[k] * p) // prev
-                                  for v, p in zip(row[k + 1:], top[k + 1:])]
-        prev = top[k]
-    det = prev
-    num = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = a[i]
-        num[i] = (det * row[m] - sum(row[j] * num[j] for j in range(i + 1, m))) // row[i]
-    if det < 0:
-        return [-v for v in num], -det
-    return num, det
+    x = [1 if v > 0 or (v == 0 and w >= 0) else 0 for v, w in zip(e, b)]
+    total = sum(map(mul, b, x))
+    if total >= t:
+        return x, 0, -1, _ZERO
+    dis = [i for i, (v, w) in enumerate(zip(e, b)) if (v > 0 > w) or (v < 0 < w)]
+    order = _ratio_order(e, b, dis)
+    for step, i in enumerate(order, start=1):
+        bump = abs(b[i])
+        if total + bump >= t:
+            break
+        total += bump
+    else:
+        raise ArithmeticError("the walk moved every state and never met the row")
+    for j in order[:step - 1]:
+        x[j] = 1 - x[j]
+    x[i] = 0
+    return x, step, i, Fraction(abs(e[i]), bump)
+
+
+class _Cut(NamedTuple):
+    lam: Fraction
+    h: Fraction      # h(lam)
+    g: Fraction      # a.x, a slope of h at lam
+    x: list          # the kernel's point: 0/1 ints and the pivot's Fraction
+    mu: Fraction     # the b-row's multiplier for the objective c + lam * a
+
+
+def _cut(c: list[int], a: list[int], b: list[int], lam: Fraction) -> _Cut:
+    p, q = lam.numerator, lam.denominator
+    x, step, pivot, y = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, 0)
+    cx, ax = sum(map(mul, c, x)), sum(map(mul, a, x))
+    if step:
+        x[pivot] = Fraction(-sum(map(mul, b, x)), b[pivot])
+        cx += c[pivot] * x[pivot]
+        ax += a[pivot] * x[pivot]
+    return _Cut(lam, cx + lam * ax, Fraction(ax), x, y / q)
+
+
+def _null3(u: list[int], v: list[int]) -> list[int]:
+    """A nonzero d with u.d = v.d = 0, its first nonzero entry positive."""
+    d = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    if not any(d):
+        # u and v are parallel: any null vector of the nonzero one (if any).
+        r = u if any(u) else v
+        d = next((w for w in ([r[1], -r[0], 0], [r[2], 0, -r[0]], [0, r[2], -r[1]])
+                  if any(w)), [1, 0, 0])
+    return d if next(w for w in d if w) > 0 else [-w for w in d]
+
+
+def _purify(x: list, a: list[int], b: list[int]) -> None:
+    """Leave at most two fractional entries in x, keeping a.x and b.x.
+
+    Each step moves the three lowest-index fractional entries along a null
+    direction of both rows as far as the box allows. At an optimum the value
+    cannot change along it, since both ways stay feasible.
+    """
+    rest = (i for i, v in enumerate(x) if 0 < v < 1)  # read lazily, past the head
+    head = list(islice(rest, 3))
+    while len(head) == 3:
+        d = _null3([a[i] for i in head], [b[i] for i in head])
+        step = min((1 - x[i]) / di if di > 0 else x[i] / -di
+                   for i, di in zip(head, d) if di)
+        for i, di in zip(head, d):
+            x[i] += step * di
+        head = [i for i in head if 0 < x[i] < 1]
+        head += islice(rest, 3 - len(head))
 
 
 def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
              ) -> tuple[list[Fraction], Fraction]:
-    """Return an optimal vertex (x, value) of the box LP described above."""
+    """An optimal point (x, value) of max c.x subject to rows.x >= 0 and 0 <= x <= 1.
+
+    At most two rows a and b (missing rows are zero rows in front), each
+    scaled to integers. The value is min over lam >= 0 of the convex
+    piecewise-linear h(lam) = max{(c + lam * a).x : b.x >= 0 on the box}:
+    one ``_solve`` call evaluates it, and a.x at its point is a slope.
+
+    1. At lam = 0, a point with a.x >= 0 is optimal.
+    2. At Lam = 2 * max|c| * max(|a|, |b|) + 1, past every breakpoint, the
+       slope must be positive, or 0 and then that point is optimal.
+    3. Kelley's cutting planes: evaluate h where the lines of the bracket
+       ends (slope < 0 at lo, > 0 at hi) cross. Stop when h meets the lines
+       there; else the point replaces the end of its slope's sign, or is
+       optimal if that slope is 0.
+    4. At the stop both ends are optimal inside; their mix with a.x = 0 is
+       optimal, and ``_purify`` leaves at most two entries fractional.
+    5. Every solve checks the dual certificate: x is feasible and
+       c.x = sum(max(0, c_i + lam1 * a_i + lam2 * b_i)), lam1 the last lam
+       evaluated and lam2 >= 0 the kernel's multiplier there.
+
+    Bound: h bends only where the kernel's start or order changes, at
+    lam = -c_i/a_i or where two ratios cross, all below Lam. After the two
+    end calls there is at most one kernel call per breakpoint of h, and all
+    lie in [0, Lam): a call that moves an end has a breakpoint between the
+    old end and the new one, and the call that stops the search is one.
+
+    Tie rule among several optima: the first optimal point of steps 1-3,
+    else the mix, whose purification raises the first entry each step moves.
+    """
+    if len(rows) > 2:
+        raise ValueError(f"maximize takes at most two rows, got {len(rows)}")
     n = len(objective)
-    m = len(rows)
-    # Variables 0..n-1 are structural with box bounds; n..n+m-1 are surplus
-    # variables (rows.x - s = 0, s >= 0, unbounded above).
-    total = n + m
-    cost, scale = scaled_ints([v.as_integer_ratio() for v in objective])
-    cost += [0] * m
-    int_rows = [scaled_ints([v.as_integer_ratio() for v in row])[0] for row in rows]
-    cols = [tuple(row[j] for row in int_rows) for j in range(n)]
-    cols += [tuple(-1 if i == r else 0 for i in range(m)) for r in range(m)]
-    priced = [(c, *col) for c, col in zip(cost, cols)]
+    rows = [[0] * n] * (2 - len(rows)) + list(rows)
+    c, scale = scaled_ints([v.as_integer_ratio() for v in objective])
+    a, b = (scaled_ints([v.as_integer_ratio() for v in row])[0] for row in rows)
 
-    status = [_AT_LOWER] * n + [_BASIC] * m
-    basis = list(range(n, total))
-    xnum = [0] * m  # basic values are xnum / xden, with xden > 0
-    xden = 1
-
-    while True:
-        bcols = [cols[j] for j in basis]
-        # y = ynum / d solves y.B = c_B, i.e. B^T y = c_B, so column j prices
-        # at the sign of d * c_j - ynum.a_j, which is prices . priced[j].
-        ynum, d = _solve(bcols, [cost[j] for j in basis])
-
-        prices = (d, *[-v for v in ynum])
-        entering = -1
-        rising = True
-        for j, state in enumerate(status):
-            if state == _BASIC:
-                continue
-            reduced = sum(map(mul, prices, priced[j]))
-            if state == _AT_LOWER:
-                if reduced > 0:
-                    entering = j
-                    break
-            elif reduced < 0:
-                entering, rising = j, False
+    last = lo = _cut(c, a, b, _ZERO)
+    x = lo.x
+    if lo.g < 0:
+        big = max(map(abs, c), default=0) * max(map(abs, a + b), default=0)
+        last = hi = _cut(c, a, b, Fraction(2 * big + 1))
+        if hi.g < 0:
+            raise ArithmeticError("h still falls past its last breakpoint")
+        while hi.g > 0:
+            lam = (hi.h - lo.h + lo.g * lo.lam - hi.g * hi.lam) / (lo.g - hi.g)
+            last = _cut(c, a, b, lam)
+            if last.h == lo.h + lo.g * (lam - lo.lam):
+                theta = hi.g / (hi.g - lo.g)
+                x = [u if u == v else theta * u + (1 - theta) * v
+                     for u, v in zip(lo.x, hi.x)]
+                _purify(x, a, b)
                 break
-        if entering < 0:
-            break
-
-        dnum, dden = _solve(list(zip(*bcols)), cols[entering])
-        # When the entering variable moves by t (up from its lower bound or
-        # down from its upper one), basic value r moves by -/+ dnum[r]/dden * t.
-        # Each cap t is (dden / xden) * p / q with q > 0; the common factor
-        # leaves the order of the caps alone, so only (p, q) is kept.
-        sign = 1 if rising else -1
-        best = None  # (p, q, var index, row); row -1 is a bound flip
-        if entering < n:
-            best = (xden, dden, entering, -1)
-        for r in range(m):
-            shrink = sign * dnum[r]
-            jb = basis[r]
-            if shrink > 0:
-                cand = (xnum[r], shrink, jb, r)
-            elif shrink < 0 and jb < n:
-                cand = (xden - xnum[r], -shrink, jb, r)
+            if last.g < 0:
+                lo = last
             else:
-                continue
-            if best is None:
-                best = cand
-                continue
-            left, right = cand[0] * best[1], best[0] * cand[1]
-            if left < right or (left == right and cand[2:] < best[2:]):
-                best = cand
-        if best is None:
-            raise ArithmeticError("unbounded improving ray in a box LP")
-        p, q, _, row = best
-
-        # The step is dden * p / (xden * q); put every basic value over xden * q.
-        xnum = [v * q - sign * dv * p for v, dv in zip(xnum, dnum)]
-        xden *= q
-        if row == -1:
-            # Full bound flip: the entering variable crosses to its other bound.
-            status[entering] = _AT_UPPER if rising else _AT_LOWER
+                hi = last
         else:
-            status[basis[row]] = _AT_LOWER if sign * dnum[row] > 0 else _AT_UPPER
-            basis[row] = entering
-            status[entering] = _BASIC
-            xnum[row] = dden * p if rising else xden - dden * p
-        common = gcd(xden, *xnum)
-        xnum = [v // common for v in xnum]
-        xden //= common
+            x = hi.x
 
-    values = [xden if state == _AT_UPPER else 0 for state in status]
-    for r, j in enumerate(basis):
-        values[j] = xnum[r]
-    x = [Fraction(v, xden) for v in values[:n]]
-    value = Fraction(sum(map(mul, cost, values[:n])), scale * xden)
-    return x, value
+    # The point over one common denominator, and its certificate in integers.
+    den = lcm(*{v.denominator for v in x})
+    xnum = [v.numerator * (den // v.denominator) for v in x]
+    cx = sum(map(mul, c, xnum))
+    (p1, q1), (p2, q2) = last.lam.as_integer_ratio(), last.mu.as_integer_ratio()
+    bound = sum(max(0, q1 * q2 * ci + p1 * q2 * ai + p2 * q1 * bi)
+                for ci, ai, bi in zip(c, a, b))
+    if (p1 < 0 or p2 < 0 or sum(map(mul, a, xnum)) < 0 or sum(map(mul, b, xnum)) < 0
+            or not all(0 <= v <= den for v in xnum) or cx * q1 * q2 != bound * den):
+        raise ArithmeticError("the dual certificate does not hold")
+    return ([_ONE if v == den else _ZERO if v == 0 else Fraction(v, den) for v in xnum],
+            Fraction(cx, scale * den))

@@ -1,27 +1,23 @@
 """Optimal binary filters for one sender in O(k log k).
 
-The search space collapses to two-block filters: classify states by
-preference agreement, fix the agreement states at their shared preferred
-signal, sort the strict-disagreement states by how much objective-player
-utility a unit of the other player's slack costs, then concede the cheapest
-states to the constrained player until obeying the signal becomes compatible
-for them. At most one state ends up with an interior probability, chosen so
-the constrained player's incentive row binds exactly.
-
 Each player's two incentive rows are one row, s.x >= max(0, sum(s)) (see
-the ``equilibrium`` module docstring), so the walk tracks one obey total per
-player. Hot loops run on the integer-normalized game view; every reported
-number is an exact Fraction.
+the ``equilibrium`` module docstring). So the best filter for the objective
+player o against the constrained player c is one call of the one-row kernel
+``_simplex._solve``: maximize s_o.x subject to s_c.x >= max(0, sum(s_c)) on
+the box, by a ratio sort and a concession walk. At most one state, the
+pivot, gets an interior probability, chosen by ``pivot_q`` so that c's row
+binds. When o's own row then fails, the answer is the always-signal-1
+constant filter. Hot loops run on the integer-normalized game view; every
+reported number is an exact Fraction.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
 from typing import Optional
 
+from . import _simplex
 from ._intview import IntView
 from .core import BinaryFilter, Game
 from .equilibrium import EquilibriumOutcome, scaled_equilibrium
@@ -46,58 +42,9 @@ class OptimizerResult:
     fell_back_to_constant: bool
 
 
-# ---------------------------------------------------------------------------
-# Sorting on the integer view
-# ---------------------------------------------------------------------------
-
 def _players(view: IntView, objective: Objective, sidx: int) -> tuple[int, int]:
     """(objective player, constrained player): each objective concedes to the other."""
     return (view.receiver, sidx) if objective is Objective.RECEIVER else (sidx, view.receiver)
-
-
-def _sorted_disagreement(view: IntView, sidx: int, dis: list[int],
-                         objective: Objective) -> list[int]:
-    """Sort by exact ascending ratio: float key first, exact fixup on collisions."""
-    o, c = _players(view, objective, sidx)
-    num, den = view.s[o], [-v for v in view.s[c]]
-
-    def fkey(i: int) -> float:
-        try:
-            return num[i] / den[i]
-        except OverflowError:
-            # Ratios are positive; anything past double range outranks every
-            # finite key, and inf-keyed states resolve among themselves in
-            # the exact pass below.
-            return float("inf")
-
-    keyed = sorted(((fkey(i), i) for i in dis))
-    order = [i for _, i in keyed]
-    # Re-sort runs whose doubles collide by their exact ratios. States are
-    # grouped by reduced ratio in input order, and the groups are ordered by
-    # cross-multiplication, which is the stable sort on the exact ratio.
-    # Split01 states have both terms negative; reducing by a gcd of the
-    # denominator's sign makes every denominator positive.
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and keyed[end][0] == keyed[start][0]:
-            end += 1
-        if end - start > 1:
-            groups: dict[tuple[int, int], list[int]] = {}
-            for i in order[start:end]:
-                g = gcd(num[i], den[i]) if den[i] > 0 else -gcd(num[i], den[i])
-                groups.setdefault((num[i] // g, den[i] // g), []).append(i)
-            if len(groups) > 1:
-                ratios = sorted(groups, key=cmp_to_key(_compare_ratios))
-                order[start:end] = [i for r in ratios for i in groups[r]]
-        start = end
-    return order
-
-
-def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Sign of a[0]/a[1] - b[0]/b[1] for positive denominators."""
-    lhs, rhs = a[0] * b[1], b[0] * a[1]
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
@@ -111,9 +58,9 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
     """
     view = game.int_view
     _, _, dis = view.classify(sender_index)
-    order = _sorted_disagreement(view, sender_index, dis, objective)
     o, c = _players(view, objective, sender_index)
     so, sc = view.s[o], view.s[c]
+    order = _simplex._ratio_order(so, sc, dis)
     oscale, cscale = view.slack_scale(o), view.slack_scale(c)
     return tuple((view.names[i], Fraction(so[i] * cscale, -sc[i] * oscale))
                  for i in order)
@@ -147,45 +94,19 @@ def sender_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
 
 def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
-    agree0, _, dis = view.classify(sidx)
-    order = _sorted_disagreement(view, sidx, dis, objective)
+    view.check_sender(sidx)
     o, c = _players(view, objective, sidx)
-    so = view.s[o]
-    sc = view.s[c]
-
-    # Agreement states at their shared side; disagreement states where the
-    # objective player wants them: signal 0 exactly where their gap is positive.
-    x = [0] * len(so)
-    for i in agree0:
-        x[i] = 1
-    for i in dis:
-        if so[i] > 0:
-            x[i] = 1
-    obey_c = view.obey_total(c, x)
+    so, sc = view.s[o], view.s[c]
     target_c = max(0, view.s_total[c])
-    pos = 0
+    x, pos, pivot, _ = _simplex._solve(so, sc, target_c)
     q = None
     fallback = False
-    if obey_c < target_c:
-        obey_o = view.obey_total(o, x)
+    if pos:
+        # The pivot's binding probability, then the objective player's row there.
+        q = pivot_q(view.obey_total(c, x), target_c, sc[pivot])
+        base_o = view.obey_total(o, x)
         target_o = max(0, view.s_total[o])
-        for pos, i in enumerate(order, start=1):
-            # Conceding i moves x[i] to the constrained player's side: their
-            # total rises by |s| and the objective player's falls.
-            bump = abs(sc[i])
-            if obey_c + bump >= target_c:
-                break
-            obey_c += bump
-            obey_o -= abs(so[i])
-        else:
-            raise ArithmeticError("the walk conceded every state and never stopped")
-        # Both totals with the pivot's term taken out, then the pivot's
-        # binding probability and the objective player's row there.
-        q = pivot_q(obey_c - sc[i] * x[i], target_c, sc[i])
-        base_o = obey_o - so[i] * x[i]
-        fallback = base_o * q.denominator + so[i] * q.numerator < target_o * q.denominator
-        for j in order[:pos - 1]:
-            x[j] = 1 - x[j]
+        fallback = base_o * q.denominator + so[pivot] * q.numerator < target_o * q.denominator
     if fallback:
         # The always-signal-1 constant filter: informative only when both
         # players' total gaps point at action 1, babbling otherwise.
@@ -197,8 +118,8 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
         # D * q at the pivot.
         den = q.denominator
         x = [xi * den for xi in x]
-        x[order[pos - 1]] = q.numerator
-        probs[order[pos - 1]] = q
+        x[pivot] = q.numerator
+        probs[pivot] = q
     names = view.names
     return OptimizerResult(
         objective=objective,
@@ -207,7 +128,7 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
         # only the fallback can come out babbling.
         outcome=scaled_equilibrium(game, x, den, sidx)[2],
         pivot_index=pos or None,
-        pivot_state=names[order[pos - 1]] if pos else None,
+        pivot_state=names[pivot] if pos else None,
         pivot_q=q,
         fell_back_to_constant=fallback,
     )

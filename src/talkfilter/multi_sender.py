@@ -3,9 +3,12 @@
 With two senders, six candidate outcomes cover the receiver's optimum: the
 receiver acts only on unanimous reports (one variant per action), follows a
 single designated sender, or ignores everyone and plays a constant action.
-The unanimous profiles reduce to a small exact linear program over the
-filter's per-state signal probabilities; the follow-one-sender profiles
-reduce to the single-sender optimizer; constants need no filter at all.
+The unanimous profiles reduce to an exact LP over the filter's per-state
+signal probabilities, one incentive row per sender, which
+``_simplex.maximize`` solves by a search over the first row's multiplier on
+the one-sender kernel. Only the reported filter of an LP with several optima
+depends on its tie rule. The follow-one-sender profiles reduce to the
+single-sender optimizer; constants need no filter at all.
 
 With three or more senders, majority reporting already gives the receiver
 the full-information optimum, so no filter can help her further.
@@ -86,13 +89,16 @@ def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
 
 
 def lp_solve(lp: LPInstance) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact optimal vertex; checks feasibility and the vertex shape on every solve."""
+    """Exact optimal point; checks feasibility and the vertex shape on every solve.
+
+    ``_simplex.maximize`` checks its own dual certificate as well.
+    """
     x, value = _simplex.maximize(lp.objective, lp.rows)
     for row in lp.rows:
         if sum((c * v for c, v in zip(row, x)), Fraction(0)) < 0:
-            raise ArithmeticError("simplex returned an infeasible point")
+            raise ArithmeticError("the LP solver returned an infeasible point")
     if not all(0 <= v <= 1 for v in x):
-        raise ArithmeticError("simplex returned a point outside the box")
+        raise ArithmeticError("the LP solver returned a point outside the box")
     if sum(1 for v in x if 0 < v < 1) > len(lp.rows):
         raise ArithmeticError("vertex property violated")
     return tuple(x), value

@@ -68,6 +68,10 @@ class GridSpec:
         k = len(game.int_view.names)
         radix = self.resolution + 1
         half = k - k // 2
+        if radix > MAX_HALF_POINTS:
+            # Over the cap at any k, and perhaps too long to print.
+            raise GridTooLarge(f"resolution above {MAX_HALF_POINTS - 1} needs more than "
+                               f"{MAX_HALF_POINTS} grid points per half")
         # radix >= 2 and 2^18 is over the cap, so larger halves need no power.
         if half > 17 or radix ** half > MAX_HALF_POINTS:
             raise GridTooLarge(
@@ -350,6 +354,7 @@ def grid_search(game: Game, spec: GridSpec,
     """
     spec.check(game)
     view = game.int_view
+    view.check_sender(sender_index)
     R = spec.resolution
     best = _grid_best(game, R, objective, sender_index)
     oidx = view.receiver if objective is Objective.RECEIVER else sender_index

@@ -8,7 +8,9 @@ a few malformed game and filter files. Every input goes through
 ``verify --grid 3`` of each written filter, ``classify``, ``two-sender``
 and ``majority``, in process with ``--json``. Each run is stored as its exit
 code, its stderr and its stdout report with ``timing_seconds`` removed, in
-compact JSON that keeps the report's key order.
+compact JSON that keeps the report's key order. The script prints to
+stderr the argv of every run whose record changed against the file it
+replaces.
 """
 from __future__ import annotations
 
@@ -123,8 +125,19 @@ def generate() -> dict[str, list[dict]]:
     return corpus
 
 
+def changed_runs(old: dict[str, list[dict]], new: dict[str, list[dict]]) -> list[list[str]]:
+    """The argv of every run in ``new`` whose record differs from ``old``'s, or is new."""
+    before = {tuple(run["argv"]): run for records in old.values() for run in records}
+    return [run["argv"] for records in new.values() for run in records
+            if before.get(tuple(run["argv"])) != run]
+
+
 if __name__ == "__main__":
+    committed = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    corpus = generate()
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(generate(), fh, indent=0, sort_keys=False)
+        json.dump(corpus, fh, indent=0, sort_keys=False)
         fh.write("\n")
+    for argv in changed_runs(committed, corpus):
+        print("changed:", " ".join(argv), file=sys.stderr)
     print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)

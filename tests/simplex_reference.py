@@ -1,9 +1,10 @@
-"""The Fraction Bland simplex that talkfilter._simplex replaced, kept as a test reference.
+"""An exact Fraction Bland simplex, kept as a value reference for the box LP.
 
-It solves the same box LP (maximize c.x subject to rows.x >= 0 and
-0 <= x <= 1) in Fractions, with the same entering and leaving rules, so the
-integer simplex must return the same vertex after the same number of linear
-solves.
+It solves the box LP of ``talkfilter._simplex.maximize`` (maximize c.x
+subject to rows.x >= 0 and 0 <= x <= 1, any number of rows) by a different
+algorithm: bounded-variable pivoting with Bland's rule. Its optimal value
+must equal ``maximize``'s. Where the LP has several optima the two may
+return different points, so only values are compared.
 """
 from __future__ import annotations
 

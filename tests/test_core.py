@@ -255,6 +255,11 @@ def test_classify_sender_index_out_of_range(art):
         tf.classify_states(art, 1)
     with pytest.raises(IndexError):
         tf.receiver_optimal_filter(art, sender_index=1)
+    game = tf.random_game(tf.RandomGameSpec(seed=3, num_states=4))
+    for objective in (tf.Objective.RECEIVER, tf.Objective.SENDER):
+        for index in (1, -1):
+            with pytest.raises(IndexError):
+                tf.grid_search(game, tf.GridSpec(resolution=4), objective, sender_index=index)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_lp_matches_scipy(seeded_games):
         assert abs(float(value) - _highs_value(linprog, lp)) < 1e-9
 
 
-@pytest.mark.parametrize("k", [50, 200])
+@pytest.mark.parametrize("k", [50, 200, 2000, 10000])
 @pytest.mark.parametrize("utility_range,prior", [(5, "uniform"), (100, "random-rational")])
 def test_large_lp_matches_scipy(k, utility_range, prior):
     linprog = pytest.importorskip("scipy.optimize").linprog

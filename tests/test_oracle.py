@@ -142,6 +142,9 @@ def test_grid_point_cap_checked_before_any_search():
     with pytest.raises(tf.GridTooLarge):                # refused before any power is taken
         tf.GridSpec(resolution=10 ** 100).check(
             tf.random_game(tf.RandomGameSpec(seed=3, num_states=5000)))
+    with pytest.raises(tf.GridTooLarge):                # too many digits to print the radix
+        tf.GridSpec(resolution=10 ** 5000).check(
+            tf.random_game(tf.RandomGameSpec(seed=3, num_states=2)))
 
 
 def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
