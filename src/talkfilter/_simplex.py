@@ -14,10 +14,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._intview import scaled_ints
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int]:
@@ -140,14 +137,15 @@ def _purify(x: list, a: list[int], b: list[int]) -> None:
         head += islice(rest, 3 - len(head))
 
 
-def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
-             ) -> tuple[list[Fraction], Fraction]:
-    """An optimal point (x, value) of max c.x subject to rows.x >= 0 and 0 <= x <= 1.
+def maximize(c: Sequence[int], a: Sequence[int], b: Sequence[int]
+             ) -> tuple[list[int], int]:
+    """An optimal point of max c.x subject to a.x >= 0, b.x >= 0 and 0 <= x <= 1.
 
-    At most two rows a and b (missing rows are zero rows in front), each
-    scaled to integers. The value is min over lam >= 0 of the convex
-    piecewise-linear h(lam) = max{(c + lam * a).x : b.x >= 0 on the box}:
-    one ``_solve`` call evaluates it, and a.x at its point is a slope.
+    c, a and b are integer lists (``build_lp`` gives the view's rows at their
+    slack scales); the point is numerators over one denominator, (xnum, den).
+    The value is min over lam >= 0 of the convex piecewise-linear
+    h(lam) = max{(c + lam * a).x : b.x >= 0 on the box}: one ``_solve`` call
+    evaluates it, and a.x at its point is a slope.
 
     1. At lam = 0, a point with a.x >= 0 is optimal.
     2. At Lam = 2 * max|c| * max(|a|, |b|) + 1, past every breakpoint, the
@@ -171,17 +169,10 @@ def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
     Tie rule among several optima: the first optimal point of steps 1-3,
     else the mix, whose purification raises the first entry each step moves.
     """
-    if len(rows) > 2:
-        raise ValueError(f"maximize takes at most two rows, got {len(rows)}")
-    n = len(objective)
-    rows = [[0] * n] * (2 - len(rows)) + list(rows)
-    c, scale = scaled_ints([v.as_integer_ratio() for v in objective])
-    a, b = (scaled_ints([v.as_integer_ratio() for v in row])[0] for row in rows)
-
     last = lo = _cut(c, a, b, _ZERO)
     x = lo.x
     if lo.g < 0:
-        big = max(map(abs, c), default=0) * max(map(abs, a + b), default=0)
+        big = max(map(abs, c), default=0) * max(map(abs, [*a, *b]), default=0)
         last = hi = _cut(c, a, b, Fraction(2 * big + 1))
         if hi.g < 0:
             raise ArithmeticError("h still falls past its last breakpoint")
@@ -211,5 +202,4 @@ def maximize(objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]
     if (p1 < 0 or p2 < 0 or sum(map(mul, a, xnum)) < 0 or sum(map(mul, b, xnum)) < 0
             or not all(0 <= v <= den for v in xnum) or cx * q1 * q2 != bound * den):
         raise ArithmeticError("the dual certificate does not hold")
-    return ([_ONE if v == den else _ZERO if v == 0 else Fraction(v, den) for v in xnum],
-            Fraction(cx, scale * den))
+    return xnum, den

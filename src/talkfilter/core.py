@@ -183,8 +183,8 @@ class Game:
     ``StateRecord``s of Fractions behind ``states`` and ``state`` are built
     only on first access. Instances are immutable and safe to share between
     threads; construct them through :func:`make_game` or
-    :func:`validate_game`. Equality, hashing and repr are those of the
-    ``states`` tuple and the sender count.
+    :func:`validate_game`. Equality and hashing are those of the parsed rows
+    and the sender count (equal exactly when the records are); repr shows the records.
     """
 
     __slots__ = ("num_senders", "_rows", "_states", "_index", "_view")
@@ -222,7 +222,7 @@ class Game:
         return (self._rows, self.num_senders) == (other._rows, other.num_senders)
 
     def __hash__(self):
-        return hash((self.states, self.num_senders))
+        return hash((self._rows, self.num_senders))
 
     def __repr__(self):
         return f"Game(states={self.states!r}, num_senders={self.num_senders!r})"
@@ -362,6 +362,11 @@ def validate_game(raw: Mapping) -> Game:
 # Filters
 # ---------------------------------------------------------------------------
 
+def _check_probability(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):  # as in _ratio
+        raise FilterValidationError(f"probability {value!r} {where} is not an int or Fraction")
+
+
 @dataclass(frozen=True)
 class BinaryFilter:
     """Per-state probability of emitting signal 0."""
@@ -377,6 +382,7 @@ class BinaryFilter:
             raise FilterDomainMismatch(
                 f"filter domain mismatch: missing states {missing}, unknown states {extra}")
         for name, x in self.signal0_prob.items():
+            _check_probability(x, f"for state {name!r}")
             if not (0 <= x <= 1):
                 raise FilterValidationError(
                     f"signal0 probability for {name!r} is {x}, outside [0, 1]")
@@ -385,7 +391,7 @@ class BinaryFilter:
         """Signal-0 probabilities in state order as integers over their lcm denominator.
 
         Checks the filter on the way: a filter that ``check_for`` rejects
-        raises the same error here.
+        raises the same error here, but bools scale as the ints 0 and 1.
         """
         table = self.signal0_prob
         try:
@@ -394,7 +400,11 @@ class BinaryFilter:
             probs = None
         if probs is None or len(probs) != len(table):
             self.check_for(game)
-        x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
+        try:
+            x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
+        except AttributeError:
+            self.check_for(game)   # refuses it: ints and Fractions have both
+            raise
         if min(x) < 0 or max(x) > scale:
             self.check_for(game)
         return x, scale
@@ -427,6 +437,7 @@ class GeneralFilter:
         for name, dist in self.table.items():
             total = Fraction(0)
             for sig, prob in dist.items():
+                _check_probability(prob, f"for signal {sig!r} on state {name!r}")
                 if prob < 0:
                     raise FilterValidationError(
                         f"negative probability {prob} for signal {sig!r} on state {name!r}")

@@ -4,9 +4,10 @@ With two senders, six candidate outcomes cover the receiver's optimum: the
 receiver acts only on unanimous reports (one variant per action), follows a
 single designated sender, or ignores everyone and plays a constant action.
 The unanimous profiles reduce to an exact LP over the filter's per-state
-signal probabilities, one incentive row per sender, which
-``_simplex.maximize`` solves by a search over the first row's multiplier on
-the one-sender kernel. Only the reported filter of an LP with several optima
+signal probabilities, one incentive row per sender. Its rows are the integer
+view's gap rows at their slack scales, and ``_simplex.maximize`` solves it
+on those integers by a search over the first row's multiplier on the
+one-sender kernel. Only the reported filter of an LP with several optima
 depends on its tie rule. The follow-one-sender profiles reduce to the
 single-sender optimizer; constants need no filter at all.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from . import _simplex
@@ -52,16 +54,19 @@ CANDIDATE_ORDER = (
 
 @dataclass(frozen=True)
 class LPInstance:
-    """max objective.x subject to both rows >= 0 and 0 <= x <= 1.
+    """max objective.x subject to both rows >= 0 and 0 <= x <= 1, on integers.
 
     For the unanimous-1 target the variables are per-state probabilities of
-    signal 1 (the action-swapped mirror); otherwise of signal 0.
+    signal 1 (the action-swapped mirror); otherwise of signal 0. Each row is
+    the view's gap row s (-s for unanimous-1) of its player, at that player's
+    slack scale; ``scale`` is the receiver's, so a point is worth objective.x / scale.
     """
 
     target: CandidateProfile
     names: tuple[str, ...]
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    objective: tuple[int, ...]
+    rows: tuple[tuple[int, ...], tuple[int, ...]]
+    scale: int
 
 
 def _require_senders(game: Game, count: int, at_least: bool = False) -> None:
@@ -79,29 +84,23 @@ def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
     _require_senders(game, 2)
     view = game.int_view
     sign = 1 if target is CandidateProfile.UNANIMOUS_0 else -1
-
-    def row(t: int) -> tuple[Fraction, ...]:
-        scale = view.slack_scale(t)
-        return tuple(Fraction(sign * v, scale) for v in view.s[t])
-
-    return LPInstance(target=target, names=tuple(view.names),
-                      objective=row(view.receiver), rows=(row(0), row(1)))
+    s0, s1, receiver = (tuple(sign * v for v in s) for s in view.s)
+    return LPInstance(target=target, names=tuple(view.names), objective=receiver,
+                      rows=(s0, s1), scale=view.slack_scale(view.receiver))
 
 
 def lp_solve(lp: LPInstance) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact optimal point; checks feasibility and the vertex shape on every solve.
-
-    ``_simplex.maximize`` checks its own dual certificate as well.
-    """
-    x, value = _simplex.maximize(lp.objective, lp.rows)
-    for row in lp.rows:
-        if sum((c * v for c, v in zip(row, x)), Fraction(0)) < 0:
-            raise ArithmeticError("the LP solver returned an infeasible point")
-    if not all(0 <= v <= 1 for v in x):
+    """Exact optimal (x, value), checked feasible and a vertex on the solver's integers."""
+    xnum, den = _simplex.maximize(lp.objective, *lp.rows)
+    if any(sum(map(mul, row, xnum)) < 0 for row in lp.rows):
+        raise ArithmeticError("the LP solver returned an infeasible point")
+    if not all(0 <= v <= den for v in xnum):
         raise ArithmeticError("the LP solver returned a point outside the box")
-    if sum(1 for v in x if 0 < v < 1) > len(lp.rows):
+    if sum(1 for v in xnum if 0 < v < den) > len(lp.rows):
         raise ArithmeticError("vertex property violated")
-    return tuple(x), value
+    one, zero = Fraction(1), Fraction(0)
+    x = tuple(one if v == den else zero if v == 0 else Fraction(v, den) for v in xnum)
+    return x, Fraction(sum(map(mul, lp.objective, xnum)), den * lp.scale)
 
 
 def receiver_posthoc_ic(game: Game, target: CandidateProfile,
@@ -138,11 +137,8 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
             unanimous0 = profile is CandidateProfile.UNANIMOUS_0
-            # receiver_posthoc_ic holds exactly when the value reaches
-            # max(0, sum(objective)), the objective being +-s over the slack scale.
-            sign = 1 if unanimous0 else -1
-            feasible = (value * view.slack_scale(view.receiver)
-                        >= max(0, sign * total_gap))
+            # receiver_posthoc_ic holds exactly when value * scale >= max(0, sum(objective)).
+            feasible = value * lp.scale >= max(0, sum(lp.objective))
             filt = None
             if feasible:
                 signal0 = x if unanimous0 else [1 - xi for xi in x]

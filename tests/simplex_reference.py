@@ -1,10 +1,13 @@
 """An exact Fraction Bland simplex, kept as a value reference for the box LP.
 
 It solves the box LP of ``talkfilter._simplex.maximize`` (maximize c.x
-subject to rows.x >= 0 and 0 <= x <= 1, any number of rows) by a different
-algorithm: bounded-variable pivoting with Bland's rule. Its optimal value
-must equal ``maximize``'s. Where the LP has several optima the two may
-return different points, so only values are compared.
+subject to rows.x >= 0 and 0 <= x <= 1) by a different algorithm:
+bounded-variable pivoting with Bland's rule, on any number of rows of ints
+or Fractions. ``maximize`` takes the objective and two rows as integers,
+as ``build_lp`` gives them at the integer view's slack scales, so a test
+scales a rational instance to integers row by row for it and compares the
+values of the two points on the same instance. Where the LP has several
+optima the two may return different points, so only values are compared.
 """
 from __future__ import annotations
 

@@ -99,6 +99,11 @@ def test_int_view_is_cached_and_outside_identity(art):
     view = art.int_view
     assert art.int_view is view
     assert art == twin and hash(art) == hash(twin)
+    fresh = tf.validate_game({"type": "transmission", "states": [
+        {"name": name, "prior": "1/2", "sender_utilities": [["1", "0"]],
+         "receiver_utility": ["0", "1"]} for name in ("a", "b")]})
+    hash(fresh)
+    assert fresh._states is None       # hashing builds no StateRecord
     assert repr(art) == repr(twin) and "IntView" not in repr(art)
     assert twin.int_view is not view and twin.int_view.weight == view.weight
 
@@ -114,10 +119,39 @@ def test_int_view_is_cached_and_outside_identity(art):
     ({"OG": F(0), "IF": F(1), "XX": F(0)}, tf.FilterDomainMismatch),
     ({"OG": F(-1, 3), "IF": F(1), "DF": F(1)}, tf.FilterValidationError),
     ({"OG": F(0), "IF": F(4, 3), "DF": F(1, 7)}, tf.FilterValidationError),
+    ({"OG": F(0), "IF": 0.5, "DF": F(1)}, tf.FilterValidationError),
+    ({"OG": F(0), "IF": "1/2", "DF": F(1)}, tf.FilterValidationError),
 ])
 def test_bad_filters_raise(art, fn, probs, error):
     with pytest.raises(error):
         fn(art, tf.BinaryFilter(probs))
+    if error is tf.FilterValidationError:
+        with pytest.raises(error, match="'(OG|IF)'"):    # names the state
+            tf.BinaryFilter(probs).check_for(art)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda g, f: f.check_for(g),
+    lambda g, f: tf.merge_to_binary(g, f),
+    lambda g, f: tf.canonical_equilibrium(g, f),
+], ids=["check_for", "merge_to_binary", "canonical_equilibrium"])
+@pytest.mark.parametrize("dist", [
+    {"x": 0.1, "y": 0.9},                # sums to the float 1.0
+    {"x": "1/2", "y": F(1, 2)},
+    {"x": True},
+])
+def test_general_filters_refuse_non_rational_probabilities(art, fn, dist):
+    filt = tf.GeneralFilter({"OG": dist, "IF": {"x": F(1)}, "DF": {"y": 1}})
+    with pytest.raises(tf.FilterValidationError, match="state 'OG'"):
+        fn(art, filt)
+
+
+def test_binary_filter_check_refuses_bools(art):
+    """check_for refuses a bool as ``_ratio`` does; ``scaled`` reads it as 0 or 1."""
+    filt = tf.BinaryFilter({"OG": F(0), "IF": True, "DF": F(1)})
+    with pytest.raises(tf.FilterValidationError, match="state 'IF'"):
+        filt.check_for(art)
+    assert filt.scaled(art) == ([0, 1, 1], 1)
 
 
 def test_sender_index_out_of_range(art, art_optimal_filter):

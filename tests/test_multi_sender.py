@@ -15,10 +15,24 @@ U1 = tf.CandidateProfile.UNANIMOUS_1
 # LP construction
 # ---------------------------------------------------------------------------
 
-def test_build_lp_l2(l2):
+def test_build_lp_l2(l2, seeded_games):
+    """Each LP entry over its player's slack scale is prior * (u0 - u1), negated
+    for unanimous-1, from the game's records; the receiver's scale is lp.scale."""
     lp = tf.build_lp(l2, U0)
-    assert lp.objective == (F(1, 2), F(-1, 2))
-    assert lp.rows == ((F(-1, 2), F(1)), (F(1), F(-1, 2)))
+    assert (lp.objective, lp.rows, lp.scale) == ((1, -1), ((-1, 2), (2, -1)), 2)
+    games = seeded_games(12, ks=(1, 2, 5, 9), num_senders=2, seed0=3400,
+                         utility_range=100, prior="random-rational")
+    for game in [l2, *games]:
+        view = game.int_view
+        for target, sign in ((U0, 1), (U1, -1)):
+            lp = tf.build_lp(game, target)
+            assert lp.scale == view.slack_scale(view.receiver)
+            for t, row in enumerate((*lp.rows, lp.objective)):
+                assert all(type(v) is int for v in row)
+                pairs = [(*rec.sender_utils, rec.receiver_utils)[t] for rec in game.states]
+                want = [sign * rec.prior * (u0 - u1)
+                        for rec, (u0, u1) in zip(game.states, pairs)]
+                assert [F(v, view.slack_scale(t)) for v in row] == want
 
 
 def test_build_lp_mirror_negates(l2):
@@ -42,10 +56,21 @@ def test_build_lp_wrong_sender_count(art):
 # lp_solve
 # ---------------------------------------------------------------------------
 
-def test_lp_solve_rejects_an_infeasible_simplex_point(l2, monkeypatch):
-    lp = tf.build_lp(l2, U0)                      # rows (-1/2, 1) and (1, -1/2)
-    monkeypatch.setattr(_simplex, "maximize", lambda objective, rows: ([F(1), F(0)], F(1, 2)))
-    with pytest.raises(ArithmeticError):
+@pytest.mark.parametrize("point,message", [
+    (([1, 0, 0], 1), "infeasible point"),       # row 0 is -1
+    (([2, 1, 0], 1), "outside the box"),        # rows 0 and 3, x_0 = 2
+    (([1, 1, 1], 2), "vertex property"),        # rows 1 and 1, three entries 1/2
+], ids=["infeasible", "outside-box", "three-fractional"])
+def test_lp_solve_rejects_an_infeasible_simplex_point(monkeypatch, point, message):
+    game = tf.make_game([
+        ("a", "1/3", [("0", "1"), ("2", "0")], ("1", "0")),
+        ("b", "1/3", [("2", "0"), ("0", "1")], ("0", "1")),
+        ("c", "1/3", [("1", "0"), ("1", "0")], ("1", "0")),
+    ], num_senders=2)
+    lp = tf.build_lp(game, U0)
+    assert lp.rows == ((-1, 2, 1), (2, -1, 1))
+    monkeypatch.setattr(_simplex, "maximize", lambda c, a, b: point)
+    with pytest.raises(ArithmeticError, match=message):
         tf.lp_solve(lp)
 
 
@@ -100,14 +125,19 @@ def test_lp_solutions_are_vertices(seeded_games):
             assert all(0 <= v <= 1 for v in x)
             for row in lp.rows:
                 assert sum(r * v for r, v in zip(row, x)) >= 0
-            assert value == sum(c * v for c, v in zip(lp.objective, x))
+            assert value * lp.scale == sum(c * v for c, v in zip(lp.objective, x))
 
 
 def _highs_value(linprog, lp):
-    """The LP's optimum in floats, from scipy's HiGHS."""
+    """The LP's optimum in floats, from scipy's HiGHS.
+
+    The objective goes in over lp.scale, so the optimum is the LP's value;
+    each row over its largest entry, which keeps its floats in range.
+    """
+    tops = [max(map(abs, row)) or 1 for row in lp.rows]
     res = linprog(
-        c=[-float(v) for v in lp.objective],
-        A_ub=[[-float(v) for v in row] for row in lp.rows],
+        c=[-float(F(v, lp.scale)) for v in lp.objective],
+        A_ub=[[-float(F(v, top)) for v in row] for row, top in zip(lp.rows, tops)],
         b_ub=[0.0, 0.0],
         bounds=[(0.0, 1.0)] * len(lp.objective),
         method="highs")
@@ -222,7 +252,7 @@ def test_posthoc_and_feasible_are_the_value_test():
                     for target in (U0, U1):
                         lp = tf.build_lp(game, target)
                         x, value = tf.lp_solve(lp)
-                        expected = value >= max(0, sum(lp.objective))
+                        expected = value * lp.scale >= max(0, sum(lp.objective))
                         assert tf.receiver_posthoc_ic(game, target, x) == expected
                         cand = byname[target]
                         assert cand.feasible == expected

@@ -3,10 +3,12 @@
 ``simplex_reference`` is an exact Fraction Bland simplex, a different
 algorithm from ``_simplex.maximize``'s search over the a-row's multiplier.
 Where an LP has several optima the two may return different points, so the
-tests compare values and check each returned point on its own: Fractions,
-in the box, feasible, at most two fractional entries, and worth its value.
+tests compare values and check each returned point on its own: integer
+numerators over a positive common denominator, in the box, feasible, and
+at most two fractional entries.
 """
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,16 +20,28 @@ F = Fraction
 TARGETS = (tf.CandidateProfile.UNANIMOUS_0, tf.CandidateProfile.UNANIMOUS_1)
 
 
+def ints(row):
+    """A row of rationals times the lcm of its denominators: the same constraint in integers."""
+    scale = lcm(*(F(v).denominator for v in row))
+    return [int(v * scale) for v in row]
+
+
 def same_value(objective, rows):
-    """Check one instance against the reference; returns its value."""
-    x, value = _simplex.maximize(objective, rows)
+    """Check one instance against the reference; returns its value.
+
+    ``maximize`` gets the objective and each row scaled to integers, absent
+    rows as zero rows in front; the reference gets the rational instance.
+    """
+    padded = [[0] * len(objective)] * (2 - len(rows)) + list(rows)
+    xnum, den = _simplex.maximize(*map(ints, [objective, *padded]))
+    x = [F(v, den) for v in xnum]
+    value = sum((c * v for c, v in zip(objective, x)), F(0))
     assert value == simplex_reference.maximize(objective, rows)[1]
-    assert all(type(v) is Fraction for v in [*x, value])
+    assert all(type(v) is int for v in [*xnum, den]) and den > 0
     assert all(0 <= v <= 1 for v in x)
     assert sum(1 for v in x if 0 < v < 1) <= 2
     for row in rows:
         assert sum(r * v for r, v in zip(row, x)) >= 0
-    assert value == sum(c * v for c, v in zip(objective, x))
     return value
 
 
@@ -90,6 +104,6 @@ def test_seeded_lps_match_reference_value():
         for target in TARGETS:
             lp = tf.build_lp(game, target)
             _, value = tf.lp_solve(lp)
-            assert value == simplex_reference.maximize(lp.objective, lp.rows)[1]
+            assert value * lp.scale == simplex_reference.maximize(lp.objective, lp.rows)[1]
             seen.add((utility_range, prior, target))
     assert 2 * len(specs) >= 3000 and len(seen) == 12
