@@ -91,20 +91,21 @@ def _solve(e: Sequence[int], b: Sequence[int], t: int
 class _Cut(NamedTuple):
     lam: Fraction
     h: Fraction      # h(lam)
-    g: Fraction      # a.x, a slope of h at lam
+    g: Fraction      # a.x - ta, a slope of h at lam
     x: list          # the kernel's point: 0/1 ints and the pivot's Fraction
     mu: Fraction     # the b-row's multiplier for the objective c + lam * a
 
 
-def _cut(c: list[int], a: list[int], b: list[int], lam: Fraction) -> _Cut:
+def _cut(c: list[int], a: list[int], ta: int, b: list[int], tb: int,
+         lam: Fraction) -> _Cut:
     p, q = lam.numerator, lam.denominator
-    x, step, pivot, y = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, 0)
+    x, step, pivot, y = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, tb)
     cx, ax = sum(map(mul, c, x)), sum(map(mul, a, x))
     if step:
-        x[pivot] = Fraction(-sum(map(mul, b, x)), b[pivot])
+        x[pivot] = Fraction(tb - sum(map(mul, b, x)), b[pivot])
         cx += c[pivot] * x[pivot]
         ax += a[pivot] * x[pivot]
-    return _Cut(lam, cx + lam * ax, Fraction(ax), x, y / q)
+    return _Cut(lam, cx + lam * (ax - ta), Fraction(ax - ta), x, y / q)
 
 
 def _null3(u: list[int], v: list[int]) -> list[int]:
@@ -137,48 +138,50 @@ def _purify(x: list, a: list[int], b: list[int]) -> None:
         head += islice(rest, 3 - len(head))
 
 
-def maximize(c: Sequence[int], a: Sequence[int], b: Sequence[int]
+def maximize(c: Sequence[int], a: Sequence[int], ta: int, b: Sequence[int], tb: int
              ) -> tuple[list[int], int]:
-    """An optimal point of max c.x subject to a.x >= 0, b.x >= 0 and 0 <= x <= 1.
+    """An optimal point of max c.x subject to a.x >= ta, b.x >= tb and 0 <= x <= 1.
 
-    c, a and b are integer lists (``build_lp`` gives the view's rows at their
-    slack scales); the point is numerators over one denominator, (xnum, den).
-    The value is min over lam >= 0 of the convex piecewise-linear
-    h(lam) = max{(c + lam * a).x : b.x >= 0 on the box}: one ``_solve`` call
-    evaluates it, and a.x at its point is a slope.
+    c, a and b are integer lists and ta, tb integers (``build_lp`` gives the
+    view's rows at their slack scales and its bounds); the point is
+    numerators over one denominator, (xnum, den). The value is min over
+    lam >= 0 of the convex piecewise-linear
+    h(lam) = max{(c + lam * a).x : b.x >= tb on the box} - lam * ta: one
+    ``_solve`` call evaluates it, and a.x - ta at its point is a slope.
 
-    1. At lam = 0, a point with a.x >= 0 is optimal.
+    1. At lam = 0, a point with a.x >= ta is optimal.
     2. At Lam = 2 * max|c| * max(|a|, |b|) + 1, past every breakpoint, the
        slope must be positive, or 0 and then that point is optimal.
     3. Kelley's cutting planes: evaluate h where the lines of the bracket
        ends (slope < 0 at lo, > 0 at hi) cross. Stop when h meets the lines
        there; else the point replaces the end of its slope's sign, or is
        optimal if that slope is 0.
-    4. At the stop both ends are optimal inside; their mix with a.x = 0 is
+    4. At the stop both ends are optimal inside; their mix with a.x = ta is
        optimal, and ``_purify`` leaves at most two entries fractional.
-    5. Every solve checks the dual certificate: x is feasible and
-       c.x = sum(max(0, c_i + lam1 * a_i + lam2 * b_i)), lam1 the last lam
-       evaluated and lam2 >= 0 the kernel's multiplier there.
+    5. Every solve checks the dual certificate: x is feasible and c.x =
+       sum(max(0, c_i + lam1 * a_i + lam2 * b_i)) - lam1 * ta - lam2 * tb,
+       lam1 the last lam evaluated and lam2 >= 0 the kernel's multiplier there.
 
     Bound: h bends only where the kernel's start or order changes, at
-    lam = -c_i/a_i or where two ratios cross, all below Lam. After the two
-    end calls there is at most one kernel call per breakpoint of h, and all
-    lie in [0, Lam): a call that moves an end has a breakpoint between the
-    old end and the new one, and the call that stops the search is one.
+    lam = -c_i/a_i or where two ratios cross, all below Lam. The thresholds
+    add the linear term -lam * ta and move no breakpoint. After the two end
+    calls there is at most one kernel call per breakpoint of h, and all lie
+    in [0, Lam): a call that moves an end has a breakpoint between the old
+    end and the new one, and the call that stops the search is one.
 
     Tie rule among several optima: the first optimal point of steps 1-3,
     else the mix, whose purification raises the first entry each step moves.
     """
-    last = lo = _cut(c, a, b, _ZERO)
+    last = lo = _cut(c, a, ta, b, tb, _ZERO)
     x = lo.x
     if lo.g < 0:
         big = max(map(abs, c), default=0) * max(map(abs, [*a, *b]), default=0)
-        last = hi = _cut(c, a, b, Fraction(2 * big + 1))
+        last = hi = _cut(c, a, ta, b, tb, Fraction(2 * big + 1))
         if hi.g < 0:
             raise ArithmeticError("h still falls past its last breakpoint")
         while hi.g > 0:
             lam = (hi.h - lo.h + lo.g * lo.lam - hi.g * hi.lam) / (lo.g - hi.g)
-            last = _cut(c, a, b, lam)
+            last = _cut(c, a, ta, b, tb, lam)
             if last.h == lo.h + lo.g * (lam - lo.lam):
                 theta = hi.g / (hi.g - lo.g)
                 x = [u if u == v else theta * u + (1 - theta) * v
@@ -198,8 +201,9 @@ def maximize(c: Sequence[int], a: Sequence[int], b: Sequence[int]
     cx = sum(map(mul, c, xnum))
     (p1, q1), (p2, q2) = last.lam.as_integer_ratio(), last.mu.as_integer_ratio()
     bound = sum(max(0, q1 * q2 * ci + p1 * q2 * ai + p2 * q1 * bi)
-                for ci, ai, bi in zip(c, a, b))
-    if (p1 < 0 or p2 < 0 or sum(map(mul, a, xnum)) < 0 or sum(map(mul, b, xnum)) < 0
+                for ci, ai, bi in zip(c, a, b)) - p1 * q2 * ta - p2 * q1 * tb
+    if (p1 < 0 or p2 < 0 or sum(map(mul, a, xnum)) < ta * den
+            or sum(map(mul, b, xnum)) < tb * den
             or not all(0 <= v <= den for v in xnum) or cx * q1 * q2 != bound * den):
         raise ArithmeticError("the dual certificate does not hold")
     return xnum, den

@@ -367,6 +367,14 @@ def _check_probability(value, where: str) -> None:
         raise FilterValidationError(f"probability {value!r} {where} is not an int or Fraction")
 
 
+def _check_domain(game: Game, have: Mapping[str, object]) -> None:
+    names, have = set(game.state_names), set(have)
+    if names != have:
+        raise FilterDomainMismatch(
+            f"filter domain mismatch: missing states {sorted(names - have)}, "
+            f"unknown states {sorted(have - names)}")
+
+
 @dataclass(frozen=True)
 class BinaryFilter:
     """Per-state probability of emitting signal 0."""
@@ -374,13 +382,7 @@ class BinaryFilter:
     signal0_prob: Mapping[str, Fraction]
 
     def check_for(self, game: Game) -> None:
-        names = set(game.state_names)
-        have = set(self.signal0_prob)
-        if names != have:
-            missing = sorted(names - have)
-            extra = sorted(have - names)
-            raise FilterDomainMismatch(
-                f"filter domain mismatch: missing states {missing}, unknown states {extra}")
+        _check_domain(game, self.signal0_prob)
         for name, x in self.signal0_prob.items():
             _check_probability(x, f"for state {name!r}")
             if not (0 <= x <= 1):
@@ -391,20 +393,18 @@ class BinaryFilter:
         """Signal-0 probabilities in state order as integers over their lcm denominator.
 
         Checks the filter on the way: a filter that ``check_for`` rejects
-        raises the same error here, but bools scale as the ints 0 and 1.
+        raises the same error here. Any entry whose type is not exactly int
+        or Fraction (a bool, say) goes to ``check_for``.
         """
         table = self.signal0_prob
         try:
             probs = [table[name] for name in game.int_view.names]
         except KeyError:
             probs = None
-        if probs is None or len(probs) != len(table):
+        if (probs is None or len(probs) != len(table)
+                or not set(map(type, probs)) <= {int, Fraction}):
             self.check_for(game)
-        try:
-            x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
-        except AttributeError:
-            self.check_for(game)   # refuses it: ints and Fractions have both
-            raise
+        x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
         if min(x) < 0 or max(x) > scale:
             self.check_for(game)
         return x, scale
@@ -428,12 +428,7 @@ class GeneralFilter:
     table: Mapping[str, Mapping[str, Fraction]]
 
     def check_for(self, game: Game) -> None:
-        names = set(game.state_names)
-        have = set(self.table)
-        if names != have:
-            raise FilterDomainMismatch(
-                f"filter domain mismatch: missing states {sorted(names - have)}, "
-                f"unknown states {sorted(have - names)}")
+        _check_domain(game, self.table)
         for name, dist in self.table.items():
             total = Fraction(0)
             for sig, prob in dist.items():

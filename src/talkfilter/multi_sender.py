@@ -4,12 +4,13 @@ With two senders, six candidate outcomes cover the receiver's optimum: the
 receiver acts only on unanimous reports (one variant per action), follows a
 single designated sender, or ignores everyone and plays a constant action.
 The unanimous profiles reduce to an exact LP over the filter's per-state
-signal probabilities, one incentive row per sender. Its rows are the integer
-view's gap rows at their slack scales, and ``_simplex.maximize`` solves it
-on those integers by a search over the first row's multiplier on the
-one-sender kernel. Only the reported filter of an LP with several optima
-depends on its tie rule. The follow-one-sender profiles reduce to the
-single-sender optimizer; constants need no filter at all.
+signal-0 probabilities x: max s_r.x subject to s_j.x >= t_j for each
+sender j, where s is the integer view's gap row at its slack scale and t is
+0 for unanimous-0, sum(s_j) for unanimous-1. ``_simplex.maximize`` solves
+it on those integers by a search over the first row's multiplier on the
+one-sender kernel; only the filter of an LP with several optima depends on
+its tie rule. Follow-one-sender reduces to the single-sender optimizer;
+constants need no filter at all.
 
 With three or more senders, majority reporting already gives the receiver
 the full-information optimum, so no filter can help her further.
@@ -54,18 +55,20 @@ CANDIDATE_ORDER = (
 
 @dataclass(frozen=True)
 class LPInstance:
-    """max objective.x subject to both rows >= 0 and 0 <= x <= 1, on integers.
+    """max objective.x subject to rows[j].x >= bounds[j] and 0 <= x <= 1, on integers.
 
-    For the unanimous-1 target the variables are per-state probabilities of
-    signal 1 (the action-swapped mirror); otherwise of signal 0. Each row is
-    the view's gap row s (-s for unanimous-1) of its player, at that player's
-    slack scale; ``scale`` is the receiver's, so a point is worth objective.x / scale.
+    For both targets x is the per-state probability of signal 0, and each
+    row is its player's gap row s at that player's slack scale. ``bounds``
+    is (0, 0) for unanimous-0 and the rows' sums for unanimous-1. ``scale``
+    is the receiver's: obeying x is worth objective.x / scale more to her
+    than constant action 1.
     """
 
     target: CandidateProfile
     names: tuple[str, ...]
     objective: tuple[int, ...]
     rows: tuple[tuple[int, ...], tuple[int, ...]]
+    bounds: tuple[int, int]
     scale: int
 
 
@@ -77,22 +80,31 @@ def _require_senders(game: Game, count: int, at_least: bool = False) -> None:
             f"need {relation} {count} senders, game has {game.num_senders}")
 
 
-def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
-    """Prior-weighted LP whose optimum is the best filter for a unanimous profile."""
+def _require_unanimous(target: CandidateProfile) -> None:
     if target not in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
         raise ValueError(f"no LP for target {target}")
+
+
+def build_lp(game: Game, target: CandidateProfile) -> LPInstance:
+    """Prior-weighted LP whose optimum is the best filter for a unanimous profile."""
+    _require_unanimous(target)
     _require_senders(game, 2)
     view = game.int_view
-    sign = 1 if target is CandidateProfile.UNANIMOUS_0 else -1
-    s0, s1, receiver = (tuple(sign * v for v in s) for s in view.s)
+    s0, s1, receiver = (tuple(s) for s in view.s)
+    bounds = (0, 0) if target is CandidateProfile.UNANIMOUS_0 else tuple(view.s_total[:2])
     return LPInstance(target=target, names=tuple(view.names), objective=receiver,
-                      rows=(s0, s1), scale=view.slack_scale(view.receiver))
+                      rows=(s0, s1), bounds=bounds, scale=view.slack_scale(view.receiver))
 
 
 def lp_solve(lp: LPInstance) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact optimal (x, value), checked feasible and a vertex on the solver's integers."""
-    xnum, den = _simplex.maximize(lp.objective, *lp.rows)
-    if any(sum(map(mul, row, xnum)) < 0 for row in lp.rows):
+    """Exact optimal signal-0 probabilities x and value objective.x / scale.
+
+    Checked again on the solver's integers: both rows meet their bounds, x
+    is in the box, and at most two entries are fractional.
+    """
+    (a, b), (ta, tb) = lp.rows, lp.bounds
+    xnum, den = _simplex.maximize(lp.objective, a, ta, b, tb)
+    if any(sum(map(mul, row, xnum)) < t * den for row, t in zip(lp.rows, lp.bounds)):
         raise ArithmeticError("the LP solver returned an infeasible point")
     if not all(0 <= v <= den for v in xnum):
         raise ArithmeticError("the LP solver returned a point outside the box")
@@ -107,11 +119,12 @@ def receiver_posthoc_ic(game: Game, target: CandidateProfile,
                         x: tuple[Fraction, ...]) -> bool:
     """Is obeying the unanimous report a receiver best response under x?
 
-    That is ``receiver_ic`` of the signal-0 filter, x for unanimous-0 and
-    1 - x for unanimous-1 (whose LP variables are signal-1 probabilities).
+    x is the LP's point, signal-0 probabilities in state order for either
+    target, so this is ``receiver_ic`` of that filter; ``target`` is only
+    checked to be a unanimous profile.
     """
-    signal0 = x if target is CandidateProfile.UNANIMOUS_0 else [1 - xi for xi in x]
-    return receiver_ic(game, BinaryFilter(dict(zip(game.int_view.names, signal0)))).holds
+    _require_unanimous(target)
+    return receiver_ic(game, BinaryFilter(dict(zip(game.int_view.names, x)))).holds
 
 
 @dataclass(frozen=True)
@@ -136,37 +149,21 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
-            unanimous0 = profile is CandidateProfile.UNANIMOUS_0
             # receiver_posthoc_ic holds exactly when value * scale >= max(0, sum(objective)).
             feasible = value * lp.scale >= max(0, sum(lp.objective))
-            filt = None
-            if feasible:
-                signal0 = x if unanimous0 else [1 - xi for xi in x]
-                filt = BinaryFilter(signal0_prob=dict(zip(lp.names, signal0)))
-            # Unanimous-0 plays 1 unless both report 0; unanimous-1 the reverse.
-            base = view.constant_value(view.receiver, 1 if unanimous0 else 0)
-            candidates.append(CandidateOutcome(
-                profile=profile,
-                filter=filt,
-                receiver_utility=base + value,
-                feasible=feasible))
+            filt = BinaryFilter(signal0_prob=dict(zip(lp.names, x))) if feasible else None
+            utility = view.constant_value(view.receiver, 1) + value
         elif profile in (CandidateProfile.FOLLOW_SENDER_1,
                          CandidateProfile.FOLLOW_SENDER_2):
             sender_index = 0 if profile is CandidateProfile.FOLLOW_SENDER_1 else 1
             result = receiver_optimal_filter(game, sender_index=sender_index)
-            candidates.append(CandidateOutcome(
-                profile=profile,
-                filter=result.filter,
-                receiver_utility=result.outcome.utilities.receiver,
-                feasible=True))
+            filt, utility, feasible = result.filter, result.outcome.utilities.receiver, True
         else:
             action = 0 if profile is CandidateProfile.CONSTANT_0 else 1
             feasible = total_gap >= 0 if action == 0 else total_gap <= 0
-            candidates.append(CandidateOutcome(
-                profile=profile,
-                filter=None,
-                receiver_utility=view.constant_value(view.receiver, action),
-                feasible=feasible))
+            filt, utility = None, view.constant_value(view.receiver, action)
+        candidates.append(CandidateOutcome(profile=profile, filter=filt,
+                                           receiver_utility=utility, feasible=feasible))
     best = None
     for cand in candidates:
         if cand.feasible and (best is None or cand.receiver_utility > best.receiver_utility):

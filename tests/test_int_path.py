@@ -147,11 +147,12 @@ def test_general_filters_refuse_non_rational_probabilities(art, fn, dist):
 
 
 def test_binary_filter_check_refuses_bools(art):
-    """check_for refuses a bool as ``_ratio`` does; ``scaled`` reads it as 0 or 1."""
+    """A bool is refused as ``_ratio`` refuses it, also on the integer path."""
     filt = tf.BinaryFilter({"OG": F(0), "IF": True, "DF": F(1)})
-    with pytest.raises(tf.FilterValidationError, match="state 'IF'"):
-        filt.check_for(art)
-    assert filt.scaled(art) == ([0, 1, 1], 1)
+    for fn in (filt.check_for, filt.scaled, lambda g: tf.sender_ic(g, filt),
+               lambda g: tf.receiver_ic(g, filt), lambda g: tf.evaluate_sigma_s(g, filt)):
+        with pytest.raises(tf.FilterValidationError, match="state 'IF'"):
+            fn(art)
 
 
 def test_sender_index_out_of_range(art, art_optimal_filter):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -16,35 +17,45 @@ U1 = tf.CandidateProfile.UNANIMOUS_1
 # ---------------------------------------------------------------------------
 
 def test_build_lp_l2(l2, seeded_games):
-    """Each LP entry over its player's slack scale is prior * (u0 - u1), negated
-    for unanimous-1, from the game's records; the receiver's scale is lp.scale."""
+    """Each LP entry over its player's slack scale is prior * (u0 - u1) from the
+    game's records, for both targets; the receiver's scale is lp.scale, and
+    each sender's bound over its slack scale is 0 for unanimous-0 and the
+    sum of its row for unanimous-1."""
     lp = tf.build_lp(l2, U0)
-    assert (lp.objective, lp.rows, lp.scale) == ((1, -1), ((-1, 2), (2, -1)), 2)
+    assert (lp.objective, lp.rows, lp.bounds, lp.scale) == ((1, -1), ((-1, 2), (2, -1)),
+                                                            (0, 0), 2)
     games = seeded_games(12, ks=(1, 2, 5, 9), num_senders=2, seed0=3400,
                          utility_range=100, prior="random-rational")
     for game in [l2, *games]:
         view = game.int_view
-        for target, sign in ((U0, 1), (U1, -1)):
+        for target in (U0, U1):
             lp = tf.build_lp(game, target)
             assert lp.scale == view.slack_scale(view.receiver)
             for t, row in enumerate((*lp.rows, lp.objective)):
                 assert all(type(v) is int for v in row)
                 pairs = [(*rec.sender_utils, rec.receiver_utils)[t] for rec in game.states]
-                want = [sign * rec.prior * (u0 - u1)
-                        for rec, (u0, u1) in zip(game.states, pairs)]
+                want = [rec.prior * (u0 - u1) for rec, (u0, u1) in zip(game.states, pairs)]
                 assert [F(v, view.slack_scale(t)) for v in row] == want
+                if t < 2:
+                    bound = F(lp.bounds[t], view.slack_scale(t))
+                    assert bound == (0 if target is U0 else sum(want))
 
 
-def test_build_lp_mirror_negates(l2):
-    lp0 = tf.build_lp(l2, U0)
-    lp1 = tf.build_lp(l2, U1)
-    assert lp1.objective == tuple(-c for c in lp0.objective)
-    assert lp1.rows == tuple(tuple(-c for c in row) for row in lp0.rows)
+def test_build_lp_targets_differ_only_in_bounds(l2, seeded_games):
+    games = seeded_games(6, ks=(1, 3, 7), num_senders=2, seed0=3450)
+    for game in [l2, *games]:
+        lp0 = tf.build_lp(game, U0)
+        lp1 = tf.build_lp(game, U1)
+        assert lp0.bounds == (0, 0)
+        assert lp1.bounds == tuple(sum(row) for row in lp1.rows)
+        assert dataclasses.replace(lp1, target=U0, bounds=lp0.bounds) == lp0
 
 
 def test_build_lp_rejects_other_targets(l2):
     with pytest.raises(ValueError):
         tf.build_lp(l2, tf.CandidateProfile.CONSTANT_0)
+    with pytest.raises(ValueError):
+        tf.receiver_posthoc_ic(l2, tf.CandidateProfile.FOLLOW_SENDER_1, (F(1), F(1)))
 
 
 def test_build_lp_wrong_sender_count(art):
@@ -56,20 +67,21 @@ def test_build_lp_wrong_sender_count(art):
 # lp_solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("point,message", [
-    (([1, 0, 0], 1), "infeasible point"),       # row 0 is -1
-    (([2, 1, 0], 1), "outside the box"),        # rows 0 and 3, x_0 = 2
-    (([1, 1, 1], 2), "vertex property"),        # rows 1 and 1, three entries 1/2
-], ids=["infeasible", "outside-box", "three-fractional"])
-def test_lp_solve_rejects_an_infeasible_simplex_point(monkeypatch, point, message):
+@pytest.mark.parametrize("target,point,message", [
+    (U0, ([1, 0, 0], 1), "infeasible point"),       # row 0 is -1
+    (U1, ([1, 1, 0], 1), "infeasible point"),       # rows 1 and 1, bounds 2 and 2
+    (U0, ([2, 1, 0], 1), "outside the box"),        # rows 0 and 3, x_0 = 2
+    (U0, ([1, 1, 1], 2), "vertex property"),        # rows 1 and 1, three entries 1/2
+], ids=["infeasible", "below-bounds", "outside-box", "three-fractional"])
+def test_lp_solve_rejects_an_infeasible_simplex_point(monkeypatch, target, point, message):
     game = tf.make_game([
         ("a", "1/3", [("0", "1"), ("2", "0")], ("1", "0")),
         ("b", "1/3", [("2", "0"), ("0", "1")], ("0", "1")),
         ("c", "1/3", [("1", "0"), ("1", "0")], ("1", "0")),
     ], num_senders=2)
-    lp = tf.build_lp(game, U0)
+    lp = tf.build_lp(game, target)
     assert lp.rows == ((-1, 2, 1), (2, -1, 1))
-    monkeypatch.setattr(_simplex, "maximize", lambda c, a, b: point)
+    monkeypatch.setattr(_simplex, "maximize", lambda c, a, ta, b, tb: point)
     with pytest.raises(ArithmeticError, match=message):
         tf.lp_solve(lp)
 
@@ -123,8 +135,8 @@ def test_lp_solutions_are_vertices(seeded_games):
             x, value = tf.lp_solve(lp)
             assert sum(1 for v in x if 0 < v < 1) <= 2
             assert all(0 <= v <= 1 for v in x)
-            for row in lp.rows:
-                assert sum(r * v for r, v in zip(row, x)) >= 0
+            for row, t in zip(lp.rows, lp.bounds):
+                assert sum(r * v for r, v in zip(row, x)) >= t
             assert value * lp.scale == sum(c * v for c, v in zip(lp.objective, x))
 
 
@@ -132,13 +144,14 @@ def _highs_value(linprog, lp):
     """The LP's optimum in floats, from scipy's HiGHS.
 
     The objective goes in over lp.scale, so the optimum is the LP's value;
-    each row over its largest entry, which keeps its floats in range.
+    each row and its bound over the row's largest entry, which keeps their
+    floats in range.
     """
     tops = [max(map(abs, row)) or 1 for row in lp.rows]
     res = linprog(
         c=[-float(F(v, lp.scale)) for v in lp.objective],
         A_ub=[[-float(F(v, top)) for v in row] for row, top in zip(lp.rows, tops)],
-        b_ub=[0.0, 0.0],
+        b_ub=[-float(F(t, top)) for t, top in zip(lp.bounds, tops)],
         bounds=[(0.0, 1.0)] * len(lp.objective),
         method="highs")
     assert res.status == 0
@@ -183,26 +196,25 @@ def test_posthoc_all_zero_vector(l2):
 
 
 def test_posthoc_matches_definition_for_both_targets(seeded_games):
-    """The receiver obeys the unanimous report: on the trigger signal (mass x)
-    she weakly prefers the trigger action, on the other signal the other one.
-    Utilities in {-1, 0, 1} make zero slacks common."""
+    """The receiver obeys the unanimous report: on signal 0 (mass x, the LP's
+    variables for both targets) she weakly prefers action 0, on signal 1
+    action 1. Utilities in {-1, 0, 1} make zero slacks common."""
     games = seeded_games(30, ks=(2, 3, 4, 5), num_senders=2, utility_range=1, seed0=3500)
     verdicts = set()
     for j, game in enumerate(games):
         rng = tf.SplitMix64(j)
         k = len(game.states)
-        for target, trigger in ((U0, 0), (U1, 1)):
-            other = 1 - trigger
+        for target in (U0, U1):
             vectors = [tf.lp_solve(tf.build_lp(game, target))[0],
                        (F(0),) * k, (F(1),) * k]
             vectors += [tuple(F(rng.below(5), 4) for _ in range(k)) for _ in range(4)]
             for x in vectors:
-                on_trigger = on_other = F(0)
+                on_signal0 = on_signal1 = F(0)
                 for rec, xi in zip(game.states, x):
-                    gap = rec.receiver_utils[trigger] - rec.receiver_utils[other]
-                    on_trigger += rec.prior * xi * gap
-                    on_other -= rec.prior * (1 - xi) * gap
-                expected = on_trigger >= 0 and on_other >= 0
+                    gap = rec.receiver_utils[0] - rec.receiver_utils[1]
+                    on_signal0 += rec.prior * xi * gap
+                    on_signal1 -= rec.prior * (1 - xi) * gap
+                expected = on_signal0 >= 0 and on_signal1 >= 0
                 assert tf.receiver_posthoc_ic(game, target, x) == expected
                 verdicts.add((target, expected))
     assert len(verdicts) == 4
@@ -304,33 +316,55 @@ def test_two_sender_candidate_order_is_tiebreak():
     assert best.profile is firsts[0].profile
 
 
+def test_fully_indifferent_state_gets_signal_0_everywhere():
+    """State c leaves every player indifferent (u0 = u1). Both unanimous LPs
+    share one row form in signal-0 variables, so their tie rule is the
+    follow-sender filters' and the classifier's: c is sent signal 0."""
+    game = tf.make_game([
+        ("a", "1/4", [("2", "0"), ("1", "0")], ("3", "0")),
+        ("b", "1/4", [("0", "1"), ("0", "2")], ("0", "1")),
+        ("c", "1/4", [("1", "1"), ("5", "5")], ("2", "2")),
+        ("d", "1/4", [("0", "3"), ("1", "0")], ("0", "2")),
+    ], num_senders=2)
+    _, candidates = tf.two_sender_optimal(game)
+    filtered = [c for c in candidates if c.filter is not None]
+    assert [c.profile for c in filtered] == [U0, U1, tf.CandidateProfile.FOLLOW_SENDER_1,
+                                             tf.CandidateProfile.FOLLOW_SENDER_2]
+    assert all(c.filter.signal0_prob["c"] == 1 for c in filtered)
+    for sender in range(2):
+        assert "c" in tf.classify_states(game, sender).agree0
+
+
 def test_two_sender_wrong_count(art):
     with pytest.raises(tf.WrongSenderCount):
         tf.two_sender_optimal(art)
 
 
 def _unanimous_is_nash(game, x, target):
-    """Direct deviation check of the unanimous profile, from raw utilities."""
+    """Direct deviation check of the unanimous profile at signal-0
+    probabilities x, from raw utilities."""
     trigger = 0 if target is U0 else 1
     other = 1 - trigger
+    # The trigger signal's mass: x on signal 0, 1 - x on signal 1.
+    mass = [xi if trigger == 0 else 1 - xi for xi in x]
     # Sender deviation matters only on the trigger signal (the other signal
     # already commits the receiver); flipping the report moves the action
     # from trigger to other on that signal's mass.
     for sender in range(2):
         gain = F(0)
-        for rec, xi in zip(game.states, x):
-            gain += rec.prior * xi * (rec.sender_utils[sender][other]
-                                      - rec.sender_utils[sender][trigger])
+        for rec, m in zip(game.states, mass):
+            gain += rec.prior * m * (rec.sender_utils[sender][other]
+                                     - rec.sender_utils[sender][trigger])
         if gain > 0:
             return False
     # Receiver: obey on both information sets.
     on_trigger = F(0)
     on_other = F(0)
-    for rec, xi in zip(game.states, x):
-        on_trigger += rec.prior * xi * (rec.receiver_utils[trigger]
-                                        - rec.receiver_utils[other])
-        on_other += rec.prior * (1 - xi) * (rec.receiver_utils[other]
-                                            - rec.receiver_utils[trigger])
+    for rec, m in zip(game.states, mass):
+        on_trigger += rec.prior * m * (rec.receiver_utils[trigger]
+                                       - rec.receiver_utils[other])
+        on_other += rec.prior * (1 - m) * (rec.receiver_utils[other]
+                                           - rec.receiver_utils[trigger])
     return on_trigger >= 0 and on_other >= 0
 
 

@@ -11,10 +11,11 @@ from talkfilter._simplex import maximize
 F = Fraction
 
 
-def solve(c, a=None, b=None):
-    """maximize on integer lists (absent rows are zero rows), as Fractions (x, value)."""
+def solve(c, a=None, b=None, ta=0, tb=0):
+    """maximize on integer lists (absent rows are zero rows) subject to a.x >= ta
+    and b.x >= tb, as Fractions (x, value)."""
     zero = [0] * len(c)
-    xnum, den = maximize(c, a or zero, b or zero)
+    xnum, den = maximize(c, a or zero, ta, b or zero, tb)
     return [F(v, den) for v in xnum], F(sum(map(mul, c, xnum)), den)
 
 
@@ -66,6 +67,43 @@ def test_random_instances_match_scipy():
         assert abs(float(value) + res.fun) < 1e-9
 
 
+def test_thresholds_move_the_rows():
+    # max -x1 - x2 subject to x1 + 2*x2 >= 1 and 2*x1 + x2 >= 1: x1 = x2 = 1/3.
+    x, value = solve([-1, -1], [1, 2], [2, 1], 1, 1)
+    assert x == [F(1, 3), F(1, 3)] and value == F(-2, 3)
+    # The same LP in y = 1 - x: -y1 - 2*y2 >= -2 and -2*y1 - y2 >= -2.
+    y, mirrored = solve([1, 1], [-1, -2], [-2, -1], -2, -2)
+    assert y == [F(2, 3), F(2, 3)] and mirrored == 2 + value
+
+
+def test_random_thresholds_match_scipy():
+    """Nonzero thresholds row.x0 - d, for a random 0/1 point x0 and d in 0..2,
+    so that every instance is feasible."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = SplitMix64(321)
+    nonzero = 0
+    for _ in range(60):
+        n = 2 + rng.below(5)
+        c = [rng.below(11) - 5 for _ in range(n)]
+        rows = [[rng.below(11) - 5 for _ in range(n)] for _ in range(2)]
+        x0 = [rng.below(2) for _ in range(n)]
+        bounds = [sum(map(mul, row, x0)) - rng.below(3) for row in rows]
+        nonzero += all(bounds)
+        x, value = solve(c, rows[0], rows[1], *bounds)
+        assert all(0 <= v <= 1 for v in x)
+        for row, t in zip(rows, bounds):
+            assert sum(r * v for r, v in zip(row, x)) >= t
+        res = linprog(
+            c=[-float(v) for v in c],
+            A_ub=[[-float(v) for v in row] for row in rows],
+            b_ub=[-float(t) for t in bounds],
+            bounds=[(0.0, 1.0)] * n,
+            method="highs")
+        assert res.status == 0
+        assert abs(float(value) + res.fun) < 1e-9
+    assert nonzero >= 20
+
+
 def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
     """Stop the multiplier search one kernel call early: that call reports h
     on the cutting-plane model, so the search mixes two bracket points that
@@ -90,8 +128,8 @@ def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
                 continue
             stop, cuts = len(cuts) - 1, []
 
-            def early(c, a, b, lam):
-                cut = counted(c, a, b, lam)
+            def early(c, a, ta, b, tb, lam):
+                cut = counted(c, a, ta, b, tb, lam)
                 if len(cuts) == stop:
                     lo = next(k for k in reversed(cuts[:-1]) if k.g < 0)
                     return cut._replace(h=lo.h + lo.g * (lam - lo.lam))

@@ -5,7 +5,9 @@ algorithm from ``_simplex.maximize``'s search over the a-row's multiplier.
 Where an LP has several optima the two may return different points, so the
 tests compare values and check each returned point on its own: integer
 numerators over a positive common denominator, in the box, feasible, and
-at most two fractional entries.
+at most two fractional entries. The reference takes rows >= 0 only, so a
+unanimous-1 LP (rows s.x >= sum(s)) is compared on its mirror in
+y = 1 - x, whose rows are -s.y >= 0.
 """
 from fractions import Fraction
 from math import lcm
@@ -33,7 +35,8 @@ def same_value(objective, rows):
     rows as zero rows in front; the reference gets the rational instance.
     """
     padded = [[0] * len(objective)] * (2 - len(rows)) + list(rows)
-    xnum, den = _simplex.maximize(*map(ints, [objective, *padded]))
+    c, a, b = map(ints, [objective, *padded])
+    xnum, den = _simplex.maximize(c, a, 0, b, 0)
     x = [F(v, den) for v in xnum]
     value = sum((c * v for c, v in zip(objective, x)), F(0))
     assert value == simplex_reference.maximize(objective, rows)[1]
@@ -43,6 +46,18 @@ def same_value(objective, rows):
     for row in rows:
         assert sum(r * v for r, v in zip(row, x)) >= 0
     return value
+
+
+def reference_value(lp):
+    """The reference's optimum of an LPInstance, times lp.scale.
+
+    Unanimous-1 is max s_r.x subject to s_j.x >= sum(s_j); in y = 1 - x it
+    is sum(s_r) plus max -s_r.y subject to -s_j.y >= 0.
+    """
+    if lp.target is tf.CandidateProfile.UNANIMOUS_0:
+        return simplex_reference.maximize(lp.objective, lp.rows)[1]
+    neg = [[-v for v in row] for row in (lp.objective, *lp.rows)]
+    return sum(lp.objective) + simplex_reference.maximize(neg[0], neg[1:])[1]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -84,7 +99,15 @@ def test_two_sender_lps(seeded_games, utility_range):
     for game in games:
         for target in TARGETS:
             lp = tf.build_lp(game, target)
-            same_value(lp.objective, lp.rows)
+            (a, b), (ta, tb) = lp.rows, lp.bounds
+            xnum, den = _simplex.maximize(lp.objective, a, ta, b, tb)
+            assert all(type(v) is int for v in [*xnum, den]) and den > 0
+            x = [F(v, den) for v in xnum]
+            assert sum(c * v for c, v in zip(lp.objective, x)) == reference_value(lp)
+            assert all(0 <= v <= 1 for v in x)
+            assert sum(1 for v in x if 0 < v < 1) <= 2
+            for row, t in zip(lp.rows, lp.bounds):
+                assert sum(r * v for r, v in zip(row, x)) >= t
 
 
 def test_seeded_lps_match_reference_value():
@@ -104,6 +127,6 @@ def test_seeded_lps_match_reference_value():
         for target in TARGETS:
             lp = tf.build_lp(game, target)
             _, value = tf.lp_solve(lp)
-            assert value * lp.scale == simplex_reference.maximize(lp.objective, lp.rows)[1]
+            assert value * lp.scale == reference_value(lp)
             seen.add((utility_range, prior, target))
     assert 2 * len(specs) >= 3000 and len(seen) == 12
