@@ -39,9 +39,9 @@ class IntView:
         s_total[t]  = sum(s[t])                     constant 0 minus constant 1
         u1_total[t] = sum(weight * u1[t])           value of constant action 1
 
-    An obey-the-signal slack sum(s * x) therefore has scale wscale *
-    uscale[t]; only signs and same-player comparisons are ever taken on raw
-    ints.
+    An obey-the-signal slack sum(s * x), the obey total that every IC report
+    and obey value is read from, has scale wscale * uscale[t]; only signs and
+    same-player comparisons are ever taken on raw ints.
     """
 
     __slots__ = ("names", "weight", "wscale", "s", "s_total", "u1_total", "uscale",
@@ -113,17 +113,16 @@ class IntView:
         return [Fraction(s, w * self.uscale[player])
                 for s, w in zip(self.s[player], self.weight)]
 
-    def obey_total(self, player: int, x: list[int]) -> int:
-        """sum(s * x): with x = D * signal-0 probabilities, D * slack scale * slack0."""
-        return sum(map(mul, self.s[player], x))
+    def obey_totals(self, x: list[int]) -> list[int]:
+        """Per player, sum(s * x): D * slack scale * slack0 at x = D * signal-0 probs."""
+        return [sum(map(mul, s, x)) for s in self.s]
 
-    def obey_value(self, player: int, x: list[int], scale: int) -> Fraction:
-        """Value of obeying signal-0 probabilities x / scale (action a on signal a).
+    def obey_value(self, player: int, total: int, scale: int) -> Fraction:
+        """Value of obeying signal-0 probabilities x / scale, from total = sum(s * x).
 
-        That is (scale * u1_total + sum(s * x)) / (scale * slack scale).
+        That is (scale * u1_total + total) / (scale * slack scale).
         """
-        return Fraction(scale * self.u1_total[player] + self.obey_total(player, x),
-                        scale * self.slack_scale(player))
+        return Fraction(scale * self.u1_total[player] + total, scale * self.slack_scale(player))
 
     def constant_value(self, player: int, action: int) -> Fraction:
         total = self.u1_total[player] + (self.s_total[player] if action == 0 else 0)

@@ -128,11 +128,11 @@ def _cmd_optimize(args) -> int:
         "utilities": _utilities(res.outcome.utilities),
         "fallback": res.fell_back_to_constant,
     }
-    sender, receiver, _ = binary_equilibrium(game, res.filter)
-    diagnostics = {"sender_ic": _ic_payload(sender), "receiver_ic": _ic_payload(receiver)}
+    diagnostics = {"sender_ic": _ic_payload(res.sender_ic),
+                   "receiver_ic": _ic_payload(res.receiver_ic)}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_filter_payload(res.filter), fh, indent=2)
+            json.dump(result["filter"], fh, indent=2)
             fh.write("\n")
     report = _report("optimize", game, result, diagnostics, started)
     lines = [f"{objective.value}-optimal filter:"]

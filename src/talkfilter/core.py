@@ -544,9 +544,9 @@ class UtilityProfile:
         return self.senders[0]
 
 
-def obey_profile(view: IntView, x: list[int], scale: int) -> UtilityProfile:
-    """Every player's ``IntView.obey_value`` of the signal-0 probabilities x / scale."""
-    return UtilityProfile.of([view.obey_value(t, x, scale) for t in range(view.num_players)])
+def obey_profile(view: IntView, totals: list[int], scale: int) -> UtilityProfile:
+    """Every player's ``IntView.obey_value`` from the obey totals at filter scale ``scale``."""
+    return UtilityProfile.of([view.obey_value(t, n, scale) for t, n in enumerate(totals)])
 
 
 def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
@@ -555,7 +555,9 @@ def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
     Pure evaluation; whether that play is anyone's best response is the
     equilibrium module's business.
     """
-    return obey_profile(game.int_view, *filt.scaled(game))
+    view = game.int_view
+    x, scale = filt.scaled(game)
+    return obey_profile(view, view.obey_totals(x), scale)
 
 
 def constant_action_value(game: Game, action: int) -> UtilityProfile:

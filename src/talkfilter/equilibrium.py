@@ -17,13 +17,14 @@ are one:
     s.x >= max(0, sum(s))
 
 the form that the checks here, the optimizer's walk and the grid oracle's
-sweeps test. ``IntView`` keeps s and sum(s) per player as integers, and the
-filter is scaled to integers over its lcm denominator, so both sums run on
-integers; only the reported slacks are Fractions.
+sweeps test. ``IntView`` keeps s and sum(s) per player as integers. A filter
+scaled to integers x over a scale D enters each player's check and value only
+through the obey total s.x; only the reported slacks are Fractions.
 
-``binary_equilibrium`` scales a binary filter to integers once and derives
-both IC reports and the canonical outcome from that one scaling. Every
-obey-the-signal value, here and elsewhere, is ``IntView.obey_value``.
+``scaled_equilibrium`` derives both IC reports and the canonical outcome from
+one obey total per player: ``binary_equilibrium`` scales a filter once for
+them, and the optimizer sums them from its walk. Every obey-the-signal value,
+here and elsewhere, is ``IntView.obey_value`` of a total.
 
 General filters reduce to the same rows. A signal's column of probabilities,
 scaled to integers, gives each player's gap on that signal as s.column, and
@@ -62,27 +63,24 @@ class ICReport:
     signal1_slack: Fraction
 
 
-def _ic_report(view: IntView, player: int, x: list[int], xscale: int) -> ICReport:
-    # With the filter at x / D: slack0 = sum(s * x) / (D * scale) and
-    # slack1 = (D * sum(s) - sum(s * x)) / (D * scale).
-    obey = view.obey_total(player, x)
-    total = xscale * view.s_total[player]
+def _ic_report(view: IntView, player: int, total: int, xscale: int) -> ICReport:
+    # With the filter at x / D and the obey total sum(s * x):
+    # slack0 = total / (D * scale) and slack1 = (D * sum(s) - total) / (D * scale).
+    bound = xscale * view.s_total[player]
     scale = xscale * view.slack_scale(player)
-    return ICReport(holds=(obey >= 0 and obey >= total),
-                    signal0_slack=Fraction(obey, scale),
-                    signal1_slack=Fraction(total - obey, scale))
+    return ICReport(holds=(total >= 0 and total >= bound),
+                    signal0_slack=Fraction(total, scale),
+                    signal1_slack=Fraction(bound - total, scale))
 
 
 def sender_ic(game: Game, filt: BinaryFilter, sender_index: int = 0) -> ICReport:
     """Is obeying the signal a best response for the sender?"""
-    view = game.int_view
-    view.check_sender(sender_index)
-    return _ic_report(view, sender_index, *filt.scaled(game))
+    return binary_equilibrium(game, filt, sender_index)[0]
 
 
 def receiver_ic(game: Game, filt: BinaryFilter) -> ICReport:
     """Is obeying the signal a best response for the receiver?"""
-    return _ic_report(game.int_view, game.num_senders, *filt.scaled(game))
+    return binary_equilibrium(game, filt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +139,8 @@ def _signal_gaps(game: Game, filt: GeneralFilter,
         column = [n * (scale // d) for n, d in (
             filt.table[name].get(sig, _ZERO).as_integer_ratio() for name in view.names)]
         if any(column):
-            gaps[sig] = (view.obey_total(sender_index, column),
-                         view.obey_total(view.receiver, column))
+            totals = view.obey_totals(column)
+            gaps[sig] = (totals[sender_index], totals[view.receiver])
     return gaps
 
 
@@ -165,22 +163,24 @@ def binary_equilibrium(game: Game, filt: BinaryFilter, sender_index: int = 0
                        ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
     """The sender's and the receiver's IC reports and the canonical outcome.
 
-    The filter is scaled to integers once, and all three come from that one
-    scaling.
+    The filter is scaled to integers once, and all three come from one obey
+    total per player of that scaling.
     """
-    game.int_view.check_sender(sender_index)
-    return scaled_equilibrium(game, *filt.scaled(game), sender_index)
-
-
-def scaled_equilibrium(game: Game, x: list[int], xscale: int, sender_index: int
-                       ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
-    """``binary_equilibrium`` of the filter with signal-0 probabilities x / xscale."""
     view = game.int_view
-    sender = _ic_report(view, sender_index, x, xscale)
-    receiver = _ic_report(view, view.receiver, x, xscale)
+    view.check_sender(sender_index)
+    x, xscale = filt.scaled(game)
+    return scaled_equilibrium(game, view.obey_totals(x), xscale, sender_index)
+
+
+def scaled_equilibrium(game: Game, totals: list[int], xscale: int, sender_index: int
+                       ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
+    """``binary_equilibrium`` from the obey totals sum(s_t * x) of probabilities x / xscale."""
+    view = game.int_view
+    sender = _ic_report(view, sender_index, totals[sender_index], xscale)
+    receiver = _ic_report(view, view.receiver, totals[view.receiver], xscale)
     if sender.holds and receiver.holds:
         outcome = EquilibriumOutcome(kind=EquilibriumKind.INFORMATIVE,
-                                     utilities=obey_profile(view, x, xscale))
+                                     utilities=obey_profile(view, totals, xscale))
     else:
         action, utilities = evaluate_babbling(game)
         outcome = EquilibriumOutcome(kind=EquilibriumKind.BABBLING,

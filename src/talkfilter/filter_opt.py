@@ -8,19 +8,23 @@ the box, by a ratio sort and a concession walk. At most one state, the
 pivot, gets an interior probability, chosen by ``pivot_q`` so that c's row
 binds. When o's own row then fails, the answer is the always-signal-1
 constant filter. Hot loops run on the integer-normalized game view; every
-reported number is an exact Fraction.
+reported number is an exact Fraction. The answer is 0/1 off the pivot, so
+each player's obey total at the pivot's denominator D is D * (s summed over
+the signal-0 states) + s[pivot] * D * q; both IC reports (kept on the
+result) and the canonical outcome come from those totals.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from . import _simplex
 from ._intview import IntView
 from .core import BinaryFilter, Game
-from .equilibrium import EquilibriumOutcome, scaled_equilibrium
+from .equilibrium import EquilibriumOutcome, ICReport, scaled_equilibrium
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,6 +44,8 @@ class OptimizerResult:
     pivot_state: Optional[str]
     pivot_q: Optional[Fraction]
     fell_back_to_constant: bool
+    sender_ic: ICReport
+    receiver_ic: ICReport
 
 
 def _players(view: IntView, objective: Objective, sidx: int) -> tuple[int, int]:
@@ -96,39 +102,35 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
     view.check_sender(sidx)
     o, c = _players(view, objective, sidx)
-    so, sc = view.s[o], view.s[c]
     target_c = max(0, view.s_total[c])
-    x, pos, pivot, _ = _simplex._solve(so, sc, target_c)
-    q = None
-    fallback = False
+    x, pos, pivot, _ = _simplex._solve(view.s[o], view.s[c], target_c)
+    # Every player's obey total, with the pivot at its binding q over D.
+    totals = [sum(compress(s, x)) for s in view.s]
+    probs = [_ONE if xi else _ZERO for xi in x]
+    q, den = None, 1
     if pos:
-        # The pivot's binding probability, then the objective player's row there.
-        q = pivot_q(view.obey_total(c, x), target_c, sc[pivot])
-        base_o = view.obey_total(o, x)
-        target_o = max(0, view.s_total[o])
-        fallback = base_o * q.denominator + so[pivot] * q.numerator < target_o * q.denominator
+        q = probs[pivot] = pivot_q(totals[c], target_c, view.s[c][pivot])
+        den = q.denominator
+        totals = [den * total + s[pivot] * q.numerator for total, s in zip(totals, view.s)]
+    sender, receiver, outcome = scaled_equilibrium(game, totals, den, sidx)
+    reports = {sidx: sender, view.receiver: receiver}
+    if not reports[c].holds:
+        raise ArithmeticError("the walk's filter misses the constrained player's row")
+    fallback = not reports[o].holds
     if fallback:
         # The always-signal-1 constant filter: informative only when both
         # players' total gaps point at action 1, babbling otherwise.
-        x = [0] * len(x)
-    probs = [_ONE if xi else _ZERO for xi in x]
-    den = 1
-    if pos and not fallback:
-        # The filter over the pivot's denominator D: 0 or D per state, and
-        # D * q at the pivot.
-        den = q.denominator
-        x = [xi * den for xi in x]
-        x[pivot] = q.numerator
-        probs[pivot] = q
+        probs = [_ZERO] * len(probs)
+        sender, receiver, outcome = scaled_equilibrium(game, [0] * len(totals), 1, sidx)
     names = view.names
     return OptimizerResult(
         objective=objective,
         filter=BinaryFilter(signal0_prob=dict(zip(names, probs))),
-        # The walk makes obeying the signal compatible for both players, so
-        # only the fallback can come out babbling.
-        outcome=scaled_equilibrium(game, x, den, sidx)[2],
+        outcome=outcome,
         pivot_index=pos or None,
         pivot_state=names[pivot] if pos else None,
         pivot_q=q,
         fell_back_to_constant=fallback,
+        sender_ic=sender,
+        receiver_ic=receiver,
     )

@@ -38,7 +38,7 @@ from .core import (
     make_game,
 )
 from .equilibrium import GeneralProfile, canonical_equilibrium
-from .filter_opt import Objective
+from .filter_opt import Objective, _players
 from .multi_sender import CandidateProfile, WrongSenderCount
 
 _ZERO = Fraction(0)
@@ -311,7 +311,7 @@ def _lattice_filter(view: IntView, player: int, index: int, resolution: int
     digits = _decode(index, len(view.names), resolution + 1)
     filt = BinaryFilter(signal0_prob={
         name: Fraction(d, resolution) for name, d in zip(view.names, digits)})
-    return filt, view.obey_value(player, digits, resolution)
+    return filt, view.obey_value(player, view.obey_totals(digits)[player], resolution)
 
 
 def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: int
@@ -326,10 +326,7 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     view = game.int_view
     k = len(view.names)
     R = resolution
-    if objective is Objective.RECEIVER:
-        oidx, cidx = view.receiver, sender_index
-    else:
-        oidx, cidx = sender_index, view.receiver
+    oidx, cidx = _players(view, objective, sender_index)
     coefs = [view.s[oidx], view.s[cidx]]
     t_o = max(0, R * view.s_total[oidx])
     t_c = max(0, R * view.s_total[cidx])

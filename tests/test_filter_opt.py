@@ -1,7 +1,12 @@
+import time
 from fractions import Fraction
 from functools import partial
 
+import pytest
+
 import talkfilter as tf
+from talkfilter import filter_opt
+from talkfilter.equilibrium import binary_equilibrium
 from talkfilter.filter_opt import sort_disagreement
 
 F = Fraction
@@ -378,6 +383,8 @@ def test_outcomes_match_public_evaluation(seeded_games):
         for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter):
             res = run(game)
             assert res.outcome == tf.canonical_equilibrium(game, res.filter)
+            assert res.sender_ic == tf.sender_ic(game, res.filter)
+            assert res.receiver_ic == tf.receiver_ic(game, res.filter)
 
 
 def test_designated_sender_outcome_matches_canonical(seeded_games):
@@ -388,6 +395,8 @@ def test_designated_sender_outcome_matches_canonical(seeded_games):
             res = tf.receiver_optimal_filter(game, sender_index=j)
             expected = tf.canonical_equilibrium(game, res.filter, sender_index=j)
             assert res.outcome == expected
+            assert res.sender_ic == tf.sender_ic(game, res.filter, j)
+            assert res.receiver_ic == tf.receiver_ic(game, res.filter)
 
 
 def test_sender_indifferent_everywhere():
@@ -426,3 +435,76 @@ def test_receiver_output_dominates_identity_and_babbling(seeded_games):
         _, babble = tf.evaluate_babbling(game)
         assert value >= identity.utilities.receiver
         assert value >= babble.receiver
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per answer
+# ---------------------------------------------------------------------------
+
+def _primes(n):
+    found = []
+    c = 2
+    while len(found) < n:
+        if all(c % p for p in found if p * p <= c):
+            found.append(c)
+        c += 1
+    return found
+
+
+def prime_game(k, seed=5):
+    """k states, prior 1/k, and a fresh pair of primes in every state's denominators.
+
+    State i has sender utilities (a/p[2i], b/p[2i+1]) and receiver utilities
+    (c/p[2i+1], d/p[2i]), with a..d drawn as SplitMix64(seed).below(11) - 5.
+    Each player's utility scale is a product of up to 2k primes, so at
+    k = 2,000 the obey totals and the pivot's probability run to thousands
+    of digits, and scaling the answer's filter multiplies every state by them.
+    """
+    rng = tf.SplitMix64(seed)
+    p = _primes(2 * k)
+    rows = []
+    for i in range(k):
+        a, b, c, d = (rng.below(11) - 5 for _ in range(4))
+        rows.append((f"w{i}", F(1, k), (F(a, p[2 * i]), F(b, p[2 * i + 1])),
+                     (F(c, p[2 * i + 1]), F(d, p[2 * i]))))
+    return tf.make_game(rows)
+
+
+def test_prime_game_reports_match_binary_equilibrium():
+    """The walk's totals give the reports and outcome that evaluating the filter gives."""
+    kinds = set()
+    for seed in (5, 7):
+        for k in range(3, 9):
+            game = prime_game(k, seed)
+            for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter):
+                res = run(game)
+                assert (res.sender_ic, res.receiver_ic, res.outcome) == \
+                    binary_equilibrium(game, res.filter)
+                interior = res.pivot_q is not None and 0 < res.pivot_q < 1
+                kinds.add((interior, res.fell_back_to_constant))
+    assert (True, False) in kinds and (True, True) in kinds
+
+
+def test_prime_game_optimizers_are_fast():
+    """Both optimizers at 2,000 states, where the pivot's denominator has thousands of digits."""
+    game = prime_game(2000)
+    game.int_view
+    started = time.process_time()
+    results = [tf.receiver_optimal_filter(game), tf.sender_optimal_filter(game)]
+    elapsed = time.process_time() - started
+    assert all(0 < r.pivot_q < 1 and not r.fell_back_to_constant for r in results)
+    assert elapsed < 1.5, elapsed
+
+
+def test_walk_missing_the_row_raises(monkeypatch, g3, seeded_games):
+    """A pivot probability one unit short of c's row raises instead of being reported."""
+    games = [g3, prime_game(6, 7)] + seeded_games(20, ks=(3, 4, 5), seed0=2300)
+    walks = [(game, run) for game in games
+             for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter)
+             if run(game).pivot_index is not None]
+    assert len(walks) >= 3
+    monkeypatch.setattr(filter_opt, "pivot_q",
+                        lambda base, target, coef: F(target - 1 - base, coef))
+    for game, run in walks:
+        with pytest.raises(ArithmeticError):
+            run(game)
