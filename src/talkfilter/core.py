@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._intview import IntView, scaled_ints
@@ -389,25 +390,42 @@ class BinaryFilter:
                 raise FilterValidationError(
                     f"signal0 probability for {name!r} is {x}, outside [0, 1]")
 
-    def scaled(self, game: Game) -> tuple[list[int], int]:
-        """Signal-0 probabilities in state order as integers over their lcm denominator.
+    def obey_totals(self, game: Game) -> tuple[list[int], int]:
+        """Per player, the obey total sum(s * x) with the filter at x / D, and D.
 
-        Checks the filter on the way: a filter that ``check_for`` rejects
-        raises the same error here. Any entry whose type is not exactly int
-        or Fraction (a bool, say) goes to ``check_for``.
+        D is the lcm of the signal-0 probabilities' denominators. States are
+        grouped by denominator d, so each total is the sum over d of (D / d)
+        times the group's sum of s * numerator: one multiply by D / d per
+        distinct denominator, never one per state. Checks the filter on the
+        way: a filter that ``check_for`` rejects raises the same error here.
+        Any entry whose type is not exactly int or Fraction (a bool, say) goes
+        to ``check_for``.
         """
         table = self.signal0_prob
+        view = game.int_view
         try:
-            probs = [table[name] for name in game.int_view.names]
+            probs = [table[name] for name in view.names]
         except KeyError:
             probs = None
         if (probs is None or len(probs) != len(table)
                 or not set(map(type, probs)) <= {int, Fraction}):
             self.check_for(game)
-        x, scale = scaled_ints([(p.numerator, p.denominator) for p in probs])
-        if min(x) < 0 or max(x) > scale:
-            self.check_for(game)
-        return x, scale
+        groups: dict[int, tuple[list[int], list[int]]] = {}   # d -> states, numerators
+        for i, p in enumerate(probs):
+            n, d = p.as_integer_ratio()
+            if n:
+                if n < 0 or n > d:
+                    self.check_for(game)
+                group = groups.get(d)
+                if group is None:
+                    groups[d] = ([i], [n])
+                else:
+                    group[0].append(i)
+                    group[1].append(n)
+        scale = lcm(*groups)
+        return [sum((scale // d) * sum(map(mul, map(s.__getitem__, states), nums))
+                    for d, (states, nums) in groups.items())
+                for s in view.s], scale
 
     def to_general(self) -> "GeneralFilter":
         table = {}
@@ -555,9 +573,7 @@ def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
     Pure evaluation; whether that play is anyone's best response is the
     equilibrium module's business.
     """
-    view = game.int_view
-    x, scale = filt.scaled(game)
-    return obey_profile(view, view.obey_totals(x), scale)
+    return obey_profile(game.int_view, *filt.obey_totals(game))
 
 
 def constant_action_value(game: Game, action: int) -> UtilityProfile:

@@ -18,13 +18,17 @@ are one:
 
 the form that the checks here, the optimizer's walk and the grid oracle's
 sweeps test. ``IntView`` keeps s and sum(s) per player as integers. A filter
-scaled to integers x over a scale D enters each player's check and value only
-through the obey total s.x; only the reported slacks are Fractions.
+with signal-0 probabilities x / D, D their lcm denominator, enters each
+player's check and value only through the obey total s.x; only the reported
+slacks are Fractions. ``BinaryFilter.obey_totals`` sums s.x per distinct
+denominator d of the filter, as the sum over d of (D / d) times that group's
+s * numerator, so a large D costs one multiply per denominator, not one per
+state.
 
 ``scaled_equilibrium`` derives both IC reports and the canonical outcome from
-one obey total per player: ``binary_equilibrium`` scales a filter once for
-them, and the optimizer sums them from its walk. Every obey-the-signal value,
-here and elsewhere, is ``IntView.obey_value`` of a total.
+one obey total per player: ``binary_equilibrium`` sums a filter's totals once
+for them, and the optimizer sums them from its walk. Every obey-the-signal
+value, here and elsewhere, is ``IntView.obey_value`` of a total.
 
 General filters reduce to the same rows. A signal's column of probabilities,
 scaled to integers, gives each player's gap on that signal as s.column, and
@@ -163,13 +167,10 @@ def binary_equilibrium(game: Game, filt: BinaryFilter, sender_index: int = 0
                        ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
     """The sender's and the receiver's IC reports and the canonical outcome.
 
-    The filter is scaled to integers once, and all three come from one obey
-    total per player of that scaling.
+    All three come from one ``BinaryFilter.obey_totals`` of the filter.
     """
-    view = game.int_view
-    view.check_sender(sender_index)
-    x, xscale = filt.scaled(game)
-    return scaled_equilibrium(game, view.obey_totals(x), xscale, sender_index)
+    game.int_view.check_sender(sender_index)
+    return scaled_equilibrium(game, *filt.obey_totals(game), sender_index)
 
 
 def scaled_equilibrium(game: Game, totals: list[int], xscale: int, sender_index: int

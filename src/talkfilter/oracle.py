@@ -11,11 +11,23 @@ docstring), on integers that carry the extra grid scale R.
 Each sweep covers every lattice point exactly, in one process, by meeting in
 the middle (the subset-sum split of Horowitz and Sahni): it tabulates the
 linear forms it ranks by over the first k // 2 states and over the rest,
-(R+1)^ceil(k/2) points at most per half, and pairs each head point with its
-best tail through one query, a max-Fenwick tree under two bounds. Ties go to
-the lowest enumeration index, as a point-by-point sweep in that order would
-give. ``GridSpec.check`` caps the half at MAX_HALF_POINTS, which admits up
-to 14 states at R = 4, 12 at R = 6 and 10 at R = 8.
+(R+1)^ceil(k/2) points at most per half, and pairs head points with tails.
+Under one bound (the one-sender grid and the two-sender follow regions),
+each half shrinks to its staircase, the points that no point of at least
+their bound total outranks, and each head on it finds its best tail by one
+bisect on the tail staircase. Under two bounds (a unanimous two-sender
+region), every head queries a max-Fenwick tree for its best tail. The
+two-sender search sweeps a unanimous region only when no follow region
+contains it, so it runs at most one two-bound sweep (see
+``_two_sender_best``). Ties go to the lowest enumeration index, as a
+point-by-point sweep in that order would give. ``GridSpec.check`` caps the
+half at MAX_HALF_POINTS, which admits up to 14 states at R = 4, 12 at R = 6
+and 10 at R = 8.
+
+``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
+from the definition, in Fractions read from the game's ``StateRecord``s and
+never from its integer view. Each sums what it needs once: a state's masses
+in ``profile_value``, a signal's utility sums in ``exhaustive_nash_check``.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -26,11 +38,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from ._intview import IntView
 from .core import (
-    RECEIVER,
     BinaryFilter,
     Game,
     GeneralFilter,
@@ -231,10 +242,10 @@ def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile
 #
 # A sweep ranks lattice points by linear forms sum(c_i * d_i) of their digits
 # d_i in 0..R. The head is the first k // 2 states and the tail the rest, so
-# with M = (R+1)^(k - k//2) tail points the point (head, tail) has index
-# head * M + tail: the lowest index is the lowest head, then the lowest tail.
-# Candidate tails are ranked by one int, key = score * M + (M - 1 - tail),
-# whose order is highest score, then lowest tail.
+# with H head and M = (R+1)^(k - k//2) tail points the point (head, tail) has
+# index head * M + tail: the lowest index is the lowest head, then the lowest
+# tail. Within a half, points are ranked by one int, key = objective * size +
+# (size - 1 - point), whose order is highest objective, then lowest point.
 
 def _decode(index: int, k: int, radix: int) -> list[int]:
     digits = [0] * k
@@ -243,44 +254,107 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
     return digits
 
 
-def _half_sums(coefs: list[list[int]], states: range, resolution: int
-               ) -> list[list[int]]:
-    """Per form, its sum at every point of the states' lattice, in enumeration order."""
-    tables = []
-    for coef in coefs:
-        vals = [0]
-        for i in states:
-            steps = [coef[i] * d for d in range(resolution + 1)]
-            vals = [v + s for v in vals for s in steps]
-        tables.append(vals)
-    return tables
+def _half_sums(coef: list[int], states: range, resolution: int) -> list[int]:
+    """A form's sum at every point of the states' lattice, in enumeration order."""
+    vals = [0]
+    for i in states:
+        steps = [coef[i] * d for d in range(resolution + 1)]
+        vals = [v + s for v in vals for s in steps]
+    return vals
 
 
-def _best_above_both(head_obj: list[int], head_a: list[int], head_b: list[int],
-                     tail_obj: list[int], tail_a: list[int], tail_b: list[int],
+def _half_keys(coef: list[int], states: range, resolution: int) -> list[int]:
+    """The objective's key at every point of the states' lattice, in enumeration order.
+
+    The key is linear in the digits too: a point's position counts down from
+    size - 1 by d * radix^(places after the state) per digit d.
+    """
+    radix = resolution + 1
+    size = radix ** len(states)
+    place = size
+    vals = [size - 1]
+    for i in states:
+        place //= radix
+        steps = [(coef[i] * size - place) * d for d in range(radix)]
+        vals = [v + s for v in vals for s in steps]
+    return vals
+
+
+def _joined(head_key: int, tail_key: int, H: int, M: int) -> tuple[int, int]:
+    """(objective, index) of the point a head and a tail make, from their keys."""
+    return (head_key // H + tail_key // M,
+            (H - 1 - head_key % H) * M + M - 1 - tail_key % M)
+
+
+def _staircase(keys: list[int], bound: list[int]) -> tuple[list[int], list[int]]:
+    """The points of a half that no point of at least their bound total outranks.
+
+    Points go by bound total, highest first, and one is kept only when its
+    key beats every point before it. Returns the kept points' negated totals,
+    ascending, and their keys, strictly ascending.
+    """
+    negs: list[int] = []
+    kept: list[int] = []
+    top = None
+    for p in sorted(range(len(keys)), key=bound.__getitem__, reverse=True):
+        key = keys[p]
+        if top is None or key > top:
+            top = key
+            negs.append(-bound[p])
+            kept.append(key)
+    return negs, kept
+
+
+def _best_above(head_keys: list[int], head_a: list[int],
+                tail_keys: list[int], tail_a: list[int], t_a: int
+                ) -> Optional[tuple[int, int]]:
+    """Highest objective, lowest index, over points with a >= t_a.
+
+    Only staircase points can win: a head (or tail) that another one meets
+    on a and beats on its key is matched or beaten by that one with the same
+    partner, and on a tie the other has the lower index. Each head on its
+    staircase takes the last tail on the tail staircase that meets its need
+    on a, by one bisect; heads come by a descending, so their needs only
+    grow and the search range only shrinks.
+    """
+    H, M = len(head_keys), len(tail_keys)
+    tail_negs, tail_best = _staircase(tail_keys, tail_a)
+    best = None
+    r = len(tail_negs)
+    for neg, head_key in zip(*_staircase(head_keys, head_a)):
+        r = bisect_right(tail_negs, -neg - t_a, 0, r)
+        if not r:
+            break
+        total, index = _joined(head_key, tail_best[r - 1], H, M)
+        if best is None or (total, -index) > (best[0], -best[1]):
+            best = (total, index)
+    return best
+
+
+def _best_above_both(head_keys: list[int], head_a: list[int], head_b: list[int],
+                     tail_keys: list[int], tail_a: list[int], tail_b: list[int],
                      t_a: int, t_b: int) -> Optional[tuple[int, int]]:
     """Highest objective, lowest index, over points with a >= t_a and b >= t_b.
 
     Heads are taken from the strictest need on a down; tails join a
     max-Fenwick tree over their rank in b (highest b first) once their a
     meets the need, and each head queries the ranks that meet its need on b.
-    An all-zero b with t_b = 0 leaves the one bound on a.
     """
-    M = len(tail_obj)
+    H, M = len(head_keys), len(tail_keys)
     by_a = sorted(range(M), key=tail_a.__getitem__, reverse=True)
     levels = sorted(set(tail_b), reverse=True)
     neg_levels = [-v for v in levels]
     rank = {v: r for r, v in enumerate(levels, 1)}
     n = len(levels)
-    low = min(tail_obj) * M - 1
+    low = min(tail_keys) - 1
     tree = [low] * (n + 1)
     best = None
     j = 0
-    for h in sorted(range(len(head_obj)), key=head_a.__getitem__):
+    for h in sorted(range(H), key=head_a.__getitem__):
         need_a = t_a - head_a[h]
         while j < M and tail_a[by_a[j]] >= need_a:
             t = by_a[j]
-            key = tail_obj[t] * M + M - 1 - t
+            key = tail_keys[t]
             r = rank[tail_b[t]]
             while r <= n:
                 if key > tree[r]:
@@ -294,8 +368,7 @@ def _best_above_both(head_obj: list[int], head_a: list[int], head_b: list[int],
                 key = tree[r]
             r -= r & -r
         if key > low:
-            total = head_obj[h] + key // M
-            index = h * M + M - 1 - key % M
+            total, index = _joined(head_keys[h], key, H, M)
             if best is None or (total, -index) > (best[0], -best[1]):
                 best = (total, index)
     return best
@@ -327,13 +400,12 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     k = len(view.names)
     R = resolution
     oidx, cidx = _players(view, objective, sender_index)
-    coefs = [view.s[oidx], view.s[cidx]]
+    coef_o, coef_c = view.s[oidx], view.s[cidx]
     t_o = max(0, R * view.s_total[oidx])
     t_c = max(0, R * view.s_total[cidx])
-    head_o, head_c = _half_sums(coefs, range(k // 2), R)
-    tail_o, tail_c = _half_sums(coefs, range(k // 2, k), R)
-    best = _best_above_both(head_o, head_c, [0] * len(head_o),
-                            tail_o, tail_c, [0] * len(tail_o), t_c, 0)
+    head, tail = range(k // 2), range(k // 2, k)
+    best = _best_above(_half_keys(coef_o, head, R), _half_sums(coef_c, head, R),
+                       _half_keys(coef_o, tail, R), _half_sums(coef_c, tail, R), t_c)
     return best if best is not None and best[0] >= t_o else None
 
 
@@ -346,8 +418,8 @@ def grid_search(game: Game, spec: GridSpec,
     Every lattice point counts; ties go to the first filter in enumeration
     order (counting up in base R+1, last state fastest). The sweep meets in
     the middle: it tabulates the two halves of the states, (R+1)^ceil(k/2)
-    points each, and pairs every head point with its best tail by a sorted
-    query. ``threads`` is accepted and has no effect.
+    points each, and pairs the halves' staircases under the constrained
+    player's bound by bisection. ``threads`` is accepted and has no effect.
     """
     spec.check(game)
     view = game.int_view
@@ -398,36 +470,45 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
 
     Returns (receiver's obey total, index, profile value), or None. A point
     qualifies when the receiver's total clears its bound and the senders'
-    totals (a, b) lie in one of four regions: unanimous 0 (a, b >= 0),
-    unanimous 1 (a, b at least their all-ones totals), follow sender 1 or
-    follow sender 2 (that sender's IC bound). The best point of the union is
-    the best of the four regions' best points; its profile is the first
-    region, in that order, that holds it.
+    totals (a, b) lie in one of four regions: unanimous 0, U0 = {a, b >= 0};
+    unanimous 1, U1 = {a >= A, b >= B}, with A and B the senders' all-ones
+    totals; follow sender 1, F1 = {a >= max(0, A)}; or follow sender 2,
+    F2 = {b >= max(0, B)}. The best point of the union is the best of the
+    regions' best points, and its profile is the first region, in that
+    order, that holds it.
+
+    A region inside another can never change that best point, so only the
+    follow regions and at most one unanimous region are swept. U0 lies in F1
+    when A <= 0 and in F2 when B <= 0; U1 lies in F1 when A >= 0 and in F2
+    when B >= 0. So U0 is swept only when A > 0 and B > 0, U1 only when
+    A < 0 and B < 0, and neither when the signs differ or a total is 0. The
+    follow regions have one bound each and are paired by staircases; only
+    the unanimous region takes the two-bound sweep.
     """
     view = game.int_view
     k = len(view.names)
     R = resolution
-    players = (0, 1, view.receiver)
-    coefs = [view.s[t] for t in players]
-    rtot_a, rtot_b, rtot_c = (R * view.s_total[t] for t in players)
+    ridx = view.receiver
+    rtot_a, rtot_b, rtot_c = (R * view.s_total[t] for t in (0, 1, ridx))
     t_a = max(0, rtot_a)
     t_b = max(0, rtot_b)
     t_c = max(0, rtot_c)
-    head_a, head_b, head_c = _half_sums(coefs, range(k // 2), R)
-    tail_a, tail_b, tail_c = _half_sums(coefs, range(k // 2, k), R)
-    head_0 = [0] * len(head_c)
-    tail_0 = [0] * len(tail_c)
-    regions = [
-        _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, 0, 0),
-        _best_above_both(head_c, head_a, head_b, tail_c, tail_a, tail_b, rtot_a, rtot_b),
-        _best_above_both(head_c, head_a, head_0, tail_c, tail_a, tail_0, t_a, 0),
-        _best_above_both(head_c, head_b, head_0, tail_c, tail_b, tail_0, t_b, 0),
-    ]
+    head, tail = range(k // 2), range(k // 2, k)
+    head_a, tail_a = (_half_sums(view.s[0], half, R) for half in (head, tail))
+    head_b, tail_b = (_half_sums(view.s[1], half, R) for half in (head, tail))
+    head_keys, tail_keys = (_half_keys(view.s[ridx], half, R) for half in (head, tail))
+    regions = [_best_above(head_keys, head_a, tail_keys, tail_a, t_a),
+               _best_above(head_keys, head_b, tail_keys, tail_b, t_b)]
+    if rtot_a * rtot_b > 0:
+        # U0 when both totals are positive, U1 when both are negative.
+        bounds = (0, 0) if rtot_a > 0 else (rtot_a, rtot_b)
+        regions.append(_best_above_both(head_keys, head_a, head_b,
+                                        tail_keys, tail_a, tail_b, *bounds))
     found = [r for r in regions if r is not None and r[0] >= t_c]
     if not found:
         return None
     sc, index = max(found, key=lambda r: (r[0], -r[1]))
-    h, t = divmod(index, len(tail_c))
+    h, t = divmod(index, len(tail_keys))
     sa = head_a[h] + tail_a[t]
     sb = head_b[h] + tail_b[t]
     if sa >= 0 and sb >= 0:
@@ -477,26 +558,39 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
 
 def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
                   ) -> UtilityProfile:
-    """Expected utilities of an arbitrary profile, straight from the definition."""
-    players = list(range(game.num_senders)) + [RECEIVER]
-    totals = {p: _ZERO for p in players}
+    """Expected utilities of an arbitrary profile, straight from the definition.
+
+    Each state's utilities enter only through two masses, summed once per
+    state over its signals and their messages: q = sum P(sig | w) * P(m | sig)
+    and its action-0 part q0, the same terms weighted by P(action 0 | m). The
+    state then adds prior * (q0 * u0 + (q - q0) * u1) to every player.
+    """
+    signal_mass: dict[str, tuple[Fraction, Fraction]] = {}
+
+    def masses(sig: str) -> tuple[Fraction, Fraction]:
+        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over sent messages.
+        if sig not in signal_mass:
+            mass = mass0 = _ZERO
+            for m, mprob in profile.sender_strategy.get(sig, {}).items():
+                if mprob:
+                    mass += mprob
+                    mass0 += mprob * profile.receiver_strategy[m]
+            signal_mass[sig] = mass, mass0
+        return signal_mass[sig]
+
+    totals = [_ZERO] * (game.num_senders + 1)
     for rec in game.states:
+        q = q0 = _ZERO
         for sig, sprob in filt.table[rec.name].items():
-            if not sprob:
-                continue
-            dist = profile.sender_strategy.get(sig, {})
-            for m, mprob in dist.items():
-                if not mprob:
-                    continue
-                p0 = profile.receiver_strategy[m]
-                weight = rec.prior * sprob * mprob
-                for p in players:
-                    u0 = game.utility(p, rec, 0)
-                    u1 = game.utility(p, rec, 1)
-                    totals[p] += weight * (p0 * u0 + (1 - p0) * u1)
-    return UtilityProfile(
-        senders=tuple(totals[j] for j in range(game.num_senders)),
-        receiver=totals[RECEIVER])
+            if sprob:
+                mass, mass0 = masses(sig)
+                q += sprob * mass
+                q0 += sprob * mass0
+        w0 = rec.prior * q0
+        w1 = rec.prior * q - w0
+        for t, (u0, u1) in enumerate((*rec.sender_utils, rec.receiver_utils)):
+            totals[t] += w0 * u0 + w1 * u1
+    return UtilityProfile.of(totals)
 
 
 def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfile,
@@ -505,51 +599,45 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
 
     Sender deviations re-map one signal to one message; receiver deviations
     re-map one message to one pure action. Linearity makes pure deviations
-    sufficient.
+    sufficient. Each live signal's prior-weighted utilities of actions 0 and
+    1, V0 and V1, are summed once per player, so sending message m on it is
+    worth p0 * V0 + (1 - p0) * V1, with p0 the chance that m is played 0.
     """
     filt.check_for(game)
     messages = list(profile.receiver_strategy)
-    live: dict[str, dict[str, Fraction]] = {}
-    for sig in filt.signals():
-        weights = {}
-        for rec in game.states:
-            p = rec.prior * filt.table[rec.name].get(sig, _ZERO)
-            if p:
-                weights[rec.name] = p
-        if weights:
-            live[sig] = weights
+    sums: dict[str, list[Fraction]] = {}   # signal -> sender's V0, V1, receiver's V0, V1
+    for rec in game.states:
+        s0, s1 = rec.sender_utils[sender_index]
+        r0, r1 = rec.receiver_utils
+        for sig, prob in filt.table[rec.name].items():
+            wgt = rec.prior * prob
+            if wgt:
+                acc = sums.setdefault(sig, [_ZERO] * 4)
+                acc[0] += wgt * s0
+                acc[1] += wgt * s1
+                acc[2] += wgt * r0
+                acc[3] += wgt * r1
+    live = {sig: sums[sig] for sig in filt.signals() if sig in sums}
 
-    def message_value(sig: str, m: str, player: Union[int, str]) -> Fraction:
-        p0 = profile.receiver_strategy[m]
-        total = _ZERO
-        for name, wgt in live[sig].items():
-            rec = game.state(name)
-            u0 = game.utility(player, rec, 0)
-            u1 = game.utility(player, rec, 1)
-            total += wgt * (p0 * u0 + (1 - p0) * u1)
-        return total
-
-    for sig in live:
+    for sig, (v0, v1, _, _) in live.items():
         dist = profile.sender_strategy[sig]
-        current = sum((prob * message_value(sig, m, sender_index)
-                       for m, prob in dist.items()), _ZERO)
+        value = {m: p0 * v0 + (1 - p0) * v1 for m, p0 in profile.receiver_strategy.items()}
+        current = sum((prob * value[m] for m, prob in dist.items()), _ZERO)
         for m in messages:
-            if message_value(sig, m, sender_index) > current:
+            if value[m] > current:
                 return False, {"player": "sender", "signal": sig, "better": m}
 
     for m in messages:
         v0 = _ZERO
         v1 = _ZERO
         sent = False
-        for sig in live:
+        for sig, (_, _, r0, r1) in live.items():
             prob = profile.sender_strategy[sig].get(m, _ZERO)
             if not prob:
                 continue
-            for name, wgt in live[sig].items():
-                rec = game.state(name)
-                v0 += wgt * prob * game.utility(RECEIVER, rec, 0)
-                v1 += wgt * prob * game.utility(RECEIVER, rec, 1)
-                sent = True
+            v0 += prob * r0
+            v1 += prob * r1
+            sent = True
         if not sent:
             continue
         p0 = profile.receiver_strategy[m]

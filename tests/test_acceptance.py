@@ -331,11 +331,16 @@ def _walk_forcing_game(k: int, seed: int = 9) -> tf.Game:
 
 
 def _timings(make, runs_at_100k, check=None):
-    """Best-of-runs receiver solve time per k, with ``check`` on each result."""
+    """Best-of-runs receiver solve time per k, with ``check`` on each result.
+
+    The k = 1,000 anchor scales both bounds, and one solve there takes about
+    a millisecond, so it is the best of 25 runs: on a shared machine a best
+    of a few runs still moves by half from one process to the next.
+    """
     timings = {}
     for k in (1_000, 10_000, 100_000):
         game = make(k)
-        runs = 5 if k < 100_000 else runs_at_100k
+        runs = {1_000: 25, 10_000: 5}.get(k, runs_at_100k)
         best = math.inf
         for _ in range(runs):
             t0 = time.perf_counter()

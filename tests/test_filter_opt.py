@@ -496,6 +496,17 @@ def test_prime_game_optimizers_are_fast():
     assert elapsed < 1.5, elapsed
 
 
+def test_prime_game_filters_are_evaluated_fast():
+    """The optimizers' filters cost one large multiply per denominator, not per state."""
+    game = prime_game(2000)
+    results = [tf.receiver_optimal_filter(game), tf.sender_optimal_filter(game)]
+    started = time.process_time()
+    reports = [binary_equilibrium(game, r.filter) for r in results]
+    elapsed = time.process_time() - started
+    assert reports == [(r.sender_ic, r.receiver_ic, r.outcome) for r in results]
+    assert elapsed < 1.0, elapsed
+
+
 def test_walk_missing_the_row_raises(monkeypatch, g3, seeded_games):
     """A pivot probability one unit short of c's row raises instead of being reported."""
     games = [g3, prime_game(6, 7)] + seeded_games(20, ks=(3, 4, 5), seed0=2300)

@@ -60,3 +60,30 @@ def test_sweeps_match_the_odometer_on_the_certify_corpus():
         rng.next_u64()
         compared += _agree(tf.random_game(one), 8) + _agree(tf.random_game(two), 8)
     assert compared == 24
+
+
+def _sign_case(game) -> str:
+    """Which unanimous region the two-sender sweep keeps, by the senders' totals' signs."""
+    a, b = game.int_view.s_total[:2]
+    if a == 0 or b == 0:
+        return "zero"
+    if (a > 0) != (b > 0):
+        return "mixed"
+    return "(+,+)" if a > 0 else "(-,-)"
+
+
+def test_seeded_two_sender_games_reach_every_sign_case():
+    """The seeded two-sender games above sweep U0 (+,+), U1 (-,-) and neither (mixed, zero)."""
+    cases = set()
+    seed = 60000
+    for k, _ in SHAPES:
+        for utility_range in (0, 1, 5):
+            for prior in ("uniform", "random-rational"):
+                for num_senders in (1, 2):
+                    for _ in range(5):
+                        seed += 1
+                        if num_senders == 2:
+                            cases.add(_sign_case(tf.random_game(tf.RandomGameSpec(
+                                seed=seed, num_states=k, num_senders=2,
+                                utility_range=utility_range, prior=prior))))
+    assert cases == {"(+,+)", "(-,-)", "mixed", "zero"}

@@ -149,7 +149,7 @@ def test_general_filters_refuse_non_rational_probabilities(art, fn, dist):
 def test_binary_filter_check_refuses_bools(art):
     """A bool is refused as ``_ratio`` refuses it, also on the integer path."""
     filt = tf.BinaryFilter({"OG": F(0), "IF": True, "DF": F(1)})
-    for fn in (filt.check_for, filt.scaled, lambda g: tf.sender_ic(g, filt),
+    for fn in (filt.check_for, filt.obey_totals, lambda g: tf.sender_ic(g, filt),
                lambda g: tf.receiver_ic(g, filt), lambda g: tf.evaluate_sigma_s(g, filt)):
         with pytest.raises(tf.FilterValidationError, match="state 'IF'"):
             fn(art)

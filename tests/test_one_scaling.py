@@ -1,7 +1,9 @@
-"""Each command that reads a filter scales it to integers once; the optimizer never does.
+"""Each command that reads a filter evaluates it once; the optimizer never does.
 
+A filter is evaluated by summing its obey totals (``BinaryFilter.obey_totals``).
 ``optimize`` reports the IC checks that the optimizer derived from its walk,
-so it scales no filter at all; ``evaluate`` and ``verify`` scale theirs once.
+so it evaluates no filter at all; ``evaluate`` and ``verify`` evaluate theirs
+once.
 """
 import json
 
@@ -13,15 +15,15 @@ from talkfilter.cli import main
 
 @pytest.fixture
 def scalings(monkeypatch):
-    """One entry per BinaryFilter.scaled call made while the test runs."""
+    """One entry per BinaryFilter.obey_totals call made while the test runs."""
     calls = []
-    scaled = tf.BinaryFilter.scaled
+    obey_totals = tf.BinaryFilter.obey_totals
 
     def counting(self, game):
         calls.append(1)
-        return scaled(self, game)
+        return obey_totals(self, game)
 
-    monkeypatch.setattr(tf.BinaryFilter, "scaled", counting)
+    monkeypatch.setattr(tf.BinaryFilter, "obey_totals", counting)
     return calls
 
 
@@ -57,7 +59,7 @@ def test_optimizer_scales_no_filter(scalings):
 
 @pytest.mark.parametrize("objective", ["receiver", "sender"])
 def test_optimize_and_evaluate_scale_once(scalings, tmp_path, capsys, objective):
-    """Between them, optimize and evaluate scale one filter: evaluate's."""
+    """Between them, the two commands evaluate one filter: evaluate's."""
     for seed, k in CASES:
         path = game_file(tmp_path / f"g{seed}_{k}.json", seeded(seed, k))
         out = str(tmp_path / "filter.json")

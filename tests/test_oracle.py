@@ -165,6 +165,43 @@ def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
             == tf.two_sender_grid_search(two, spec, threads=1))
 
 
+def test_two_sender_grid_sweeps_at_most_one_unanimous_region(monkeypatch):
+    """U0 is swept only when both senders' totals are positive, U1 only when both are negative.
+
+    Otherwise each unanimous region lies inside a follow region, and only the
+    unanimous regions take the two-bound sweep.
+    """
+    from talkfilter import oracle
+
+    calls = []
+    both = oracle._best_above_both
+
+    def counting(*args):
+        calls.append(args[-2:])
+        return both(*args)
+
+    monkeypatch.setattr(oracle, "_best_above_both", counting)
+    spec = tf.GridSpec(resolution=3)
+    cases = set()
+    for seed in range(300):
+        game = tf.random_game(tf.RandomGameSpec(
+            seed=90000 + seed, num_states=1 + seed % 5, num_senders=2,
+            utility_range=(1, 2, 5)[seed % 3], prior=("uniform", "random-rational")[seed % 2]))
+        a, b = (3 * total for total in game.int_view.s_total[:2])
+        calls.clear()
+        tf.two_sender_grid_search(game, spec)
+        if a > 0 and b > 0:
+            cases.add("(+,+)")
+            assert calls == [(0, 0)]
+        elif a < 0 and b < 0:
+            cases.add("(-,-)")
+            assert calls == [(a, b)]
+        else:
+            cases.add("zero" if a * b == 0 else "mixed")
+            assert calls == []
+    assert cases == {"(+,+)", "(-,-)", "mixed", "zero"}
+
+
 # ---------------------------------------------------------------------------
 # verify_filter_optimality
 # ---------------------------------------------------------------------------
