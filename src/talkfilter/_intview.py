@@ -3,10 +3,13 @@
 Each player's whole game, for binary-action purposes, is one prior-weighted
 gap row s = prior * (u0 - u1), plus the value of constant action 1. Priors
 and utilities are rescaled to integers by the lcm of their denominators, and
-this module is the only place that multiplies the two: sorting keys,
-incentive slacks and grid sweeps then run on plain ints (exact, and much
-faster than Fraction arithmetic at solver scale). Fractions are
-reconstructed only at API boundaries by dividing the scales back out.
+this module is the only place that multiplies the two. It is also the only
+place that turns a filter's probabilities into integers: every binary
+filter, every signal of a general filter, every grid point and majority play
+enters through ``IntView.obey_totals``. Sorting keys, incentive slacks and
+grid sweeps then run on plain ints (exact, and much faster than Fraction
+arithmetic at solver scale). Fractions are reconstructed only at API
+boundaries by dividing the scales back out.
 """
 from __future__ import annotations
 
@@ -27,6 +30,12 @@ def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in pairs], scale
 
 
+def check_sender(num_senders: int, sender: int) -> None:
+    """Refuse a sender index outside 0..num_senders-1, negative ones included."""
+    if not 0 <= sender < num_senders:
+        raise IndexError(f"sender index {sender} out of range for {num_senders} senders")
+
+
 class IntView:
     """All-integer tables for one game; ``Game.int_view`` builds one per game.
 
@@ -40,8 +49,9 @@ class IntView:
         u1_total[t] = sum(weight * u1[t])           value of constant action 1
 
     An obey-the-signal slack sum(s * x), the obey total that every IC report
-    and obey value is read from, has scale wscale * uscale[t]; only signs and
-    same-player comparisons are ever taken on raw ints.
+    and obey value is read from, has scale wscale * uscale[t] times the
+    filter's scale D; ``obey_totals`` computes it from probabilities x / D.
+    Only signs and same-player comparisons are ever taken on raw ints.
     """
 
     __slots__ = ("names", "weight", "wscale", "s", "s_total", "u1_total", "uscale",
@@ -76,9 +86,7 @@ class IntView:
         return self.num_senders
 
     def check_sender(self, sender: int) -> None:
-        if not 0 <= sender < self.num_senders:
-            raise IndexError(f"sender index {sender} out of range for "
-                             f"{self.num_senders} senders")
+        check_sender(self.num_senders, sender)
 
     def classify(self, sender: int) -> tuple[list[int], list[int], list[int]]:
         """(agree0, agree1, disagreement) state indices, each in state order.
@@ -113,9 +121,30 @@ class IntView:
         return [Fraction(s, w * self.uscale[player])
                 for s, w in zip(self.s[player], self.weight)]
 
-    def obey_totals(self, x: list[int]) -> list[int]:
-        """Per player, sum(s * x): D * slack scale * slack0 at x = D * signal-0 probs."""
-        return [sum(map(mul, s, x)) for s in self.s]
+    def obey_totals(self, probs: list) -> tuple[list[int], int]:
+        """Per player sum(s * x), with probs = x / D (ints or Fractions in view order), and D.
+
+        D is the lcm of the denominators. States are grouped by denominator d,
+        and each total is the sum over d of (D / d) times the group's s times
+        numerators: one multiply by D / d per distinct denominator, never one
+        per state. A probability outside [0, 1] raises ValueError.
+        """
+        groups: dict[int, tuple[list[int], list[int]]] = {}   # d -> states, numerators
+        for i, p in enumerate(probs):
+            n, d = p.as_integer_ratio()
+            if n:
+                if n < 0 or n > d:
+                    raise ValueError(f"probability {p} for {self.names[i]!r} is outside [0, 1]")
+                group = groups.get(d)
+                if group is None:
+                    groups[d] = ([i], [n])
+                else:
+                    group[0].append(i)
+                    group[1].append(n)
+        scale = lcm(*groups)
+        return [sum((scale // d) * sum(map(mul, map(s.__getitem__, states), nums))
+                    for d, (states, nums) in groups.items())
+                for s in self.s], scale
 
     def obey_value(self, player: int, total: int, scale: int) -> Fraction:
         """Value of obeying signal-0 probabilities x / scale, from total = sum(s * x).

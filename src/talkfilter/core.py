@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._intview import IntView, scaled_ints
+from ._intview import IntView, check_sender, scaled_ints
 
 #: Alias for the exact scalar type used throughout the package.
 Rational = Fraction
@@ -363,9 +362,23 @@ def validate_game(raw: Mapping) -> Game:
 # Filters
 # ---------------------------------------------------------------------------
 
-def _check_probability(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):  # as in _ratio
-        raise FilterValidationError(f"probability {value!r} {where} is not an int or Fraction")
+def _check_distribution(dist: Mapping[str, object], item: str, where: str,
+                        error: type[ValueError]) -> None:
+    """Refuse unless the values are ints or Fractions, none negative, summing to exactly 1."""
+    num, den = 0, 1   # the sum over the lcm of the denominators: cheaper than Fraction adds
+    for key, p in dist.items():
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):  # as in _ratio
+            raise error(
+                f"probability {p!r} for {item} {key!r} {where} is not an int or Fraction")
+        n, d = p.as_integer_ratio()
+        if n < 0:
+            raise error(f"negative probability {p} for {item} {key!r} {where}")
+        if den % d:
+            up = lcm(den, d) // den
+            num, den = num * up, den * up
+        num += n * (den // d)
+    if num != den:
+        raise error(f"{item} distribution {where} sums to {Fraction(num, den)}, expected 1")
 
 
 def _check_domain(game: Game, have: Mapping[str, object]) -> None:
@@ -385,47 +398,30 @@ class BinaryFilter:
     def check_for(self, game: Game) -> None:
         _check_domain(game, self.signal0_prob)
         for name, x in self.signal0_prob.items():
-            _check_probability(x, f"for state {name!r}")
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):  # as in _ratio
+                raise FilterValidationError(
+                    f"probability {x!r} for state {name!r} is not an int or Fraction")
             if not (0 <= x <= 1):
                 raise FilterValidationError(
                     f"signal0 probability for {name!r} is {x}, outside [0, 1]")
 
     def obey_totals(self, game: Game) -> tuple[list[int], int]:
-        """Per player, the obey total sum(s * x) with the filter at x / D, and D.
+        """``IntView.obey_totals`` of the filter: per player sum(s * x) at x / D, and D.
 
-        D is the lcm of the signal-0 probabilities' denominators. States are
-        grouped by denominator d, so each total is the sum over d of (D / d)
-        times the group's sum of s * numerator: one multiply by D / d per
-        distinct denominator, never one per state. Checks the filter on the
-        way: a filter that ``check_for`` rejects raises the same error here.
-        Any entry whose type is not exactly int or Fraction (a bool, say) goes
-        to ``check_for``.
+        A filter that ``check_for`` rejects raises the same error here: an
+        entry whose type is not exactly int or Fraction (a bool, say), a
+        missing state or a probability outside [0, 1] goes to ``check_for``.
         """
         table = self.signal0_prob
         view = game.int_view
         try:
             probs = [table[name] for name in view.names]
-        except KeyError:
-            probs = None
-        if (probs is None or len(probs) != len(table)
-                or not set(map(type, probs)) <= {int, Fraction}):
-            self.check_for(game)
-        groups: dict[int, tuple[list[int], list[int]]] = {}   # d -> states, numerators
-        for i, p in enumerate(probs):
-            n, d = p.as_integer_ratio()
-            if n:
-                if n < 0 or n > d:
-                    self.check_for(game)
-                group = groups.get(d)
-                if group is None:
-                    groups[d] = ([i], [n])
-                else:
-                    group[0].append(i)
-                    group[1].append(n)
-        scale = lcm(*groups)
-        return [sum((scale // d) * sum(map(mul, map(s.__getitem__, states), nums))
-                    for d, (states, nums) in groups.items())
-                for s in view.s], scale
+            if len(probs) == len(table) and set(map(type, probs)) <= {int, Fraction}:
+                return view.obey_totals(probs)
+        except (KeyError, ValueError):
+            pass
+        self.check_for(game)
+        return view.obey_totals(probs)
 
     def to_general(self) -> "GeneralFilter":
         table = {}
@@ -448,16 +444,7 @@ class GeneralFilter:
     def check_for(self, game: Game) -> None:
         _check_domain(game, self.table)
         for name, dist in self.table.items():
-            total = Fraction(0)
-            for sig, prob in dist.items():
-                _check_probability(prob, f"for signal {sig!r} on state {name!r}")
-                if prob < 0:
-                    raise FilterValidationError(
-                        f"negative probability {prob} for signal {sig!r} on state {name!r}")
-                total += prob
-            if total != 1:
-                raise FilterValidationError(
-                    f"signal distribution on state {name!r} sums to {total}, expected 1")
+            _check_distribution(dist, "signal", f"on state {name!r}", FilterValidationError)
 
     def signals(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -465,6 +452,11 @@ class GeneralFilter:
             for sig in dist:
                 seen.setdefault(sig, None)
         return list(seen)
+
+    def emitted(self) -> list[str]:
+        """The signals some state gives positive probability: with priors > 0, those sent."""
+        live = {sig for dist in self.table.values() for sig, p in dist.items() if p}
+        return [sig for sig in self.signals() if sig in live]
 
     @staticmethod
     def identity(game: Game) -> "GeneralFilter":
@@ -536,6 +528,8 @@ def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fractio
 def signal_utility(game: Game, filt: GeneralFilter, signal: str,
                    player: Player, action: int) -> Fraction:
     """Posterior-weighted expected utility of playing ``action`` on ``signal``."""
+    if player != RECEIVER:
+        check_sender(game.num_senders, player)
     post = posterior(game, filt, signal)
     total = Fraction(0)
     for name, prob in post.items():

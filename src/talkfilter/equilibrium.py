@@ -20,20 +20,23 @@ the form that the checks here, the optimizer's walk and the grid oracle's
 sweeps test. ``IntView`` keeps s and sum(s) per player as integers. A filter
 with signal-0 probabilities x / D, D their lcm denominator, enters each
 player's check and value only through the obey total s.x; only the reported
-slacks are Fractions. ``BinaryFilter.obey_totals`` sums s.x per distinct
-denominator d of the filter, as the sum over d of (D / d) times that group's
-s * numerator, so a large D costs one multiply per denominator, not one per
-state.
+slacks are Fractions. ``IntView.obey_totals`` is the one routine that turns
+probabilities into those totals: it sums s.x per distinct denominator d, as
+the sum over d of (D / d) times that group's s * numerator, so a large D
+costs one multiply per denominator, not one per state.
 
 ``scaled_equilibrium`` derives both IC reports and the canonical outcome from
 one obey total per player: ``binary_equilibrium`` sums a filter's totals once
 for them, and the optimizer sums them from its walk. Every obey-the-signal
 value, here and elsewhere, is ``IntView.obey_value`` of a total.
 
-General filters reduce to the same rows. A signal's column of probabilities,
-scaled to integers, gives each player's gap on that signal as s.column, and
-``merge_to_binary`` and ``check_nash_general`` read their signal classes and
-the receiver's per-message gaps from those integers, never from the game's
+General filters reduce to the same rows. ``_signal_table`` holds every
+player's obey total on each emitted signal, one ``obey_totals`` call per
+signal, brought to one scale, and the signals that merge into signal 0 by
+one rule. ``merge_to_binary`` reads that choice; ``canonical_equilibrium``
+sums the chosen rows and evaluates the general filter once, with no merged
+filter built; ``check_nash_general`` reads its signal classes and the
+receiver's per-message gaps from the same rows, never from the game's
 ``StateRecord``s.
 """
 from __future__ import annotations
@@ -44,18 +47,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Union
 
-from ._intview import IntView, scaled_ints
+from ._intview import IntView
 from .core import (
     BinaryFilter,
     Game,
     GeneralFilter,
     UtilityProfile,
     ZeroProbabilitySignal,
+    _check_distribution,
     evaluate_babbling,
     obey_profile,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -112,40 +114,31 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     the merge, and the merged filter is sender-compatible by construction.
     """
     filt.check_for(game)
-    chosen = {sig for sig, (s, r) in _signal_gaps(game, filt, sender_index).items()
-              if s > 0 or (s == 0 and r >= 0)}
-    x = {}
-    for name in game.int_view.names:
-        mass = Fraction(0)
-        for sig, prob in filt.table[name].items():
-            if sig in chosen:
-                mass += prob
-        x[name] = mass
-    return BinaryFilter(signal0_prob=x)
+    chosen = _signal_table(game, filt, sender_index)[2]
+    return BinaryFilter(signal0_prob={
+        name: sum((p for sig, p in filt.table[name].items() if sig in chosen), Fraction(0))
+        for name in game.int_view.names})
 
 
-def _signal_gaps(game: Game, filt: GeneralFilter,
-                 sender_index: int) -> dict[str, tuple[int, int]]:
-    """Per emitted signal, the sender's and the receiver's exact gaps on it.
+def _signal_table(game: Game, filt: GeneralFilter, sender_index: int
+                  ) -> tuple[dict[str, list[int]], int, set[str]]:
+    """Per emitted signal, every player's obey total sum(s * P(signal | state)).
 
-    A gap is the sum of prior * P(signal | state) * (u0 - u1). The filter's
-    probabilities are scaled to integers over one lcm D, so every signal's
-    gap comes out as an int at the player's scale D * slack scale: the gaps
-    of different signals compare and add as they are. Signals the filter
-    never emits are left out.
+    One ``IntView.obey_totals`` call per signal, its totals brought to L, the
+    lcm of the per-signal scales, so that totals of different signals compare
+    and add. Returns those rows, L, and the signals that ``merge_to_binary``
+    sends to signal 0: the sender's total is positive, or zero while the
+    receiver's is not negative. The filter must have passed ``check_for``.
     """
     view = game.int_view
     view.check_sender(sender_index)
-    scale = lcm(*(p.as_integer_ratio()[1] for dist in filt.table.values()
-                  for p in dist.values()))
-    gaps = {}
-    for sig in filt.signals():
-        column = [n * (scale // d) for n, d in (
-            filt.table[name].get(sig, _ZERO).as_integer_ratio() for name in view.names)]
-        if any(column):
-            totals = view.obey_totals(column)
-            gaps[sig] = (totals[sender_index], totals[view.receiver])
-    return gaps
+    rows = {sig: view.obey_totals([filt.table[name].get(sig, 0) for name in view.names])
+            for sig in filt.emitted()}
+    scale = lcm(*(d for _, d in rows.values()))
+    rows = {sig: [t * (scale // d) for t in totals] for sig, (totals, d) in rows.items()}
+    s, r = sender_index, view.receiver
+    chosen = {sig for sig, t in rows.items() if t[s] > 0 or (t[s] == 0 and t[r] >= 0)}
+    return rows, scale, chosen
 
 
 def canonical_equilibrium(game: Game,
@@ -153,14 +146,24 @@ def canonical_equilibrium(game: Game,
                           sender_index: int = 0) -> EquilibriumOutcome:
     """Pick the informative profile when it is an equilibrium, else babbling.
 
-    General filters are first merged to binary (which makes the sender side
-    hold automatically); a raw binary filter is taken at its word, so both
-    players' checks must pass for the informative outcome. When either check
-    fails the Pareto-optimal equilibrium is babbling.
+    A general filter is evaluated as its merge to binary, which makes the
+    sender side hold automatically (see ``_general_equilibrium``). A raw
+    binary filter is taken at its word, so both players' checks must pass
+    for the informative outcome. When either check fails the Pareto-optimal
+    equilibrium is babbling.
     """
     if isinstance(filt, GeneralFilter):
-        filt = merge_to_binary(game, filt, sender_index)
+        return _general_equilibrium(game, filt, sender_index)[2]
     return binary_equilibrium(game, filt, sender_index)[2]
+
+
+def _general_equilibrium(game: Game, filt: GeneralFilter, sender_index: int
+                         ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
+    """``binary_equilibrium`` of the merged filter, from the chosen signals' summed rows."""
+    filt.check_for(game)
+    rows, scale, chosen = _signal_table(game, filt, sender_index)
+    totals = [sum(rows[sig][t] for sig in chosen) for t in range(game.int_view.num_players)]
+    return scaled_equilibrium(game, totals, scale, sender_index)
 
 
 def binary_equilibrium(game: Game, filt: BinaryFilter, sender_index: int = 0
@@ -206,6 +209,35 @@ class GeneralProfile:
     sender_strategy: Mapping[str, Mapping[str, Fraction]]
     receiver_strategy: Mapping[str, Fraction]
 
+    def check_for(self, game: Game, filt: GeneralFilter) -> None:
+        """Refuse anything but a mixed profile on the filter's emitted signals.
+
+        Checks the filter first. The sender strategy must cover exactly the
+        emitted signals: an extra signal raises ``ZeroProbabilitySignal``. Every
+        probability must be an int or Fraction in [0, 1], and each signal's
+        distribution must sum to 1 over messages that the receiver strategy
+        names; any other fault raises ``ValueError``.
+        """
+        filt.check_for(game)
+        emitted = filt.emitted()
+        live = set(emitted)
+        for sig in self.sender_strategy:
+            if sig not in live:
+                raise ZeroProbabilitySignal(
+                    f"profile defines behaviour on signal {sig!r}, which is never emitted")
+        missing = [sig for sig in emitted if sig not in self.sender_strategy]
+        if missing:
+            raise ValueError(f"profile missing sender behaviour for signals {sorted(missing)}")
+        for m, p in self.receiver_strategy.items():
+            if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
+                raise ValueError(f"receiver plays action 0 on message {m!r} with probability "
+                                 f"{p!r}, not an int or Fraction in [0, 1]")
+        for sig, dist in self.sender_strategy.items():
+            for m in dist:
+                if m not in self.receiver_strategy:
+                    raise ValueError(f"message {m!r} has no receiver behaviour")
+            _check_distribution(dist, "message", f"on signal {sig!r}", ValueError)
+
 
 class MessageClass(enum.Enum):
     PREFERS_0 = "prefers-0"   # sent on some signal where the sender wants 0
@@ -250,83 +282,52 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
     The sender side uses the message-class conditions: every message sent on
     a prefers-0 signal must get the globally maximal probability of action 0,
     and every message sent on a prefers-1 signal the globally minimal one.
-    The receiver side is a per-message posterior best-response check. Sender
-    strategy entries for signals the filter never emits are rejected.
+    The receiver side is a per-message posterior best-response check. The
+    profile must pass ``GeneralProfile.check_for``.
     """
-    filt.check_for(game)
-    gaps = _signal_gaps(game, filt, sender_index)
-    for sig in profile.sender_strategy:
-        if sig not in gaps:
-            raise ZeroProbabilitySignal(
-                f"profile defines behaviour on signal {sig!r}, which is never emitted")
-    missing = [sig for sig in gaps if sig not in profile.sender_strategy]
-    if missing:
-        raise ValueError(f"profile missing sender behaviour for signals {sorted(missing)}")
-
-    messages = dict.fromkeys(profile.receiver_strategy)
-    for dist in profile.sender_strategy.values():
-        for m in dist:
-            if m not in messages:
-                raise ValueError(f"message {m!r} has no receiver behaviour")
+    profile.check_for(game, filt)
+    rows, _, _ = _signal_table(game, filt, sender_index)
+    play0 = profile.receiver_strategy
 
     # Sender signal classes by posterior preference.
-    classes: dict[str, frozenset[MessageClass]] = {}
-    sig_pref = {sig: _CLASS_OF_SIGN[(s > 0) - (s < 0)] for sig, (s, _) in gaps.items()}
+    sig_pref = {sig: _CLASS_OF_SIGN[(t[sender_index] > 0) - (t[sender_index] < 0)]
+                for sig, t in rows.items()}
 
-    tags: dict[str, set[MessageClass]] = {m: set() for m in messages}
+    tags: dict[str, set[MessageClass]] = {m: set() for m in play0}
     for sig, dist in profile.sender_strategy.items():
         for m, prob in dist.items():
             if prob > 0:
                 tags[m].add(sig_pref[sig])
 
-    play0 = profile.receiver_strategy
     global_max = max(play0.values())
     global_min = min(play0.values())
 
     for m, t in tags.items():
-        if MessageClass.PREFERS_0 in t and play0[m] != global_max:
-            better = max(messages, key=lambda mm: play0[mm])
-            sig = _first_supporting_signal(profile, m, sig_pref, MessageClass.PREFERS_0)
-            return False, Deviation("sender", at=sig, current=m, better=better)
-        if MessageClass.PREFERS_1 in t and play0[m] != global_min:
-            better = min(messages, key=lambda mm: play0[mm])
-            sig = _first_supporting_signal(profile, m, sig_pref, MessageClass.PREFERS_1)
-            return False, Deviation("sender", at=sig, current=m, better=better)
+        for wanted, level, best in ((MessageClass.PREFERS_0, global_max, max),
+                                    (MessageClass.PREFERS_1, global_min, min)):
+            if wanted in t and play0[m] != level:
+                sig = next(sig for sig, dist in profile.sender_strategy.items()
+                           if sig_pref[sig] is wanted and dist.get(m, 0) > 0)
+                return False, Deviation("sender", at=sig, current=m,
+                                        better=best(play0, key=play0.__getitem__))
 
     # Receiver: each action in the support of the reply must be optimal for
     # the posterior induced by the message. Its gap is the sum over signals
-    # of P(message | signal) times the signal's receiver gap, with those
-    # probabilities scaled to integers too.
-    for m in messages:
-        sent = [(sig, dist[m]) for sig, dist in profile.sender_strategy.items()
-                if dist.get(m)]
-        if not sent:
-            continue  # message never sent; any reply is a best response
-        shares, _ = scaled_ints([prob.as_integer_ratio() for _, prob in sent])
-        gap = sum(c * gaps[sig][1] for c, (sig, _) in zip(shares, sent))
+    # of P(message | signal) times the signal's receiver total; a message
+    # that is never sent has gap 0, and any reply to it is a best response.
+    receiver = game.int_view.receiver
+    for m in play0:
+        gap = sum(dist[m] * rows[sig][receiver]
+                  for sig, dist in profile.sender_strategy.items() if dist.get(m))
         if play0[m] > 0 and gap < 0:
             return False, Deviation("receiver", at=m, current="action 0", better="action 1")
         if play0[m] < 1 and gap > 0:
             return False, Deviation("receiver", at=m, current="action 1", better="action 0")
 
-    for m, t in tags.items():
-        classes[m] = frozenset(t) if t else frozenset()
-    l_max = global_max if any(MessageClass.PREFERS_0 in t for t in tags.values()) else None
-    l_min = global_min if any(MessageClass.PREFERS_1 in t for t in tags.values()) else None
+    classes = {m: frozenset(t) for m, t in tags.items()}
+    has0 = any(MessageClass.PREFERS_0 in t for t in tags.values())
+    has1 = any(MessageClass.PREFERS_1 in t for t in tags.values())
     eq_vals = [play0[m] for m, t in tags.items() if MessageClass.INDIFFERENT in t]
-    if l_max is None:
-        candidates = eq_vals + ([l_min] if l_min is not None else [])
-        l_max = max(candidates) if candidates else global_max
-    if l_min is None:
-        candidates = eq_vals + [l_max]
-        l_min = min(candidates)
+    l_max = global_max if has0 else max(eq_vals + [global_min] * has1, default=global_max)
+    l_min = global_min if has1 else min(eq_vals + [l_max])
     return True, SenderICWitness(l_min=l_min, l_max=l_max, message_classes=classes)
-
-
-def _first_supporting_signal(profile: GeneralProfile, message: str,
-                             sig_pref: Mapping[str, MessageClass],
-                             wanted: MessageClass) -> str:
-    for sig, dist in profile.sender_strategy.items():
-        if sig_pref.get(sig) == wanted and dist.get(message, Fraction(0)) > 0:
-            return sig
-    return "?"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Optional
 
 from . import _simplex
@@ -40,17 +40,6 @@ class CandidateProfile(enum.Enum):
     FOLLOW_SENDER_2 = "follow-sender-2"
     CONSTANT_0 = "constant-0"
     CONSTANT_1 = "constant-1"
-
-
-#: Tie-break order for two_sender_optimal, fixed for determinism.
-CANDIDATE_ORDER = (
-    CandidateProfile.UNANIMOUS_0,
-    CandidateProfile.UNANIMOUS_1,
-    CandidateProfile.FOLLOW_SENDER_1,
-    CandidateProfile.FOLLOW_SENDER_2,
-    CandidateProfile.CONSTANT_0,
-    CandidateProfile.CONSTANT_1,
-)
 
 
 @dataclass(frozen=True)
@@ -138,19 +127,19 @@ class CandidateOutcome:
 def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutcome]]:
     """Evaluate all six candidate outcomes and return the best feasible one.
 
-    Both senders observe the same filtered signal. Ties break by the fixed
-    candidate order.
+    Both senders observe the same filtered signal. Ties break by the order in
+    which ``CandidateProfile`` defines the candidates.
     """
     _require_senders(game, 2)
     view = game.int_view
     total_gap = view.s_total[view.receiver]
     candidates: list[CandidateOutcome] = []
-    for profile in CANDIDATE_ORDER:
+    for profile in CandidateProfile:
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
-            # receiver_posthoc_ic holds exactly when value * scale >= max(0, sum(objective)).
-            feasible = value * lp.scale >= max(0, sum(lp.objective))
+            # receiver_posthoc_ic holds exactly when value * scale >= max(0, total_gap).
+            feasible = value * lp.scale >= max(0, total_gap)
             filt = BinaryFilter(signal0_prob=dict(zip(lp.names, x))) if feasible else None
             utility = view.constant_value(view.receiver, 1) + value
         elif profile in (CandidateProfile.FOLLOW_SENDER_1,
@@ -164,10 +153,9 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
             filt, utility = None, view.constant_value(view.receiver, action)
         candidates.append(CandidateOutcome(profile=profile, filter=filt,
                                            receiver_utility=utility, feasible=feasible))
-    best = None
-    for cand in candidates:
-        if cand.feasible and (best is None or cand.receiver_utility > best.receiver_utility):
-            best = cand
+    # max keeps the first of equal candidates.
+    best = max((c for c in candidates if c.feasible),
+               key=attrgetter("receiver_utility"), default=None)
     if best is None:
         raise ArithmeticError("no feasible candidate, yet the better constant action always is")
     return best, candidates
@@ -185,4 +173,4 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
     view = game.int_view
     play0 = [1 if v >= 0 else 0 for v in view.s[view.receiver]]
     return ({name: 1 - x for name, x in zip(view.names, play0)},
-            obey_profile(view, view.obey_totals(play0), 1))
+            obey_profile(view, *view.obey_totals(play0)))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._intview import IntView
+from ._intview import IntView, check_sender
 from .core import (
     BinaryFilter,
     Game,
@@ -65,11 +65,7 @@ MAX_HALF_POINTS = 2 * 10 ** 5
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Lattice {0, 1/R, ..., 1} per state, capped at MAX_HALF_POINTS points per half.
-
-    A sweep tabulates (R+1)^ceil(k/2) points per half, so the cap admits up
-    to 14 states at R = 4, 12 at R = 6 and 10 at R = 8.
-    """
+    """Lattice {0, 1/R, ..., 1} per state, capped at MAX_HALF_POINTS points per half."""
 
     resolution: int = 8
 
@@ -206,24 +202,17 @@ def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> Genera
 
 
 def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile:
-    """Random mixed profile on a filter's live signals.
+    """Random mixed profile on a filter's emitted signals.
 
-    Messages are t0..t{n-1} with n = 1 + below(3). Per live signal, a weight
+    Messages are t0..t{n-1} with n = 1 + below(3). Per emitted signal, a weight
     below(4) per message (fall-back draw on all zeros); per message, the
     receiver plays action 0 with probability below(5)/4.
     """
     rng = SplitMix64(seed)
     nmsg = 1 + rng.below(3)
     messages = [f"t{j}" for j in range(nmsg)]
-    live = []
-    for sig in filt.signals():
-        mass = _ZERO
-        for name in game.state_names:
-            mass += game.state(name).prior * filt.table[name].get(sig, _ZERO)
-        if mass > 0:
-            live.append(sig)
     sender_strategy = {}
-    for sig in live:
+    for sig in filt.emitted():
         weights = [rng.below(4) for _ in messages]
         total = sum(weights)
         if total == 0:
@@ -381,10 +370,10 @@ def _best_above_both(head_keys: list[int], head_a: list[int], head_b: list[int],
 def _lattice_filter(view: IntView, player: int, index: int, resolution: int
                     ) -> tuple[BinaryFilter, Fraction]:
     """The grid filter at an enumeration index and the player's obey value of it."""
-    digits = _decode(index, len(view.names), resolution + 1)
-    filt = BinaryFilter(signal0_prob={
-        name: Fraction(d, resolution) for name, d in zip(view.names, digits)})
-    return filt, view.obey_value(player, view.obey_totals(digits)[player], resolution)
+    probs = [Fraction(d, resolution) for d in _decode(index, len(view.names), resolution + 1)]
+    totals, scale = view.obey_totals(probs)
+    return (BinaryFilter(signal0_prob=dict(zip(view.names, probs))),
+            view.obey_value(player, totals[player], scale))
 
 
 def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: int
@@ -563,18 +552,19 @@ def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
     Each state's utilities enter only through two masses, summed once per
     state over its signals and their messages: q = sum P(sig | w) * P(m | sig)
     and its action-0 part q0, the same terms weighted by P(action 0 | m). The
-    state then adds prior * (q0 * u0 + (q - q0) * u1) to every player.
+    state then adds prior * (q0 * u0 + (q - q0) * u1) to every player. The
+    profile must pass ``GeneralProfile.check_for``.
     """
+    profile.check_for(game, filt)
     signal_mass: dict[str, tuple[Fraction, Fraction]] = {}
 
     def masses(sig: str) -> tuple[Fraction, Fraction]:
-        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over sent messages.
+        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over its messages.
         if sig not in signal_mass:
             mass = mass0 = _ZERO
-            for m, mprob in profile.sender_strategy.get(sig, {}).items():
-                if mprob:
-                    mass += mprob
-                    mass0 += mprob * profile.receiver_strategy[m]
+            for m, mprob in profile.sender_strategy[sig].items():
+                mass += mprob
+                mass0 += mprob * profile.receiver_strategy[m]
             signal_mass[sig] = mass, mass0
         return signal_mass[sig]
 
@@ -602,9 +592,10 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
     sufficient. Each live signal's prior-weighted utilities of actions 0 and
     1, V0 and V1, are summed once per player, so sending message m on it is
     worth p0 * V0 + (1 - p0) * V1, with p0 the chance that m is played 0.
+    The profile must pass ``GeneralProfile.check_for``.
     """
-    filt.check_for(game)
-    messages = list(profile.receiver_strategy)
+    check_sender(game.num_senders, sender_index)
+    profile.check_for(game, filt)
     sums: dict[str, list[Fraction]] = {}   # signal -> sender's V0, V1, receiver's V0, V1
     for rec in game.states:
         s0, s1 = rec.sender_utils[sender_index]
@@ -623,23 +614,18 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
         dist = profile.sender_strategy[sig]
         value = {m: p0 * v0 + (1 - p0) * v1 for m, p0 in profile.receiver_strategy.items()}
         current = sum((prob * value[m] for m, prob in dist.items()), _ZERO)
-        for m in messages:
+        for m in profile.receiver_strategy:
             if value[m] > current:
                 return False, {"player": "sender", "signal": sig, "better": m}
 
-    for m in messages:
-        v0 = _ZERO
-        v1 = _ZERO
-        sent = False
+    for m in profile.receiver_strategy:
+        # A message that is never sent has v0 = v1 = 0: any reply is a best response.
+        v0 = v1 = _ZERO
         for sig, (_, _, r0, r1) in live.items():
-            prob = profile.sender_strategy[sig].get(m, _ZERO)
-            if not prob:
-                continue
-            v0 += prob * r0
-            v1 += prob * r1
-            sent = True
-        if not sent:
-            continue
+            prob = profile.sender_strategy[sig].get(m)
+            if prob:
+                v0 += prob * r0
+                v1 += prob * r1
         p0 = profile.receiver_strategy[m]
         current = p0 * v0 + (1 - p0) * v1
         if v0 > current or v1 > current:

@@ -31,3 +31,48 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         uninstall()
     assert tf.receiver_optimal_filter is original
     assert "filter_opt.optimize" in {span[0] for span in trace.spans}
+
+
+def _targets(tracer) -> dict:
+    """Every function the tracer wraps, and every talkfilter module attribute, by identity."""
+    import sys
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "talkfilter" or name.startswith("talkfilter.")):
+            found.update(((name, attr), value) for attr, value in vars(module).items())
+    for modname, attr, *_ in tracer._TARGETS:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            owner = getattr(sys.modules[f"talkfilter.{modname}"], cls_name)
+            found[(modname, attr)] = owner.__dict__[meth]
+    return found
+
+
+def test_tracer_spans_the_general_and_grid_paths_and_restores_every_target():
+    tracer = _load_tracer()
+    before = _targets(tracer)
+    trace = tracer.Trace()
+    uninstall = tracer.install(trace)
+    try:
+        one = tf.random_game(tf.RandomGameSpec(seed=4, num_states=4))
+        two = tf.random_game(tf.RandomGameSpec(seed=4, num_states=4, num_senders=2))
+        general = tf.random_general_filter(one, seed=5)
+        profile = tf.random_profile(one, general, seed=6)
+        tf.merge_to_binary(one, general)
+        tf.canonical_equilibrium(one, general)
+        tf.check_nash_general(one, general, profile)
+        tf.exhaustive_nash_check(one, general, profile)
+        tf.profile_value(one, general, profile)
+        tf.two_sender_grid_search(two, tf.GridSpec(resolution=2))
+    finally:
+        uninstall()
+    after = _targets(tracer)
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+    spans = {span[0] for span in trace.spans}
+    assert spans >= {
+        "oracle.random_game", "oracle.random_general_filter", "oracle.random_profile",
+        "equilibrium.merge_to_binary", "equilibrium.canonical_equilibrium",
+        "equilibrium.check_nash_general", "oracle.exhaustive_nash_check",
+        "oracle.profile_value", "oracle.two_sender_grid_search"}
+    assert trace.counts["oracle.grid_points"] == 3 ** 4
