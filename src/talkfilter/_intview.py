@@ -6,9 +6,11 @@ and utilities are rescaled to integers by the lcm of their denominators, and
 this module is the only place that multiplies the two. It is also the only
 place that turns a filter's probabilities into integers: every binary
 filter, every signal of a general filter, every grid point and majority play
-enters through ``IntView.obey_totals``. Sorting keys, incentive slacks and
-grid sweeps then run on plain ints (exact, and much faster than Fraction
-arithmetic at solver scale). Fractions are reconstructed only at API
+enters through ``IntView.obey_totals``, as sparse (state index, probability)
+pairs. A general filter therefore costs O(k + entries), each entry of its
+table read once, however many signals it emits. Sorting keys, incentive
+slacks and grid sweeps then run on plain ints (exact, and much faster than
+Fraction arithmetic at solver scale). Fractions are reconstructed only at API
 boundaries by dividing the scales back out.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:
     from .core import Game
@@ -121,16 +123,20 @@ class IntView:
         return [Fraction(s, w * self.uscale[player])
                 for s, w in zip(self.s[player], self.weight)]
 
-    def obey_totals(self, probs: list) -> tuple[list[int], int]:
-        """Per player sum(s * x), with probs = x / D (ints or Fractions in view order), and D.
+    def obey_totals(self, pairs: Iterable[tuple[int, Union[int, Fraction]]]
+                    ) -> tuple[list[int], int]:
+        """Per player sum(s * x), with probabilities x / D, and D.
 
+        ``pairs`` are sparse (state index, probability) pairs, each probability
+        an int or Fraction; a state with no pair has probability 0, so a
+        caller hands over only the entries it has and pays for those alone.
         D is the lcm of the denominators. States are grouped by denominator d,
         and each total is the sum over d of (D / d) times the group's s times
         numerators: one multiply by D / d per distinct denominator, never one
         per state. A probability outside [0, 1] raises ValueError.
         """
         groups: dict[int, tuple[list[int], list[int]]] = {}   # d -> states, numerators
-        for i, p in enumerate(probs):
+        for i, p in pairs:
             n, d = p.as_integer_ratio()
             if n:
                 if n < 0 or n > d:

@@ -417,11 +417,11 @@ class BinaryFilter:
         try:
             probs = [table[name] for name in view.names]
             if len(probs) == len(table) and set(map(type, probs)) <= {int, Fraction}:
-                return view.obey_totals(probs)
+                return view.obey_totals(enumerate(probs))
         except (KeyError, ValueError):
             pass
         self.check_for(game)
-        return view.obey_totals(probs)
+        return view.obey_totals(enumerate(probs))
 
     def to_general(self) -> "GeneralFilter":
         table = {}
@@ -507,13 +507,19 @@ def classify_states(game: Game, sender_index: int = 0) -> StateClassification:
 # Posteriors and evaluation
 # ---------------------------------------------------------------------------
 
+def _check_action(action: int) -> None:
+    if isinstance(action, bool) or not isinstance(action, int) or action not in (0, 1):
+        raise ValueError(f"action {action!r} is not 0 or 1")
+
+
 def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fraction]:
     """Exact Bayes posterior over states given one emitted signal.
 
     Computed on the game's ``StateRecord``s in Fractions, straight from the
     definition, apart from the integer rows that the solver and its checks
-    use.
+    use. The filter must pass ``GeneralFilter.check_for``.
     """
+    filt.check_for(game)
     weights = {}
     for rec in game.states:
         prob = filt.table[rec.name].get(signal, Fraction(0))
@@ -527,9 +533,16 @@ def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fractio
 
 def signal_utility(game: Game, filt: GeneralFilter, signal: str,
                    player: Player, action: int) -> Fraction:
-    """Posterior-weighted expected utility of playing ``action`` on ``signal``."""
+    """Posterior-weighted expected utility of playing ``action`` on ``signal``.
+
+    ``player`` is a sender index or ``RECEIVER``, ``action`` 0 or 1, and the
+    filter must pass ``GeneralFilter.check_for`` (``posterior`` checks it).
+    """
     if player != RECEIVER:
+        if isinstance(player, bool) or not isinstance(player, int):
+            raise ValueError(f"player {player!r} is neither RECEIVER nor a sender index")
         check_sender(game.num_senders, player)
+    _check_action(action)
     post = posterior(game, filt, signal)
     total = Fraction(0)
     for name, prob in post.items():
@@ -571,7 +584,8 @@ def evaluate_sigma_s(game: Game, filt: BinaryFilter) -> UtilityProfile:
 
 
 def constant_action_value(game: Game, action: int) -> UtilityProfile:
-    """Expected utilities when the receiver plays one action unconditionally."""
+    """Expected utilities when the receiver plays one action (0 or 1) unconditionally."""
+    _check_action(action)
     view = game.int_view
     return UtilityProfile.of([view.constant_value(t, action)
                               for t in range(view.num_players)])

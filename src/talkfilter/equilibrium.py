@@ -21,9 +21,11 @@ sweeps test. ``IntView`` keeps s and sum(s) per player as integers. A filter
 with signal-0 probabilities x / D, D their lcm denominator, enters each
 player's check and value only through the obey total s.x; only the reported
 slacks are Fractions. ``IntView.obey_totals`` is the one routine that turns
-probabilities into those totals: it sums s.x per distinct denominator d, as
-the sum over d of (D / d) times that group's s * numerator, so a large D
-costs one multiply per denominator, not one per state.
+probabilities into those totals. It takes sparse (state index, probability)
+pairs, so a caller pays only for the entries it has, and sums s.x per
+distinct denominator d, as the sum over d of (D / d) times that group's
+s * numerator, so a large D costs one multiply per denominator, not one per
+state.
 
 ``scaled_equilibrium`` derives both IC reports and the canonical outcome from
 one obey total per player: ``binary_equilibrium`` sums a filter's totals once
@@ -31,9 +33,11 @@ for them, and the optimizer sums them from its walk. Every obey-the-signal
 value, here and elsewhere, is ``IntView.obey_value`` of a total.
 
 General filters reduce to the same rows. ``_signal_table`` holds every
-player's obey total on each emitted signal, one ``obey_totals`` call per
-signal, brought to one scale, and the signals that merge into signal 0 by
-one rule. ``merge_to_binary`` reads that choice; ``canonical_equilibrium``
+player's obey total on each emitted signal, brought to one scale, and the
+signals that merge into signal 0 by one rule. It reads the filter's table
+once, collecting each signal's nonzero pairs, and makes one ``obey_totals``
+call per signal, so a general filter costs O(k + entries), not O(k) per
+signal. ``merge_to_binary`` reads that choice; ``canonical_equilibrium``
 sums the chosen rows and evaluates the general filter once, with no merged
 filter built; ``check_nash_general`` reads its signal classes and the
 receiver's per-message gaps from the same rows, never from the game's
@@ -124,16 +128,23 @@ def _signal_table(game: Game, filt: GeneralFilter, sender_index: int
                   ) -> tuple[dict[str, list[int]], int, set[str]]:
     """Per emitted signal, every player's obey total sum(s * P(signal | state)).
 
-    One ``IntView.obey_totals`` call per signal, its totals brought to L, the
-    lcm of the per-signal scales, so that totals of different signals compare
-    and add. Returns those rows, L, and the signals that ``merge_to_binary``
-    sends to signal 0: the sender's total is positive, or zero while the
-    receiver's is not negative. The filter must have passed ``check_for``.
+    One pass over the table, in view order, collects each signal's nonzero
+    (state index, probability) pairs; then one ``IntView.obey_totals`` call
+    per signal, its totals brought to L, the lcm of the per-signal scales, so
+    that totals of different signals compare and add. Returns those rows, in
+    ``GeneralFilter.emitted`` order, L, and the signals that
+    ``merge_to_binary`` sends to signal 0: the sender's total is positive, or
+    zero while the receiver's is not negative. The filter must have passed
+    ``check_for``.
     """
     view = game.int_view
     view.check_sender(sender_index)
-    rows = {sig: view.obey_totals([filt.table[name].get(sig, 0) for name in view.names])
-            for sig in filt.emitted()}
+    pairs: dict[str, list[tuple[int, Fraction]]] = {sig: [] for sig in filt.emitted()}
+    for i, name in enumerate(view.names):
+        for sig, p in filt.table[name].items():
+            if p:
+                pairs[sig].append((i, p))
+    rows = {sig: view.obey_totals(sig_pairs) for sig, sig_pairs in pairs.items()}
     scale = lcm(*(d for _, d in rows.values()))
     rows = {sig: [t * (scale // d) for t in totals] for sig, (totals, d) in rows.items()}
     s, r = sender_index, view.receiver
@@ -313,12 +324,15 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
 
     # Receiver: each action in the support of the reply must be optimal for
     # the posterior induced by the message. Its gap is the sum over signals
-    # of P(message | signal) times the signal's receiver total; a message
-    # that is never sent has gap 0, and any reply to it is a best response.
+    # of P(message | signal) times the signal's receiver total, summed in one
+    # pass over the profile; a message that is never sent has gap 0, and any
+    # reply to it is a best response.
     receiver = game.int_view.receiver
-    for m in play0:
-        gap = sum(dist[m] * rows[sig][receiver]
-                  for sig, dist in profile.sender_strategy.items() if dist.get(m))
+    gaps = dict.fromkeys(play0, 0)
+    for sig, dist in profile.sender_strategy.items():
+        for m, prob in dist.items():
+            gaps[m] += prob * rows[sig][receiver]
+    for m, gap in gaps.items():
         if play0[m] > 0 and gap < 0:
             return False, Deviation("receiver", at=m, current="action 0", better="action 1")
         if play0[m] < 1 and gap > 0:

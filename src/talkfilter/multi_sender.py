@@ -173,4 +173,4 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
     view = game.int_view
     play0 = [1 if v >= 0 else 0 for v in view.s[view.receiver]]
     return ({name: 1 - x for name, x in zip(view.names, play0)},
-            obey_profile(view, *view.obey_totals(play0)))
+            obey_profile(view, *view.obey_totals(enumerate(play0))))

@@ -129,9 +129,9 @@ class SplitMix64:
 class RandomGameSpec:
     """Recipe for one reproducible random game.
 
-    Utilities are uniform integers in [-utility_range, utility_range]. The
-    prior is uniform, or per-state weights 1 + below(8) normalized to sum 1
-    when prior == "random-rational".
+    Utilities are uniform integers in [-utility_range, utility_range], with
+    utility_range >= 0. The prior is uniform, or per-state weights
+    1 + below(8) normalized to sum 1 when prior == "random-rational".
     """
 
     seed: int
@@ -150,6 +150,8 @@ def random_game(spec: RandomGameSpec) -> Game:
     """
     if spec.prior not in ("uniform", "random-rational"):
         raise ValueError(f"unknown prior kind {spec.prior!r}")
+    if spec.utility_range < 0:
+        raise ValueError(f"utility_range must be at least 0, got {spec.utility_range}")
     rng = SplitMix64(spec.seed)
     span = 2 * spec.utility_range + 1
 
@@ -173,7 +175,9 @@ def random_game(spec: RandomGameSpec) -> Game:
 
 
 def random_binary_filter(game: Game, seed: int, resolution: int = 8) -> BinaryFilter:
-    """Per-state signal-0 probability below(R+1)/R, in state order."""
+    """Per-state signal-0 probability below(R+1)/R, in state order; R >= 1."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     rng = SplitMix64(seed)
     return BinaryFilter(signal0_prob={
         name: Fraction(rng.below(resolution + 1), resolution)
@@ -184,8 +188,10 @@ def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> Genera
     """Random filter over 1 + below(max_signals) signals named m0, m1, ...
 
     Per state, one weight below(4) per signal, normalized; a fall-back draw
-    picks a single signal when every weight comes up zero.
+    picks a single signal when every weight comes up zero. max_signals >= 1.
     """
+    if max_signals < 1:
+        raise ValueError(f"max_signals must be at least 1, got {max_signals}")
     rng = SplitMix64(seed)
     nsig = 1 + rng.below(max_signals)
     signals = [f"m{j}" for j in range(nsig)]
@@ -371,7 +377,7 @@ def _lattice_filter(view: IntView, player: int, index: int, resolution: int
                     ) -> tuple[BinaryFilter, Fraction]:
     """The grid filter at an enumeration index and the player's obey value of it."""
     probs = [Fraction(d, resolution) for d in _decode(index, len(view.names), resolution + 1)]
-    totals, scale = view.obey_totals(probs)
+    totals, scale = view.obey_totals(enumerate(probs))
     return (BinaryFilter(signal0_prob=dict(zip(view.names, probs))),
             view.obey_value(player, totals[player], scale))
 

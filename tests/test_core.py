@@ -303,6 +303,46 @@ def test_signal_utility_constant_action():
     assert tf.signal_utility(game, filt, "*", tf.RECEIVER, 0) == 7
 
 
+@pytest.fixture
+def ab():
+    """Two states a and b, equal priors."""
+    return tf.make_game([("a", "1/2", ("1", "0"), ("1", "0")),
+                         ("b", "1/2", ("0", "1"), ("0", "1"))])
+
+
+def test_posterior_and_signal_utility_refuse_a_negative_probability(ab):
+    filt = tf.GeneralFilter({"a": {"x": 2, "y": -1}, "b": {"x": 1}})
+    for call in (lambda: tf.posterior(ab, filt, "x"),
+                 lambda: tf.signal_utility(ab, filt, "y", tf.RECEIVER, 0)):
+        with pytest.raises(tf.FilterValidationError,
+                           match="negative probability -1 for signal 'y' on state 'a'"):
+            call()
+
+
+def test_posterior_and_signal_utility_refuse_a_missing_state(ab):
+    filt = tf.GeneralFilter({"a": {"x": 1}})
+    for call in (lambda: tf.posterior(ab, filt, "x"),
+                 lambda: tf.signal_utility(ab, filt, "x", 0, 1)):
+        with pytest.raises(tf.FilterDomainMismatch, match=r"missing states \['b'\]"):
+            call()
+
+
+@pytest.mark.parametrize("action", [-1, 2, 7, True, 1.0, "0"])
+def test_bad_actions_are_refused(ab, action):
+    filt = tf.GeneralFilter.uninformative(ab)
+    with pytest.raises(ValueError, match=f"action {action!r} is not 0 or 1"):
+        tf.signal_utility(ab, filt, "*", tf.RECEIVER, action)
+    with pytest.raises(ValueError, match=f"action {action!r} is not 0 or 1"):
+        tf.constant_action_value(ab, action)
+
+
+@pytest.mark.parametrize("player", ["bogus", "0", 0.0, None, False])
+def test_signal_utility_refuses_a_player_that_is_no_sender_index(ab, player):
+    filt = tf.GeneralFilter.uninformative(ab)
+    with pytest.raises(ValueError, match=f"player {player!r} is neither RECEIVER"):
+        tf.signal_utility(ab, filt, "*", player, 0)
+
+
 # ---------------------------------------------------------------------------
 # Profile evaluation
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 ``IntView.obey_totals`` is the only routine that turns a filter's
 probabilities into integer obey totals. A general filter costs one call of it
-per emitted signal and no ``BinaryFilter`` evaluation, and its canonical
-outcome and IC reports equal those of ``binary_equilibrium`` on its merge.
+per emitted signal, handed only that signal's nonzero (state, probability)
+pairs, and no ``BinaryFilter`` evaluation. Its canonical outcome and IC
+reports equal those of ``binary_equilibrium`` on its merge.
 General profiles are validated by one ``GeneralProfile.check_for``, and
 sender indices are refused as ``IntView.check_sender`` refuses them.
 """
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -32,9 +35,32 @@ def _corpus():
                         yield game, filt, sender
 
 
+def _hand_made():
+    """Filters with explicit zeros and a never-emitted signal "z".
+
+    Signal "b" is emitted first (on w0), "a" second, while ``signals()``
+    lists "z", "a", "b"; every other table is also listed in reverse state
+    order.
+    """
+    for j in range(48):
+        game = tf.random_game(tf.RandomGameSpec(
+            seed=9800 + j, num_states=2 + j % 5, num_senders=1 + j % 3,
+            utility_range=(1, 5)[j % 2], prior=("uniform", "random-rational")[j // 24]))
+        table = {}
+        for i, name in enumerate(game.state_names):
+            x = F(i % 3, 2 + j % 3) if i else F(0)   # 0, and 1 when i % 3 = 2 + j % 3
+            table[name] = {"z": F(0), "a": x, "b": 1 - x}
+        if j % 2:
+            table = dict(reversed(table.items()))
+        filt = tf.GeneralFilter(table)
+        assert filt.signals() == ["z", "a", "b"] and "z" not in filt.emitted()
+        for sender in range(game.num_senders):
+            yield game, filt, sender
+
+
 def test_general_equilibrium_matches_the_merged_filter():
     count = informative = 0
-    for game, filt, sender in _corpus():
+    for game, filt, sender in itertools.chain(_corpus(), _hand_made()):
         merged = tf.merge_to_binary(game, filt, sender)
         expected = binary_equilibrium(game, merged, sender)
         assert _general_equilibrium(game, filt, sender) == expected
@@ -48,17 +74,20 @@ def test_general_equilibrium_matches_the_merged_filter():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of BinaryFilter.obey_totals and IntView.obey_totals calls."""
-    counts = {"binary": 0, "view": 0}
+    """Counts of BinaryFilter.obey_totals and IntView.obey_totals calls, and
+    of the (state, probability) pairs handed to the latter."""
+    counts = {"binary": 0, "view": 0, "pairs": 0}
     binary, view = tf.BinaryFilter.obey_totals, IntView.obey_totals
 
     def binary_counted(self, game):
         counts["binary"] += 1
         return binary(self, game)
 
-    def view_counted(self, probs):
+    def view_counted(self, pairs):
+        pairs = list(pairs)
         counts["view"] += 1
-        return view(self, probs)
+        counts["pairs"] += len(pairs)
+        return view(self, pairs)
 
     monkeypatch.setattr(tf.BinaryFilter, "obey_totals", binary_counted)
     monkeypatch.setattr(IntView, "obey_totals", view_counted)
@@ -78,9 +107,37 @@ def test_general_filter_costs_one_routine_call_per_emitted_signal(calls):
     for run in (lambda: tf.canonical_equilibrium(game, filt),
                 lambda: tf.merge_to_binary(game, filt),
                 lambda: tf.check_nash_general(game, filt, profile)):
-        calls.update(binary=0, view=0)
+        calls.update(binary=0, view=0, pairs=0)
         run()
-        assert calls == {"binary": 0, "view": 3}
+        # 3 states emit "a" and "b", 3 emit "c"; no zero entry is handed over.
+        assert calls == {"binary": 0, "view": 3, "pairs": 9}
+
+
+def _identity_runs(k):
+    """canonical_equilibrium, merge_to_binary and check_nash_general on the identity filter."""
+    game = tf.random_game(tf.RandomGameSpec(seed=3, num_states=k))
+    game.int_view
+    filt = tf.GeneralFilter.identity(game)
+    pooling = tf.GeneralProfile(sender_strategy={name: {"m": F(1)} for name in game.state_names},
+                                receiver_strategy={"m": F(1, 2)})
+    return (lambda: tf.canonical_equilibrium(game, filt),
+            lambda: tf.merge_to_binary(game, filt),
+            lambda: tf.check_nash_general(game, filt, pooling))
+
+
+def test_identity_filter_hands_over_each_state_once(calls):
+    for run in _identity_runs(2000):
+        calls.update(binary=0, view=0, pairs=0)
+        run()
+        assert calls == {"binary": 0, "view": 2000, "pairs": 2000}
+
+
+def test_identity_filter_is_linear_in_the_states():
+    runs = _identity_runs(10_000)
+    start = time.process_time()
+    for run in runs:
+        run()
+    assert time.process_time() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

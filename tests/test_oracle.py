@@ -52,6 +52,20 @@ def test_random_game_zero_utility_range():
     assert tf.verify_filter_optimality(game, filt, tf.GridSpec(resolution=2))
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda g: tf.random_general_filter(g, seed=1, max_signals=0), "max_signals"),
+    (lambda g: tf.random_general_filter(g, seed=1, max_signals=-3), "max_signals"),
+    (lambda g: tf.random_binary_filter(g, seed=1, resolution=0), "resolution"),
+    (lambda g: tf.random_binary_filter(g, seed=1, resolution=-1), "resolution"),
+    (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=3, utility_range=-2)),
+     "utility_range"),
+])
+def test_generators_refuse_degenerate_arguments(make, name):
+    game = tf.random_game(tf.RandomGameSpec(seed=1, num_states=3))
+    with pytest.raises(ValueError, match=f"{name} must be at least"):
+        make(game)
+
+
 def test_random_filters_are_valid(seeded_games):
     for j, game in enumerate(seeded_games(10, seed0=8100)):
         gen = tf.random_general_filter(game, seed=8200 + j)
