@@ -1,10 +1,19 @@
 """Command-line front end.
 
 Subcommands: optimize, evaluate, two-sender, majority, verify, classify.
-Each prints a short human summary followed by the machine report as JSON;
---json keeps only the JSON for clean piping. Exit codes: 0 success, 2 input
-or validation error, 3 verification failure. verify sweeps the grid in two
-halves of (R+1)^ceil(k/2) points each, in one process, and refuses (exit 2,
+Every command goes through one report path in :func:`main`: parse the
+arguments, start the clock, load and validate the game (optimize, evaluate,
+verify and classify need exactly one sender), run the command, then write a
+short human summary followed by the machine report as JSON, in one write;
+--json keeps only the JSON for clean piping. A command only computes: it
+returns its result, its diagnostics (or None), its summary lines and its
+exit code. Every report holds ``command``, ``game`` (state and sender
+counts), ``result``, ``diagnostics`` (optimize and evaluate: both IC rows)
+and ``timing_seconds``, the wall time from the start of the load to the
+report; that is the only field that changes from run to run. Exit codes: 0
+success, 2 input or validation error (message on stderr, no report), 3
+verification failure. verify sweeps the grid in two halves of
+(R+1)^ceil(k/2) points each, in one process, and refuses (exit 2,
 GridTooLarge) a half of more than 200,000 points: it certifies up to 14
 states at --grid 4, 12 at --grid 6 and 10 at the default --grid 8.
 """
@@ -64,18 +73,6 @@ def _load_json(path: str, error: type[ValueError], what: str):
             raise error(f"{what} file nests deeper than the JSON parser allows") from exc
 
 
-def _load_game(path: str) -> Game:
-    return validate_game(_load_json(path, GameValidationError, "game"))
-
-
-def _load_one_sender_game(args) -> Game:
-    game = _load_game(args.game)
-    if game.num_senders != 1:
-        raise WrongSenderCount(
-            f"{args.command} needs exactly 1 sender, game has {game.num_senders}")
-    return game
-
-
 def _load_filter(path: str) -> BinaryFilter:
     raw = _load_json(path, FilterValidationError, "filter")
     table = raw.get("signal0_prob") if isinstance(raw, dict) else None
@@ -86,35 +83,12 @@ def _load_filter(path: str) -> BinaryFilter:
         str(name): parse_rational(value) for name, value in table.items()})
 
 
-def _report(command: str, game: Game, result: dict,
-            diagnostics: Optional[dict], started: float) -> dict:
-    report = {
-        "command": command,
-        "game": {"states": len(game.int_view.names), "senders": game.num_senders},
-        "result": result,
-    }
-    if diagnostics is not None:
-        report["diagnostics"] = diagnostics
-    report["timing_seconds"] = time.perf_counter() - started
-    return report
-
-
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    # Default output carries the human summary and the machine report side
-    # by side; --json drops the summary for clean piping.
-    if not args.json:
-        for line in human_lines:
-            print(line)
-    print(json.dumps(report, indent=2))
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the loaded game and
+# returns (result, diagnostics or None, summary lines, exit code).
 # ---------------------------------------------------------------------------
 
-def _cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    game = _load_one_sender_game(args)
+def _cmd_optimize(args, game: Game):
     objective = Objective(args.objective)
     run = (receiver_optimal_filter if objective is Objective.RECEIVER
            else sender_optimal_filter)
@@ -134,7 +108,6 @@ def _cmd_optimize(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result["filter"], fh, indent=2)
             fh.write("\n")
-    report = _report("optimize", game, result, diagnostics, started)
     lines = [f"{objective.value}-optimal filter:"]
     for name, x in res.filter.signal0_prob.items():
         lines.append(f"  P(signal 0 | {name}) = {x}")
@@ -147,18 +120,13 @@ def _cmd_optimize(args) -> int:
         lines.append("fell back to the constant filter (babbling value)")
     if args.out:
         lines.append(f"filter written to {args.out}")
-    _emit(args, report, lines)
-    return 0
+    return result, diagnostics, lines, 0
 
 
-def _cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    game = _load_one_sender_game(args)
+def _cmd_evaluate(args, game: Game):
     filt = _load_filter(args.filter)
     sender, receiver, outcome = binary_equilibrium(game, filt)
     diagnostics = {"sender_ic": _ic_payload(sender), "receiver_ic": _ic_payload(receiver)}
-    result = _outcome_payload(outcome)
-    report = _report("evaluate", game, result, diagnostics, started)
     lines = [f"canonical equilibrium: {outcome.kind.value}",
              f"utilities: senders {[str(u) for u in outcome.utilities.senders]}, "
              f"receiver {outcome.utilities.receiver}",
@@ -168,13 +136,10 @@ def _cmd_evaluate(args) -> int:
              f"{diagnostics['receiver_ic']['signal1_slack']}"]
     if outcome.babbling_action is not None:
         lines.insert(1, f"babbling action: {outcome.babbling_action}")
-    _emit(args, report, lines)
-    return 0
+    return _outcome_payload(outcome), diagnostics, lines, 0
 
 
-def _cmd_two_sender(args) -> int:
-    started = time.perf_counter()
-    game = _load_game(args.game)
+def _cmd_two_sender(args, game: Game):
     best, candidates = two_sender_optimal(game)
     result = {
         "best": {"profile": best.profile.value,
@@ -187,49 +152,38 @@ def _cmd_two_sender(args) -> int:
              "feasible": c.feasible}
             for c in candidates],
     }
-    report = _report("two-sender", game, result, None, started)
     lines = ["candidates:"]
     for c in candidates:
         mark = "ok " if c.feasible else "infeasible"
         lines.append(f"  {c.profile.value:<17} {mark} receiver {c.receiver_utility}")
     lines.append(f"best: {best.profile.value} with receiver utility {best.receiver_utility}")
-    _emit(args, report, lines)
-    return 0
+    return result, None, lines, 0
 
 
-def _cmd_majority(args) -> int:
-    started = time.perf_counter()
-    game = _load_game(args.game)
+def _cmd_majority(args, game: Game):
     actions, utilities = majority_outcome(game)
     result = {"actions": actions, "utilities": _utilities(utilities)}
-    report = _report("majority", game, result, None, started)
     lines = ["majority play (full information):"]
     for name, action in actions.items():
         lines.append(f"  {name}: action {action}")
     lines.append(f"receiver utility: {utilities.receiver}")
-    _emit(args, report, lines)
-    return 0
+    return result, None, lines, 0
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    game = _load_one_sender_game(args)
+def _cmd_verify(args, game: Game):
     filt = _load_filter(args.filter)
     objective = Objective(args.objective)
     spec = GridSpec(resolution=args.grid)
     passed, value = _verify(game, filt, spec, objective, 0)
     result = {"objective": objective.value, "grid": args.grid,
               "passes": passed, "filter_value": str(value)}
-    report = _report("verify", game, result, None, started)
     verdict = "PASS" if passed else "FAIL"
-    _emit(args, report, [f"verify ({objective.value}, grid {args.grid}): {verdict}",
-                         f"filter canonical value: {value}"])
-    return 0 if passed else 3
+    lines = [f"verify ({objective.value}, grid {args.grid}): {verdict}",
+             f"filter canonical value: {value}"]
+    return result, None, lines, 0 if passed else 3
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
-    game = _load_one_sender_game(args)
+def _cmd_classify(args, game: Game):
     classes = classify_states(game)
     view = game.int_view
     deltas = list(zip(view.names, view.state_gaps(0), view.state_gaps(view.receiver)))
@@ -243,20 +197,36 @@ def _cmd_classify(args) -> int:
         "deltas": [{"state": name, "sender": str(sender), "receiver": str(receiver)}
                    for name, sender, receiver in deltas],
     }
-    report = _report("classify", game, result, None, started)
     lines = ["state classification:"]
     for label, names in result["classes"].items():
         lines.append(f"  {label}: {', '.join(names) if names else '-'}")
     lines.append("gaps (action 0 minus action 1):")
     for name, sender, receiver in deltas:
         lines.append(f"  {name}: sender {sender}, receiver {receiver}")
-    _emit(args, report, lines)
-    return 0
+    return result, None, lines, 0
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
+
+_FILTER = ("--filter", {"required": True, "help": "filter file (JSON)"})
+_OBJECTIVE = ("--objective", {"choices": ["receiver", "sender"], "default": "receiver"})
+
+#: (name, help, handler, needs exactly one sender, extra arguments), in
+#: --help order.
+_COMMANDS = (
+    ("optimize", "compute an optimal filter", _cmd_optimize, True,
+     (_OBJECTIVE, ("--out", {"help": "write the filter file here"}))),
+    ("evaluate", "canonical equilibrium of a filter", _cmd_evaluate, True, (_FILTER,)),
+    ("two-sender", "six-candidate comparison for two senders", _cmd_two_sender, False, ()),
+    ("majority", "majority outcome for three or more senders", _cmd_majority, False, ()),
+    ("verify", "check a filter against the grid oracle", _cmd_verify, True,
+     (_FILTER, ("--grid", {"type": int, "default": 8, "help": "grid resolution (default 8)"}),
+      _OBJECTIVE)),
+    ("classify", "print state classes and utility gaps", _cmd_classify, True, ()),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -265,49 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "sender-receiver games, in exact arithmetic.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text, handler, one_sender, extras in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("game", help="game file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="print the machine report only")
-
-    p = sub.add_parser("optimize", help="compute an optimal filter")
-    common(p)
-    p.add_argument("--objective", choices=["receiver", "sender"], default="receiver")
-    p.add_argument("--out", help="write the filter file here")
-    p.set_defaults(handler=_cmd_optimize)
-
-    p = sub.add_parser("evaluate", help="canonical equilibrium of a filter")
-    common(p)
-    p.add_argument("--filter", required=True, help="filter file (JSON)")
-    p.set_defaults(handler=_cmd_evaluate)
-
-    p = sub.add_parser("two-sender", help="six-candidate comparison for two senders")
-    common(p)
-    p.set_defaults(handler=_cmd_two_sender)
-
-    p = sub.add_parser("majority", help="majority outcome for three or more senders")
-    common(p)
-    p.set_defaults(handler=_cmd_majority)
-
-    p = sub.add_parser("verify", help="check a filter against the grid oracle")
-    common(p)
-    p.add_argument("--filter", required=True, help="filter file (JSON)")
-    p.add_argument("--grid", type=int, default=8, help="grid resolution (default 8)")
-    p.add_argument("--objective", choices=["receiver", "sender"], default="receiver")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("classify", help="print state classes and utility gaps")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
+        for flag, options in extras:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, one_sender=one_sender)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        game = validate_game(_load_json(args.game, GameValidationError, "game"))
+        if args.one_sender and game.num_senders != 1:
+            raise WrongSenderCount(
+                f"{args.command} needs exactly 1 sender, game has {game.num_senders}")
+        result, diagnostics, lines, code = args.handler(args, game)
+        report = {"command": args.command,
+                  "game": {"states": len(game.int_view.names), "senders": game.num_senders},
+                  "result": result}
+        if diagnostics is not None:
+            report["diagnostics"] = diagnostics
+        report["timing_seconds"] = time.perf_counter() - started
+        # Default output carries the human summary and the machine report side
+        # by side; --json drops the summary for clean piping.
+        text = json.dumps(report, indent=2)
+        print(text if args.json else "\n".join([*lines, text]))
+        return code
     except ValueError as exc:  # every validation error of the package is one
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -182,23 +182,25 @@ class Game:
     pairs; ``int_view`` scales those to integer tables, and the
     ``StateRecord``s of Fractions behind ``states`` and ``state`` are built
     only on first access. Instances are immutable and safe to share between
-    threads; construct them through :func:`make_game` or
-    :func:`validate_game`. Equality and hashing are those of the parsed rows
+    threads. ``Game(records, num_senders)``, :func:`make_game` and
+    :func:`validate_game` run the same checks, so every instance is valid.
+    Equality and hashing are those of the parsed rows
     and the sender count (equal exactly when the records are); repr shows the records.
     """
 
     __slots__ = ("num_senders", "_rows", "_states", "_index", "_view")
 
     def __init__(self, states: Iterable[StateRecord], num_senders: int):
-        """A game of the given records, unchecked."""
-        self._set(tuple(
+        """A game of the given records, checked as :func:`make_game` checks them."""
+        self._set(_checked_rows([
             (rec.name, _ratio(rec.prior),
              tuple((_ratio(a), _ratio(b)) for a, b in
                    (*rec.sender_utils, rec.receiver_utils)))
-            for rec in states), num_senders)
+            for rec in states], num_senders), num_senders)
 
     @classmethod
     def _of_rows(cls, rows: tuple[Row, ...], num_senders: int) -> "Game":
+        """A game of rows that are already checked."""
         game = cls.__new__(cls)
         game._set(rows, num_senders)
         return game
@@ -258,8 +260,8 @@ class Game:
         return rec.sender_utils[player][action]
 
 
-def _checked_game(rows: list[Row], num_senders: int) -> Game:
-    """The Game of parsed rows, once every state and the priors check out."""
+def _checked_rows(rows: list[Row], num_senders: int) -> tuple[Row, ...]:
+    """The parsed rows, once every state and the priors check out."""
     if num_senders < 1:
         raise SenderCountMismatch(f"need at least one sender, got {num_senders}")
     if not rows:
@@ -281,7 +283,12 @@ def _checked_game(rows: list[Row], num_senders: int) -> Game:
     if total != wscale:
         raise PriorNotNormalized(
             f"priors sum to {Fraction(total, wscale)}, expected exactly 1")
-    return Game._of_rows(tuple(rows), num_senders)
+    return tuple(rows)
+
+
+def _checked_game(rows: list[Row], num_senders: int) -> Game:
+    """The Game of parsed rows, once they check out."""
+    return Game._of_rows(_checked_rows(rows, num_senders), num_senders)
 
 
 def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:

@@ -50,7 +50,7 @@ from .core import (
 )
 from .equilibrium import GeneralProfile, canonical_equilibrium
 from .filter_opt import Objective, _players
-from .multi_sender import CandidateProfile, WrongSenderCount
+from .multi_sender import CandidateProfile, _require_senders
 
 _ZERO = Fraction(0)
 
@@ -184,6 +184,16 @@ def random_binary_filter(game: Game, seed: int, resolution: int = 8) -> BinaryFi
         for name in game.state_names})
 
 
+def _random_split(rng: SplitMix64, items: list[str]) -> dict[str, Fraction]:
+    """One weight below(4) per item, normalized, without the zero weights; a
+    fall-back draw picks a single item when every weight comes up zero."""
+    weights = [rng.below(4) for _ in items]
+    total = sum(weights)
+    if total == 0:
+        return {items[rng.below(len(items))]: Fraction(1)}
+    return {item: Fraction(w, total) for item, w in zip(items, weights) if w}
+
+
 def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> GeneralFilter:
     """Random filter over 1 + below(max_signals) signals named m0, m1, ...
 
@@ -193,18 +203,8 @@ def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> Genera
     if max_signals < 1:
         raise ValueError(f"max_signals must be at least 1, got {max_signals}")
     rng = SplitMix64(seed)
-    nsig = 1 + rng.below(max_signals)
-    signals = [f"m{j}" for j in range(nsig)]
-    table = {}
-    for name in game.state_names:
-        weights = [rng.below(4) for _ in signals]
-        total = sum(weights)
-        if total == 0:
-            table[name] = {signals[rng.below(nsig)]: Fraction(1)}
-        else:
-            table[name] = {sig: Fraction(w, total)
-                           for sig, w in zip(signals, weights) if w}
-    return GeneralFilter(table)
+    signals = [f"m{j}" for j in range(1 + rng.below(max_signals))]
+    return GeneralFilter({name: _random_split(rng, signals) for name in game.state_names})
 
 
 def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile:
@@ -215,17 +215,8 @@ def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile
     receiver plays action 0 with probability below(5)/4.
     """
     rng = SplitMix64(seed)
-    nmsg = 1 + rng.below(3)
-    messages = [f"t{j}" for j in range(nmsg)]
-    sender_strategy = {}
-    for sig in filt.emitted():
-        weights = [rng.below(4) for _ in messages]
-        total = sum(weights)
-        if total == 0:
-            sender_strategy[sig] = {messages[rng.below(nmsg)]: Fraction(1)}
-        else:
-            sender_strategy[sig] = {m: Fraction(w, total)
-                                    for m, w in zip(messages, weights) if w}
+    messages = [f"t{j}" for j in range(1 + rng.below(3))]
+    sender_strategy = {sig: _random_split(rng, messages) for sig in filt.emitted()}
     receiver_strategy = {m: Fraction(rng.below(5), 4) for m in messages}
     return GeneralProfile(sender_strategy=sender_strategy,
                           receiver_strategy=receiver_strategy)
@@ -421,7 +412,7 @@ def grid_search(game: Game, spec: GridSpec,
     view.check_sender(sender_index)
     R = spec.resolution
     best = _grid_best(game, R, objective, sender_index)
-    oidx = view.receiver if objective is Objective.RECEIVER else sender_index
+    oidx, _ = _players(view, objective, sender_index)
     _, babble_values = view.babbling()
     babble = babble_values[oidx]
     if best is None:
@@ -529,8 +520,7 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     :func:`grid_search`, with the same tie rule. ``threads`` is accepted and
     has no effect.
     """
-    if game.num_senders != 2:
-        raise WrongSenderCount(f"need exactly 2 senders, game has {game.num_senders}")
+    _require_senders(game, 2)
     spec.check(game)
     view = game.int_view
     R = spec.resolution

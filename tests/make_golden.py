@@ -8,9 +8,12 @@ a few malformed game and filter files. Every input goes through
 ``verify --grid 3`` of each written filter, ``classify``, ``two-sender``
 and ``majority``, in process with ``--json``. Each run is stored as its exit
 code, its stderr and its stdout report with ``timing_seconds`` removed, in
-compact JSON that keeps the report's key order. The script prints to
-stderr the argv of every run whose record changed against the file it
-replaces.
+compact JSON that keeps the report's key order. The runs of the inputs in
+``SUMMARY_INPUTS`` are made a second time without ``--json``, and their
+records also hold the human summary: the text before the report, with the
+work directory written as ``<work>``. The rest of that output must be the
+``--json`` run's report, exit code and stderr. The script prints to stderr
+the argv of every run whose record changed against the file it replaces.
 """
 from __future__ import annotations
 
@@ -78,33 +81,61 @@ BAD_FILTERS = {
 }
 
 
-def _run(work: Path, *argv: str) -> dict:
-    """One command, with file arguments (``*.json``) named relative to ``work``."""
+#: Inputs whose runs also record the human summary: one-sender games with an
+#: informative and a fall-back answer, two- and three-sender games, and two
+#: malformed inputs.
+SUMMARY_INPUTS = {"seed9100", "seed9102", "seed9118", "seed9119", "seed9127", "seed9128",
+                  "duplicate", "filter-above-one"}
+
+
+def _main(work: Path, argv: tuple[str, ...], *flags: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command, with file arguments
+    (``*.json``) named relative to ``work``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(work / a) if a.endswith(".json") else a for a in argv]
-                    + ["--json"])
-    stdout = out.getvalue()
-    if stdout:
-        report = json.loads(stdout)
-        report.pop("timing_seconds", None)
-        stdout = json.dumps(report, separators=(",", ":"))
-    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(), "stdout": stdout}
+                    + list(flags))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(stdout: str) -> str:
+    """A JSON report without ``timing_seconds``, in compact JSON."""
+    if not stdout:
+        return stdout
+    report = json.loads(stdout)
+    report.pop("timing_seconds", None)
+    return json.dumps(report, separators=(",", ":"))
+
+
+def _run(work: Path, *argv: str, summary: bool = False) -> dict:
+    code, stdout, stderr = _main(work, argv, "--json")
+    record = {"argv": list(argv), "exit": code, "stderr": stderr, "stdout": _untimed(stdout)}
+    if summary:
+        code, stdout, stderr = _main(work, argv)
+        start = stdout.find("{\n")
+        text, report = (stdout[:start], stdout[start:]) if start >= 0 else (stdout, "")
+        if (code, stderr, _untimed(report)) != (record["exit"], record["stderr"],
+                                                record["stdout"]):
+            raise AssertionError(f"default output differs from --json for {argv}")
+        record["summary"] = text.replace(str(work), "<work>")
+    return record
 
 
 def _game_runs(work: Path, name: str) -> list[dict]:
     """Every command on the game file ``name``.json."""
     game = f"{name}.json"
+    summary = name in SUMMARY_INPUTS
     records = []
     for objective in ("receiver", "sender"):
         out = f"{name}.{objective}.filter.json"
-        records.append(_run(work, "optimize", game, "--objective", objective, "--out", out))
+        records.append(_run(work, "optimize", game, "--objective", objective, "--out", out,
+                            summary=summary))
         if records[-1]["exit"] == 0:
-            records.append(_run(work, "evaluate", game, "--filter", out))
+            records.append(_run(work, "evaluate", game, "--filter", out, summary=summary))
             records.append(_run(work, "verify", game, "--filter", out, "--grid", "3",
-                                "--objective", objective))
+                                "--objective", objective, summary=summary))
     for command in ("classify", "two-sender", "majority"):
-        records.append(_run(work, command, game))
+        records.append(_run(work, command, game, summary=summary))
     return records
 
 
@@ -121,7 +152,8 @@ def generate() -> dict[str, list[dict]]:
         (work / "half.json").write_text(json.dumps({"states": _HALF}), encoding="utf-8")
         for name, text in BAD_FILTERS.items():
             (work / f"{name}.json").write_text(text, encoding="utf-8")
-            corpus[name] = [_run(work, "evaluate", "half.json", "--filter", f"{name}.json")]
+            corpus[name] = [_run(work, "evaluate", "half.json", "--filter", f"{name}.json",
+                                 summary=name in SUMMARY_INPUTS)]
     return corpus
 
 

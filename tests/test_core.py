@@ -134,6 +134,37 @@ def test_sender_count_mismatch():
                           "states": [_state("a", "1", [], ["0", "0"])]})
 
 
+def _game_refuses_as_make_game(states, num_senders, error):
+    """Game(records, num_senders) raises make_game's error and message."""
+    with pytest.raises(error) as want:
+        tf.make_game(states, num_senders)
+    records = [tf.StateRecord(name, F(prior), tuple((F(a), F(b)) for a, b in senders),
+                              (F(receiver[0]), F(receiver[1])))
+               for name, prior, senders, receiver in states]
+    with pytest.raises(error) as got:
+        tf.Game(records, num_senders)
+    assert str(got.value) == str(want.value)
+
+
+def test_game_constructor_refuses_a_sender_count_mismatch():
+    # Two sender pairs with num_senders=1: the second pair is no receiver row.
+    _game_refuses_as_make_game([("a", "1/2", [(1, 0), (3, 5)], (0, 7)),
+                                ("b", "1/2", [(0, 1), (3, 5)], (0, 7))],
+                               1, tf.SenderCountMismatch)
+
+
+def test_game_constructor_refuses_a_negative_prior():
+    _game_refuses_as_make_game([("a", "-1", [(1, 0)], (0, 1)),
+                                ("b", "2", [(0, 1)], (1, 0))],
+                               1, tf.NonPositivePrior)
+
+
+def test_game_constructor_refuses_duplicate_state_names():
+    _game_refuses_as_make_game([("a", "1/2", [(1, 0)], (0, 1)),
+                                ("a", "1/2", [(0, 1)], (1, 0))],
+                               1, tf.DuplicateStateName)
+
+
 def test_binary_filter_range_validation(art):
     with pytest.raises(tf.FilterValidationError):
         tf.BinaryFilter({"OG": F(2), "IF": F(0), "DF": F(0)}).check_for(art)
