@@ -11,7 +11,8 @@ pairs. A general filter therefore costs O(k + entries), each entry of its
 table read once, however many signals it emits. Sorting keys, incentive
 slacks and grid sweeps then run on plain ints (exact, and much faster than
 Fraction arithmetic at solver scale). Fractions are reconstructed only at API
-boundaries by dividing the scales back out.
+boundaries by dividing the scales back out. ``IntView.ic_target`` is the one
+spelling of the IC rule's right-hand side, max(0, sum(s)).
 """
 from __future__ import annotations
 
@@ -90,30 +91,9 @@ class IntView:
     def check_sender(self, sender: int) -> None:
         check_sender(self.num_senders, sender)
 
-    def classify(self, sender: int) -> tuple[list[int], list[int], list[int]]:
-        """(agree0, agree1, disagreement) state indices, each in state order.
-
-        Indifference is folded into the agreement lists, so the disagreement
-        list holds strict opposite-sign states only: a sender-indifferent state
-        follows the receiver's side, a receiver-indifferent state the sender's,
-        and a fully indifferent state lands in agree0.
-        """
-        self.check_sender(sender)
-        ss = self.s[sender]
-        sr = self.s[self.receiver]
-        agree0: list[int] = []
-        agree1: list[int] = []
-        dis: list[int] = []
-        for i in range(len(ss)):
-            s = ss[i]
-            r = sr[i]
-            if s > 0:
-                (agree0 if r >= 0 else dis).append(i)
-            elif s < 0:
-                (agree1 if r <= 0 else dis).append(i)
-            else:
-                (agree0 if r >= 0 else agree1).append(i)
-        return agree0, agree1, dis
+    def ic_target(self, player: int, scale: int = 1) -> int:
+        """max(0, scale * sum(s)), which an IC obey total at filter scale ``scale`` meets."""
+        return max(0, scale * self.s_total[player])
 
     def slack_scale(self, player: int) -> int:
         return self.wscale * self.uscale[player]

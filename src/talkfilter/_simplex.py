@@ -1,10 +1,12 @@
-"""The exact one-row kernel, and the two-row box LP solved on it.
+"""The exact one-row kernel, the two-row box LP solved on it, and the tie rule.
 
 ``_solve`` maximizes e.x subject to b.x >= t on the box 0 <= x <= 1 by a
 ratio sort and a concession walk: it is the one-sender optimizer, and the
 inner problem of ``maximize``'s exact search over a row multiplier. Nothing
 here pivots a basis or solves a linear system. The module and both names
 are kept because the benchmark's tracer (``bench/tracer.py``) wraps them.
+The tie rule lives here once: ``_start`` and ``_disagree``, which the state
+classes, the optimizer's sort and the general filter's merge read too.
 """
 from __future__ import annotations
 
@@ -15,6 +17,16 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 _ZERO = Fraction(0)
+
+
+def _start(e: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The tie rule: 1 (action 0) where e_i > 0, or e_i = 0 and b_i >= 0; else 0."""
+    return [1 if v > 0 or (v == 0 and w >= 0) else 0 for v, w in zip(e, b)]
+
+
+def _disagree(e: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The states where e and b have strictly opposite signs, in state order."""
+    return [i for i, (v, w) in enumerate(zip(e, b)) if (v > 0 > w) or (v < 0 < w)]
 
 
 def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int]:
@@ -58,23 +70,21 @@ def _solve(e: Sequence[int], b: Sequence[int], t: int
            ) -> tuple[list[int], int, int, Fraction]:
     """max e.x subject to b.x >= t and 0 <= x <= 1, by a sort and a concession walk.
 
-    The start sets x_i = 1 exactly where e_i >= 0 and b_i >= 0, or e_i > 0 > b_i:
-    disagreement states (strict opposite signs) start on e's side. While
-    b.x < t, they move to b's side in ascending order of e_i / -b_i. The
-    first whose move would meet the row is the pivot, worth
-    (t - b.x) / b[pivot] at the optimum. Returns (x, step, pivot, y): x is
-    0/1 with the pivot's entry 0, step the pivot's 1-based place in the
-    order, and y = |e| / |b| there the row's multiplier, so that
-    e.x <= sum(max(0, e_i + y * b_i)) - y * t on the row, with equality at
-    the optimum. Without a walk, (x, 0, -1, 0). Raises ArithmeticError when
-    no point of the box meets the row.
+    The start is ``_start(e, b)``, so the ``_disagree`` states (strict
+    opposite signs) start on e's side. While b.x < t, they move to b's side
+    in ascending order of e_i / -b_i. The first whose move would meet the
+    row is the pivot, worth (t - b.x) / b[pivot] at the optimum. Returns
+    (x, step, pivot, y): x is 0/1 with the pivot's entry 0, step the pivot's
+    1-based place in the order, and y = |e| / |b| there the row's
+    multiplier, so that e.x <= sum(max(0, e_i + y * b_i)) - y * t on the row,
+    with equality at the optimum. Without a walk, (x, 0, -1, 0). Raises
+    ArithmeticError when no point of the box meets the row.
     """
-    x = [1 if v > 0 or (v == 0 and w >= 0) else 0 for v, w in zip(e, b)]
+    x = _start(e, b)
     total = sum(map(mul, b, x))
     if total >= t:
         return x, 0, -1, _ZERO
-    dis = [i for i, (v, w) in enumerate(zip(e, b)) if (v > 0 > w) or (v < 0 < w)]
-    order = _ratio_order(e, b, dis)
+    order = _ratio_order(e, b, _disagree(e, b))
     for step, i in enumerate(order, start=1):
         bump = abs(b[i])
         if total + bump >= t:

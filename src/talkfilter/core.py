@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import _simplex
 from ._intview import IntView, check_sender, scaled_ints
 
 #: Alias for the exact scalar type used throughout the package.
@@ -498,16 +499,19 @@ class StateClassification:
 
 
 def classify_states(game: Game, sender_index: int = 0) -> StateClassification:
-    """Classify states by preference agreement, with ``IntView.classify``'s tie rules."""
+    """Classify states by ``_simplex._start`` and ``_disagree`` of the two gap rows."""
     view = game.int_view
-    agree0, agree1, dis = view.classify(sender_index)
-    names = view.names
-    ss = view.s[sender_index]
-    return StateClassification(
-        agree0=frozenset(names[i] for i in agree0),
-        agree1=frozenset(names[i] for i in agree1),
-        split01=frozenset(names[i] for i in dis if ss[i] > 0),
-        split10=frozenset(names[i] for i in dis if ss[i] < 0))
+    view.check_sender(sender_index)
+    ss, sr = view.s[sender_index], view.s[view.receiver]
+    # The start's 1 for action 0, plus 2 on a split: agree1, agree0, split10, split01.
+    tag = _simplex._start(ss, sr)
+    for i in _simplex._disagree(ss, sr):
+        tag[i] += 2
+    classes: tuple[list[str], ...] = ([], [], [], [])
+    for name, t in zip(view.names, tag):
+        classes[t].append(name)
+    agree1, agree0, split10, split01 = map(frozenset, classes)
+    return StateClassification(agree0=agree0, agree1=agree1, split01=split01, split10=split10)
 
 
 # ---------------------------------------------------------------------------

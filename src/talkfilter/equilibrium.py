@@ -17,7 +17,8 @@ are one:
     s.x >= max(0, sum(s))
 
 the form that the checks here, the optimizer's walk and the grid oracle's
-sweeps test. ``IntView`` keeps s and sum(s) per player as integers. A filter
+sweeps test. ``IntView`` keeps s and sum(s) per player as integers, and
+``IntView.ic_target`` is the one spelling of the right-hand side. A filter
 with signal-0 probabilities x / D, D their lcm denominator, enters each
 player's check and value only through the obey total s.x; only the reported
 slacks are Fractions. ``IntView.obey_totals`` is the one routine that turns
@@ -34,14 +35,14 @@ value, here and elsewhere, is ``IntView.obey_value`` of a total.
 
 General filters reduce to the same rows. ``_signal_table`` holds every
 player's obey total on each emitted signal, brought to one scale, and the
-signals that merge into signal 0 by one rule. It reads the filter's table
-once, collecting each signal's nonzero pairs, and makes one ``obey_totals``
-call per signal, so a general filter costs O(k + entries), not O(k) per
-signal. ``merge_to_binary`` reads that choice; ``canonical_equilibrium``
-sums the chosen rows and evaluates the general filter once, with no merged
-filter built; ``check_nash_general`` reads its signal classes and the
-receiver's per-message gaps from the same rows, never from the game's
-``StateRecord``s.
+signals that merge into signal 0 by the tie rule, ``_simplex._start``. It
+reads the filter's table once, collecting each signal's nonzero pairs, and
+makes one ``obey_totals`` call per signal, so a general filter costs
+O(k + entries), not O(k) per signal. ``merge_to_binary`` reads that
+choice; ``canonical_equilibrium`` sums the chosen rows and evaluates the
+general filter once, with no merged filter built; ``check_nash_general``
+reads its signal classes and the receiver's per-message gaps from the same
+rows, never from the game's ``StateRecord``s.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Union
 
+from . import _simplex
 from ._intview import IntView
 from .core import (
     BinaryFilter,
@@ -76,11 +78,10 @@ class ICReport:
 def _ic_report(view: IntView, player: int, total: int, xscale: int) -> ICReport:
     # With the filter at x / D and the obey total sum(s * x):
     # slack0 = total / (D * scale) and slack1 = (D * sum(s) - total) / (D * scale).
-    bound = xscale * view.s_total[player]
     scale = xscale * view.slack_scale(player)
-    return ICReport(holds=(total >= 0 and total >= bound),
+    return ICReport(holds=total >= view.ic_target(player, xscale),
                     signal0_slack=Fraction(total, scale),
-                    signal1_slack=Fraction(bound - total, scale))
+                    signal1_slack=Fraction(xscale * view.s_total[player] - total, scale))
 
 
 def sender_ic(game: Game, filt: BinaryFilter, sender_index: int = 0) -> ICReport:
@@ -133,9 +134,9 @@ def _signal_table(game: Game, filt: GeneralFilter, sender_index: int
     per signal, its totals brought to L, the lcm of the per-signal scales, so
     that totals of different signals compare and add. Returns those rows, in
     ``GeneralFilter.emitted`` order, L, and the signals that
-    ``merge_to_binary`` sends to signal 0: the sender's total is positive, or
-    zero while the receiver's is not negative. The filter must have passed
-    ``check_for``.
+    ``merge_to_binary`` sends to signal 0: those that the tie rule
+    ``_simplex._start`` of the sender's and the receiver's totals sends to
+    action 0. The filter must have passed ``check_for``.
     """
     view = game.int_view
     view.check_sender(sender_index)
@@ -147,8 +148,9 @@ def _signal_table(game: Game, filt: GeneralFilter, sender_index: int
     rows = {sig: view.obey_totals(sig_pairs) for sig, sig_pairs in pairs.items()}
     scale = lcm(*(d for _, d in rows.values()))
     rows = {sig: [t * (scale // d) for t in totals] for sig, (totals, d) in rows.items()}
-    s, r = sender_index, view.receiver
-    chosen = {sig for sig, t in rows.items() if t[s] > 0 or (t[s] == 0 and t[r] >= 0)}
+    start = _simplex._start([t[sender_index] for t in rows.values()],
+                            [t[view.receiver] for t in rows.values()])
+    chosen = {sig for sig, x in zip(rows, start) if x}
     return rows, scale, chosen
 
 

@@ -2,16 +2,17 @@
 
 Each player's two incentive rows are one row, s.x >= max(0, sum(s)) (see
 the ``equilibrium`` module docstring). So the best filter for the objective
-player o against the constrained player c is one call of the one-row kernel
-``_simplex._solve``: maximize s_o.x subject to s_c.x >= max(0, sum(s_c)) on
-the box, by a ratio sort and a concession walk. At most one state, the
-pivot, gets an interior probability, chosen by ``pivot_q`` so that c's row
-binds. When o's own row then fails, the answer is the always-signal-1
-constant filter. Hot loops run on the integer-normalized game view; every
-reported number is an exact Fraction. The answer is 0/1 off the pivot, so
-each player's obey total at the pivot's denominator D is D * (s summed over
-the signal-0 states) + s[pivot] * D * q; both IC reports (kept on the
-result) and the canonical outcome come from those totals.
+player o against the constrained player c, both named by ``_players``, is
+one call of the one-row kernel ``_simplex._solve``: maximize s_o.x subject
+to s_c.x >= ``IntView.ic_target(c)`` on the box, by a ratio sort and a
+concession walk. At most one state, the pivot, gets an interior
+probability, chosen by ``pivot_q`` so that c's row binds. When o's own row
+then fails, the answer is the always-signal-1 constant filter. Hot loops
+run on the integer-normalized game view; every reported number is an exact
+Fraction. The answer is 0/1 off the pivot, so each player's obey total at
+the pivot's denominator D is D * (s summed over the signal-0 states) +
+s[pivot] * D * q; both IC reports (kept on the result) and the canonical
+outcome come from those totals.
 """
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ class OptimizerResult:
 
 def _players(view: IntView, objective: Objective, sidx: int) -> tuple[int, int]:
     """(objective player, constrained player): each objective concedes to the other."""
+    if not isinstance(objective, Objective):
+        raise ValueError(f"objective {objective!r} is not an Objective")
     return (view.receiver, sidx) if objective is Objective.RECEIVER else (sidx, view.receiver)
 
 
@@ -63,10 +66,10 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
     finite and positive.
     """
     view = game.int_view
-    _, _, dis = view.classify(sender_index)
+    view.check_sender(sender_index)
     o, c = _players(view, objective, sender_index)
     so, sc = view.s[o], view.s[c]
-    order = _simplex._ratio_order(so, sc, dis)
+    order = _simplex._ratio_order(so, sc, _simplex._disagree(so, sc))
     oscale, cscale = view.slack_scale(o), view.slack_scale(c)
     return tuple((view.names[i], Fraction(so[i] * cscale, -sc[i] * oscale))
                  for i in order)
@@ -102,7 +105,7 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
     view.check_sender(sidx)
     o, c = _players(view, objective, sidx)
-    target_c = max(0, view.s_total[c])
+    target_c = view.ic_target(c)
     x, pos, pivot, _ = _simplex._solve(view.s[o], view.s[c], target_c)
     # Every player's obey total, with the pivot at its binding q over D.
     totals = [sum(compress(s, x)) for s in view.s]

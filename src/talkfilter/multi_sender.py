@@ -138,8 +138,8 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
-            # receiver_posthoc_ic holds exactly when value * scale >= max(0, total_gap).
-            feasible = value * lp.scale >= max(0, total_gap)
+            # receiver_posthoc_ic holds exactly when value * scale meets the IC target.
+            feasible = value * lp.scale >= view.ic_target(view.receiver)
             filt = BinaryFilter(signal0_prob=dict(zip(lp.names, x))) if feasible else None
             utility = view.constant_value(view.receiver, 1) + value
         elif profile in (CandidateProfile.FOLLOW_SENDER_1,

@@ -6,7 +6,8 @@ obeying the signal is not an equilibrium count at their babbling value. That
 makes the grid maximum a true lower bound on the achievable optimum, which
 the closed-form optimizers must meet or beat. The sweeps test each player's
 two IC rows as one, s.x >= max(0, sum(s)) (see the ``equilibrium`` module
-docstring), on integers that carry the extra grid scale R.
+docstring), against ``IntView.ic_target(player, R)`` on integers that carry
+the extra grid scale R, for the players that ``filter_opt._players`` names.
 
 Each sweep covers every lattice point exactly, in one process, by meeting in
 the middle (the subset-sum split of Horowitz and Sahni): it tabulates the
@@ -130,8 +131,9 @@ class RandomGameSpec:
     """Recipe for one reproducible random game.
 
     Utilities are uniform integers in [-utility_range, utility_range], with
-    utility_range >= 0. The prior is uniform, or per-state weights
-    1 + below(8) normalized to sum 1 when prior == "random-rational".
+    utility_range >= 0, on num_states >= 1 states. The prior is uniform, or
+    per-state weights 1 + below(8) normalized to sum 1 when prior ==
+    "random-rational".
     """
 
     seed: int
@@ -152,6 +154,8 @@ def random_game(spec: RandomGameSpec) -> Game:
         raise ValueError(f"unknown prior kind {spec.prior!r}")
     if spec.utility_range < 0:
         raise ValueError(f"utility_range must be at least 0, got {spec.utility_range}")
+    if spec.num_states < 1:
+        raise ValueError(f"num_states must be at least 1, got {spec.num_states}")
     rng = SplitMix64(spec.seed)
     span = 2 * spec.utility_range + 1
 
@@ -387,8 +391,7 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     R = resolution
     oidx, cidx = _players(view, objective, sender_index)
     coef_o, coef_c = view.s[oidx], view.s[cidx]
-    t_o = max(0, R * view.s_total[oidx])
-    t_c = max(0, R * view.s_total[cidx])
+    t_o, t_c = view.ic_target(oidx, R), view.ic_target(cidx, R)
     head, tail = range(k // 2), range(k // 2, k)
     best = _best_above(_half_keys(coef_o, head, R), _half_sums(coef_c, head, R),
                        _half_keys(coef_o, tail, R), _half_sums(coef_c, tail, R), t_c)
@@ -427,9 +430,9 @@ def grid_search(game: Game, spec: GridSpec,
 def _verify(game: Game, filt: BinaryFilter, spec: GridSpec, objective: Objective,
             sender_index: int) -> tuple[bool, Fraction]:
     """(the filter's canonical value is at least the grid maximum, that value)."""
-    outcome = canonical_equilibrium(game, filt, sender_index)
-    value = (outcome.utilities.receiver if objective is Objective.RECEIVER
-             else outcome.utilities.senders[sender_index])
+    oidx, _ = _players(game.int_view, objective, sender_index)
+    utilities = canonical_equilibrium(game, filt, sender_index).utilities
+    value = (*utilities.senders, utilities.receiver)[oidx]
     _, best = grid_search(game, spec, objective, sender_index)
     return value >= best, value
 
@@ -475,10 +478,8 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
     k = len(view.names)
     R = resolution
     ridx = view.receiver
-    rtot_a, rtot_b, rtot_c = (R * view.s_total[t] for t in (0, 1, ridx))
-    t_a = max(0, rtot_a)
-    t_b = max(0, rtot_b)
-    t_c = max(0, rtot_c)
+    rtot_a, rtot_b = R * view.s_total[0], R * view.s_total[1]
+    t_a, t_b, t_c = (view.ic_target(t, R) for t in (0, 1, ridx))
     head, tail = range(k // 2), range(k // 2, k)
     head_a, tail_a = (_half_sums(view.s[0], half, R) for half in (head, tail))
     head_b, tail_b = (_half_sums(view.s[1], half, R) for half in (head, tail))

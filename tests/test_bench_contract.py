@@ -76,3 +76,29 @@ def test_tracer_spans_the_general_and_grid_paths_and_restores_every_target():
         "equilibrium.check_nash_general", "oracle.exhaustive_nash_check",
         "oracle.profile_value", "oracle.two_sender_grid_search"}
     assert trace.counts["oracle.grid_points"] == 3 ** 4
+
+
+def _traced(tracer, name, game):
+    """``talkfilter.<name>(game)`` under a fresh trace, with the game's view built first."""
+    game.int_view
+    trace = tracer.Trace()
+    uninstall = tracer.install(trace)
+    try:
+        return getattr(tf, name)(game), trace
+    finally:
+        uninstall()
+
+
+def test_tracer_counts_the_one_sender_walk_and_spans_the_two_sender_lp():
+    """Each per-layer metric these paths feed reads its value, not a silent zero."""
+    tracer = _load_tracer()
+    result, trace = _traced(tracer, "receiver_optimal_filter",
+                            tf.random_game(tf.RandomGameSpec(seed=1, num_states=8)))
+    assert result.pivot_index == 1
+    assert (trace.counts["simplex.linear_solves"], trace.counts["filter_opt.pivot_q_calls"],
+            trace.counts["filter_opt.walk_steps"]) == (1, 1, 1)
+    _, trace = _traced(tracer, "two_sender_optimal", tf.random_game(
+        tf.RandomGameSpec(seed=1, num_states=8, num_senders=2)))
+    assert {span[0] for span in trace.spans} >= {
+        "multi_sender.two_sender_optimal", "multi_sender.build_lp", "multi_sender.lp_solve",
+        "simplex.maximize"}

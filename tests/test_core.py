@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talkfilter as tf
+from talkfilter._simplex import _disagree
 from talkfilter.core import MAX_DECIMAL_EXPONENT
 
 F = Fraction
@@ -262,18 +263,27 @@ def _classes_by_definition(game, sender_index):
 
 
 def test_classify_matches_definition_with_ties(seeded_games):
-    """Utilities in {-1, 0, 1} make indifferent states common."""
+    """Utilities in {-1, 0, 1} make indifferent states common.
+
+    The merge of the identity filter reads the same tie rule as the classes,
+    so it sends exactly agree0 and split01 to signal 0.
+    """
     games = (seeded_games(30, ks=(3, 6, 9), utility_range=1, seed0=1500)
              + seeded_games(20, ks=(4, 7), num_senders=2, utility_range=1, seed0=1600))
     ties = 0
     for game in games:
+        view = game.int_view
         for sidx in range(game.num_senders):
             cls = tf.classify_states(game, sidx)
             expected = _classes_by_definition(game, sidx)
             assert {label: getattr(cls, label) for label in expected} == expected
-            agree0, agree1, dis = game.int_view.classify(sidx)
-            for indices in (agree0, agree1, dis):
-                assert indices == sorted(indices)    # state order
+            dis = _disagree(view.s[sidx], view.s[view.receiver])
+            assert dis == sorted(dis)    # state order
+            assert {view.names[i] for i in dis} == cls.split01 | cls.split10
+            merged = tf.merge_to_binary(game, tf.GeneralFilter.identity(game), sidx)
+            assert {n for n, p in merged.signal0_prob.items() if p == 1} == (
+                cls.agree0 | cls.split01)
+            assert all(p in (0, 1) for p in merged.signal0_prob.values())
             ties += sum(1 for rec in game.states
                         if rec.sender_utils[sidx][0] == rec.sender_utils[sidx][1]
                         or rec.receiver_utils[0] == rec.receiver_utils[1])

@@ -6,6 +6,7 @@ import pytest
 
 import talkfilter as tf
 from talkfilter import filter_opt
+from talkfilter._simplex import _disagree
 from talkfilter.equilibrium import binary_equilibrium
 from talkfilter.filter_opt import sort_disagreement
 
@@ -92,7 +93,7 @@ def test_sort_is_the_stable_sort_on_exact_ratios():
         gr = [u0 - u1 for u0, u1 in (rec.receiver_utils for rec in game.states)]
         for j in range(game.num_senders):
             gs = [rec.sender_utils[j][0] - rec.sender_utils[j][1] for rec in game.states]
-            dis = view.classify(j)[2]
+            dis = _disagree(view.s[j], view.s[view.receiver])
             for objective, ratio in ((RECEIVER, lambda k: F(gr[k], -gs[k])),
                                      (SENDER, lambda k: F(gs[k], -gr[k]))):
                 expected = [view.names[k] for k in sorted(dis, key=ratio)]

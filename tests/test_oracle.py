@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import talkfilter as tf
+from talkfilter.filter_opt import sort_disagreement
 
 F = Fraction
 
@@ -59,6 +60,9 @@ def test_random_game_zero_utility_range():
     (lambda g: tf.random_binary_filter(g, seed=1, resolution=-1), "resolution"),
     (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=3, utility_range=-2)),
      "utility_range"),
+    (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=0)), "num_states"),
+    (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=-1,
+                                                prior="random-rational")), "num_states"),
 ])
 def test_generators_refuse_degenerate_arguments(make, name):
     game = tf.random_game(tf.RandomGameSpec(seed=1, num_states=3))
@@ -77,6 +81,21 @@ def test_random_filters_are_valid(seeded_games):
 # ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
+
+def test_objective_must_be_an_objective_member():
+    """A string such as "receiver" once fell through to the sender's grid value."""
+    game = tf.random_game(tf.RandomGameSpec(seed=3, num_states=5))
+    spec = tf.GridSpec(resolution=4)
+    assert tf.grid_search(game, spec, tf.Objective.RECEIVER)[1] == F(4, 5)
+    assert tf.grid_search(game, spec, tf.Objective.SENDER)[1] == 1
+    filt = tf.receiver_optimal_filter(game).filter
+    for call in (lambda o: tf.grid_search(game, spec, o),
+                 lambda o: tf.verify_filter_optimality(game, filt, spec, o),
+                 lambda o: sort_disagreement(game, o)):
+        for objective in ("receiver", "sender", None):
+            with pytest.raises(ValueError, match="is not an Objective"):
+                call(objective)
+
 
 def test_grid_art_extremes(art):
     filt, value = tf.grid_search(art, tf.GridSpec(resolution=1))
