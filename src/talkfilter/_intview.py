@@ -21,6 +21,8 @@ from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Union
 
+from . import _simplex
+
 if TYPE_CHECKING:
     from .core import Game
 
@@ -145,5 +147,5 @@ class IntView:
 
     def babbling(self) -> tuple[int, list[Fraction]]:
         """Best uninformed receiver action (ties to 0) and per-player values."""
-        action = 0 if self.s_total[self.receiver] >= 0 else 1
+        action = 0 if _simplex._plays0(self.s_total[self.receiver]) else 1
         return action, [self.constant_value(t, action) for t in range(self.num_players)]

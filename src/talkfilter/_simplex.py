@@ -5,8 +5,10 @@ ratio sort and a concession walk: it is the one-sender optimizer, and the
 inner problem of ``maximize``'s exact search over a row multiplier. Nothing
 here pivots a basis or solves a linear system. The module and both names
 are kept because the benchmark's tracer (``bench/tracer.py``) wraps them.
-The tie rule lives here once: ``_start`` and ``_disagree``, which the state
-classes, the optimizer's sort and the general filter's merge read too.
+The tie rule lives here once: ``_plays0``, which babbling, majority play and
+the two-sender constant candidates read, and ``_start`` and ``_disagree``
+built on it, which the state classes, the optimizer's sort and the general
+filter's merge read too.
 """
 from __future__ import annotations
 
@@ -19,9 +21,14 @@ from typing import NamedTuple, Sequence
 _ZERO = Fraction(0)
 
 
+def _plays0(gap: int) -> bool:
+    """The tie rule: a gap u0 - u1 of at least 0, ties included, plays action 0."""
+    return gap >= 0
+
+
 def _start(e: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The tie rule: 1 (action 0) where e_i > 0, or e_i = 0 and b_i >= 0; else 0."""
-    return [1 if v > 0 or (v == 0 and w >= 0) else 0 for v, w in zip(e, b)]
+    """1 (action 0) where ``_plays0`` of e_i, or of b_i where e_i = 0; else 0."""
+    return [1 if _plays0(v or w) else 0 for v, w in zip(e, b)]
 
 
 def _disagree(e: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -38,7 +38,6 @@ from .core import (
 from .equilibrium import binary_equilibrium
 from .filter_opt import Objective, receiver_optimal_filter, sender_optimal_filter
 from .multi_sender import WrongSenderCount, majority_outcome, two_sender_optimal
-from .oracle import GridSpec, _verify
 
 
 def _utilities(profile) -> dict:
@@ -171,6 +170,7 @@ def _cmd_majority(args, game: Game):
 
 
 def _cmd_verify(args, game: Game):
+    from .oracle import GridSpec, _verify   # loaded here: no other command runs it
     filt = _load_filter(args.filter)
     objective = Objective(args.objective)
     spec = GridSpec(resolution=args.grid)

@@ -13,13 +13,16 @@ Fractions are built only when a caller reads them.
 
 Action convention: signal 0 stands for "play action 0". A binary filter is
 described by the per-state probability of emitting signal 0.
+
+The package's records, here and in the other modules, are
+``typing.NamedTuple``s: immutable, hashed and compared as the tuple of their
+values, and copied with changes by ``_replace``.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import _simplex
 from ._intview import IntView, check_sender, scaled_ints
@@ -150,8 +153,7 @@ Pair = tuple[int, int]            # reduced (numerator, denominator), denominato
 Row = tuple[str, Pair, tuple[tuple[Pair, Pair], ...]]
 
 
-@dataclass(frozen=True)
-class StateRecord:
+class StateRecord(NamedTuple):
     """One state: prior mass plus per-player utilities for actions 0 and 1."""
 
     name: str
@@ -212,10 +214,10 @@ class Game:
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -397,8 +399,7 @@ def _check_domain(game: Game, have: Mapping[str, object]) -> None:
             f"unknown states {sorted(have - names)}")
 
 
-@dataclass(frozen=True)
-class BinaryFilter:
+class BinaryFilter(NamedTuple):
     """Per-state probability of emitting signal 0."""
 
     signal0_prob: Mapping[str, Fraction]
@@ -443,8 +444,7 @@ class BinaryFilter:
         return GeneralFilter(table)
 
 
-@dataclass(frozen=True)
-class GeneralFilter:
+class GeneralFilter(NamedTuple):
     """Per-state distribution over arbitrary string signals."""
 
     table: Mapping[str, Mapping[str, Fraction]]
@@ -481,8 +481,7 @@ class GeneralFilter:
 # Classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StateClassification:
+class StateClassification(NamedTuple):
     """Partition of states by which action each side of the table prefers.
 
     agree0   both weakly prefer action 0 (sender ties resolved here when the
@@ -561,8 +560,7 @@ def signal_utility(game: Game, filt: GeneralFilter, signal: str,
     return total
 
 
-@dataclass(frozen=True)
-class UtilityProfile:
+class UtilityProfile(NamedTuple):
     """Expected utilities for every player of a game."""
 
     senders: tuple[Fraction, ...]

@@ -47,10 +47,9 @@ rows, never from the game's ``StateRecord``s.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import _simplex
 from ._intview import IntView
@@ -66,8 +65,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ICReport:
+class ICReport(NamedTuple):
     """Both inequality left-hand sides for one player, plus the verdict."""
 
     holds: bool
@@ -103,8 +101,7 @@ class EquilibriumKind(enum.Enum):
     BABBLING = "babbling"
 
 
-@dataclass(frozen=True)
-class EquilibriumOutcome:
+class EquilibriumOutcome(NamedTuple):
     kind: EquilibriumKind
     utilities: UtilityProfile
     babbling_action: Optional[int] = None
@@ -209,8 +206,7 @@ def scaled_equilibrium(game: Game, totals: list[int], xscale: int, sender_index:
 # General profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneralProfile:
+class GeneralProfile(NamedTuple):
     """An arbitrary mixed profile over a general filter's signals.
 
     sender_strategy[signal][message] is the probability of sending that
@@ -262,8 +258,7 @@ _CLASS_OF_SIGN = {1: MessageClass.PREFERS_0, -1: MessageClass.PREFERS_1,
                   0: MessageClass.INDIFFERENT}
 
 
-@dataclass(frozen=True)
-class SenderICWitness:
+class SenderICWitness(NamedTuple):
     """Receiver play levels certifying sender incentive-compatibility.
 
     Messages sent where the sender wants 0 are played 0 with probability
@@ -277,8 +272,7 @@ class SenderICWitness:
     message_classes: Mapping[str, frozenset[MessageClass]]
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     """A profitable unilateral deviation found by the verifier."""
 
     player: str           # "sender" or "receiver"

@@ -17,10 +17,9 @@ outcome come from those totals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _simplex
 from ._intview import IntView
@@ -36,8 +35,7 @@ class Objective(enum.Enum):
     SENDER = "sender"
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
     objective: Objective
     filter: BinaryFilter
     outcome: EquilibriumOutcome

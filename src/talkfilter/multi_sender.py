@@ -18,10 +18,9 @@ the full-information optimum, so no filter can help her further.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _simplex
 from .core import BinaryFilter, Game, UtilityProfile, obey_profile
@@ -42,8 +41,7 @@ class CandidateProfile(enum.Enum):
     CONSTANT_1 = "constant-1"
 
 
-@dataclass(frozen=True)
-class LPInstance:
+class LPInstance(NamedTuple):
     """max objective.x subject to rows[j].x >= bounds[j] and 0 <= x <= 1, on integers.
 
     For both targets x is the per-state probability of signal 0, and each
@@ -116,8 +114,7 @@ def receiver_posthoc_ic(game: Game, target: CandidateProfile,
     return receiver_ic(game, BinaryFilter(dict(zip(game.int_view.names, x)))).holds
 
 
-@dataclass(frozen=True)
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     profile: CandidateProfile
     filter: Optional[BinaryFilter]
     receiver_utility: Fraction
@@ -149,7 +146,8 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
             filt, utility, feasible = result.filter, result.outcome.utilities.receiver, True
         else:
             action = 0 if profile is CandidateProfile.CONSTANT_0 else 1
-            feasible = total_gap >= 0 if action == 0 else total_gap <= 0
+            # Feasible when the tie rule picks the action on the gap signed towards it.
+            feasible = _simplex._plays0(total_gap if action == 0 else -total_gap)
             filt, utility = None, view.constant_value(view.receiver, action)
         candidates.append(CandidateOutcome(profile=profile, filter=filt,
                                            receiver_utility=utility, feasible=feasible))
@@ -171,6 +169,6 @@ def majority_outcome(game: Game) -> tuple[dict[str, int], UtilityProfile]:
     """
     _require_senders(game, 3, at_least=True)
     view = game.int_view
-    play0 = [1 if v >= 0 else 0 for v in view.s[view.receiver]]
+    play0 = [1 if _simplex._plays0(v) else 0 for v in view.s[view.receiver]]
     return ({name: 1 - x for name, x in zip(view.names, play0)},
             obey_profile(view, *view.obey_totals(enumerate(play0))))

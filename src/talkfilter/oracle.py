@@ -37,9 +37,8 @@ any implementation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._intview import IntView, check_sender
 from .core import (
@@ -64,8 +63,7 @@ class GridTooLarge(ValueError):
 MAX_HALF_POINTS = 2 * 10 ** 5
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Lattice {0, 1/R, ..., 1} per state, capped at MAX_HALF_POINTS points per half."""
 
     resolution: int = 8
@@ -126,8 +124,7 @@ class SplitMix64:
 # Random instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RandomGameSpec:
+class RandomGameSpec(NamedTuple):
     """Recipe for one reproducible random game.
 
     Utilities are uniform integers in [-utility_range, utility_range], with

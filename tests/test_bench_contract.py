@@ -3,12 +3,16 @@
 ``bench/tracer.py`` wraps talkfilter functions by module and attribute
 name; renaming or deleting one breaks only traced benchmark runs, so this
 test installs it. The file is compiled from its text and run in a fresh
-module, which writes no bytecode next to it.
+module, which writes no bytecode next to it. The tracer wraps functions only
+in modules that are already loaded, and the package loads its modules on
+first use, so this file loads the oracle, which imports every other module
+that the tracer wraps.
 """
 import types
 from pathlib import Path
 
 import talkfilter as tf
+import talkfilter.oracle  # noqa: F401
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

@@ -355,13 +355,26 @@ def test_deeply_nested_json_is_input_error(write, tmp_path, deep):
     assert proc.stderr.startswith(f"error: {deep.capitalize()}ValidationError: ")
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    """No command runs a process pool, so the CLI never imports concurrent.futures.process."""
+def test_cli_import_leaves_the_process_pool_unloaded(write):
+    """The CLI loads what its commands run, and no more.
+
+    No command runs a process pool, builds a dataclass or needs ``inspect``,
+    and only verify runs the grid oracle, which it loads on first use. The
+    solver modules load with the CLI, since the benchmark's tracer wraps
+    functions only in modules that are already loaded.
+    """
     src = str(Path(talkfilter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    unloaded = ["concurrent.futures.process", "dataclasses", "inspect", "talkfilter.oracle"]
+    loaded = [f"talkfilter.{name}" for name in
+              ("core", "_intview", "_simplex", "equilibrium", "filter_opt", "multi_sender")]
     code = ("import sys, talkfilter.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+            "print(*(name in sys.modules for name in sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *unloaded, *loaded],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False"] * len(unloaded) + ["True"] * len(loaded)
+    filt = write("filter.json", {"signal0_prob": {"OG": "0", "IF": "1", "DF": "1"}})
+    proc = run_process(["verify", write("art.json", ART), "--filter", filt, "--grid", "4"])
+    assert proc.returncode == 0, proc.stderr
+    assert "verify (receiver, grid 4): PASS" in proc.stdout

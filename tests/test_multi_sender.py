@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -48,7 +47,7 @@ def test_build_lp_targets_differ_only_in_bounds(l2, seeded_games):
         lp1 = tf.build_lp(game, U1)
         assert lp0.bounds == (0, 0)
         assert lp1.bounds == tuple(sum(row) for row in lp1.rows)
-        assert dataclasses.replace(lp1, target=U0, bounds=lp0.bounds) == lp0
+        assert lp1._replace(target=U0, bounds=lp0.bounds) == lp0
 
 
 def test_build_lp_rejects_other_targets(l2):

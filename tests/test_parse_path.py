@@ -7,7 +7,6 @@ tables, or reject the file with the same error class and message.
 """
 import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -178,13 +177,13 @@ def test_make_game_takes_fractions_ints_and_strings_as_the_reference():
 def records_built(monkeypatch):
     """One entry per StateRecord constructed while the test runs."""
     built = []
-    init = tf.StateRecord.__init__
+    new = tf.StateRecord.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         built.append(1)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(tf.StateRecord, "__init__", counting)
+    monkeypatch.setattr(tf.StateRecord, "__new__", counting)
     return built
 
 
@@ -193,7 +192,7 @@ def test_solve_and_check_build_no_records(records_built):
     for i in range(12):
         large = tf.RandomGameSpec(seed=6300 + i, num_states=3 + 50 * i, prior="random-rational")
         small = tf.RandomGameSpec(seed=6500 + i, num_states=2 + i % 5, prior="random-rational")
-        generated = [tf.random_game(s) for s in (large, small, replace(small, num_senders=2))]
+        generated = [tf.random_game(s) for s in (large, small, small._replace(num_senders=2))]
         raws = [json.loads(json.dumps(_spelled(g, i))) for g in generated]
         # The profile generator reads records, so it runs on the generated game.
         general = tf.random_general_filter(generated[0], 6400 + i)
@@ -226,5 +225,7 @@ def test_game_pickles_equal_and_stays_frozen():
     assert twin == game and hash(twin) == hash(game) and repr(twin) == repr(game)
     spec = tf.GridSpec(resolution=8)
     assert tf.grid_search(twin, spec) == tf.grid_search(game, spec)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'num_senders'$"):
         game.num_senders = 2
+    with pytest.raises(AttributeError, match="^cannot delete field '_rows'$"):
+        del game._rows
