@@ -12,10 +12,10 @@ counts), ``result``, ``diagnostics`` (optimize and evaluate: both IC rows)
 and ``timing_seconds``, the wall time from the start of the load to the
 report; that is the only field that changes from run to run. Exit codes: 0
 success, 2 input or validation error (message on stderr, no report), 3
-verification failure. verify sweeps the grid in two halves of
-(R+1)^ceil(k/2) points each, in one process, and refuses (exit 2,
-GridTooLarge) a half of more than 200,000 points: it certifies up to 14
-states at --grid 4, 12 at --grid 6 and 10 at the default --grid 8.
+verification failure. verify pairs each half's front of maximal grid
+points, built state by state in one process. A front can hold its whole
+half, (R+1)^ceil(k/2) points, so verify refuses (exit 2, GridTooLarge) more
+than 200,000: up to 14 states at --grid 4, 12 at 6 and 10 at the default 8.
 """
 from __future__ import annotations
 

@@ -10,20 +10,23 @@ docstring), against ``IntView.ic_target(player, R)`` on integers that carry
 the extra grid scale R, for the players that ``filter_opt._players`` names.
 
 Each sweep covers every lattice point exactly, in one process, by meeting in
-the middle (the subset-sum split of Horowitz and Sahni): it tabulates the
-linear forms it ranks by over the first k // 2 states and over the rest,
-(R+1)^ceil(k/2) points at most per half, and pairs head points with tails.
-Under one bound (the one-sender grid and the two-sender follow regions),
-each half shrinks to its staircase, the points that no point of at least
-their bound total outranks, and each head on it finds its best tail by one
-bisect on the tail staircase. Under two bounds (a unanimous two-sender
-region), every head queries a max-Fenwick tree for its best tail. The
-two-sender search sweeps a unanimous region only when no follow region
-contains it, so it runs at most one two-bound sweep (see
-``_two_sender_best``). Ties go to the lowest enumeration index, as a
-point-by-point sweep in that order would give. ``GridSpec.check`` caps the
-half at MAX_HALF_POINTS, which admits up to 14 states at R = 4, 12 at R = 6
-and 10 at R = 8.
+the middle (the subset-sum split of Horowitz and Sahni): it pairs points of
+the first k // 2 states with points of the rest, and only a half's maximal
+points can win (Kung, Luccio and Preparata): those that no point meeting all
+their bound totals beats on the objective's key, which carries the
+lowest-index tie rule. Each half's front is built state by state, never
+tabulated, as the maximal points of j + 1 states lie among those of the
+first j plus one digit of the next; a state whose forms all lean one way
+takes digit R or 0 outright, and points that cannot meet the sweep's bounds
+are dropped. So a sweep sorts at most the sum, over the states where the
+players disagree, of |front| * (R+1) candidates. One bound (the one-sender
+grid, the two-sender follow regions) pairs (bound, key) fronts by bisection;
+two (the unanimous region that no follow region contains) pair (a, b, key)
+fronts by a max-Fenwick sweep. Seeded games' fronts hold tens to hundreds of
+points, but if all disagreeing states share one gap ratio and each point of
+a half has its own totals, none is dominated: a sweep costs about a tabulated
+half. So ``GridSpec.check`` caps a half at MAX_HALF_POINTS (14 states at R =
+4, 12 at R = 6, 10 at R = 8).
 
 ``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
 from the definition, in Fractions read from the game's ``StateRecord``s and
@@ -36,8 +39,9 @@ any implementation.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import add, ge, itemgetter, mul
 from typing import NamedTuple, Optional
 
 from ._intview import IntView, check_sender
@@ -59,7 +63,7 @@ class GridTooLarge(ValueError):
     pass
 
 
-#: Most points per half, (R+1)^ceil(k/2), that GridSpec.check lets a sweep tabulate.
+#: Most points per half, (R+1)^ceil(k/2), that GridSpec.check lets a sweep's front reach.
 MAX_HALF_POINTS = 2 * 10 ** 5
 
 
@@ -227,12 +231,10 @@ def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile
 # Meet-in-the-middle sweeps
 # ---------------------------------------------------------------------------
 #
-# A sweep ranks lattice points by linear forms sum(c_i * d_i) of their digits
-# d_i in 0..R. The head is the first k // 2 states and the tail the rest, so
-# with H head and M = (R+1)^(k - k//2) tail points the point (head, tail) has
-# index head * M + tail: the lowest index is the lowest head, then the lowest
-# tail. Within a half, points are ranked by one int, key = objective * size +
-# (size - 1 - point), whose order is highest objective, then lowest point.
+# A point with digits d_i in 0..R has index sum(place_i * d_i), place_i =
+# (R+1)^(k-1-i), of N = (R+1)^k; its key obj * N + (N - 1 - index) orders by
+# highest objective, then lowest index. Less N - 1, the key is linear in the
+# digits: a head point's and a tail point's key sums add up to their point's.
 
 def _decode(index: int, k: int, radix: int) -> list[int]:
     digits = [0] * k
@@ -241,123 +243,133 @@ def _decode(index: int, k: int, radix: int) -> list[int]:
     return digits
 
 
-def _half_sums(coef: list[int], states: range, resolution: int) -> list[int]:
-    """A form's sum at every point of the states' lattice, in enumeration order."""
-    vals = [0]
-    for i in states:
-        steps = [coef[i] * d for d in range(resolution + 1)]
-        vals = [v + s for v in vals for s in steps]
-    return vals
-
-
-def _half_keys(coef: list[int], states: range, resolution: int) -> list[int]:
-    """The objective's key at every point of the states' lattice, in enumeration order.
-
-    The key is linear in the digits too: a point's position counts down from
-    size - 1 by d * radix^(places after the state) per digit d.
-    """
+def _key_row(coef: list[int], resolution: int) -> tuple[list[int], int]:
+    """The key's coefficient per state and N, the number of lattice points."""
     radix = resolution + 1
-    size = radix ** len(states)
-    place = size
-    vals = [size - 1]
+    size = radix ** len(coef)
+    return [c * size - radix ** (len(coef) - 1 - i) for i, c in enumerate(coef)], size
+
+
+def _front(rows: list[list[int]], states: range, resolution: int, need: tuple[int, ...]
+           ) -> list[tuple[int, ...]]:
+    """The maximal points of the states' lattice that can meet need, by key, highest first.
+
+    A point is its sums (bound rows..., key row last). Each state adds every
+    digit to the front, or only R or 0 when its bound coefficients are 0 or
+    share the sign of its key coefficient (never 0), and keeps the maximal
+    candidates that could still meet need with the best digit in every state
+    to come, of both halves. No point a dropped one dominates could either.
+    """
+    spare = [sum(max(0, resolution * c) for c in row) for row in rows]
+    offset = [0] * len(rows)
+    steps = []
     for i in states:
-        place //= radix
-        steps = [(coef[i] * size - place) * d for d in range(radix)]
-        vals = [v + s for v in vals for s in steps]
-    return vals
+        col = [row[i] for row in rows]
+        if col[-1] > 0 and min(col) >= 0:
+            offset = [o + resolution * c for o, c in zip(offset, col)]
+            spare = [s - resolution * c for s, c in zip(spare, col)]
+        elif max(col) > 0:
+            steps.append([tuple(d * c for c in col) for d in range(resolution + 1)])
+    front = [tuple(offset)] if all(map(ge, map(add, offset, spare), need)) else []
+    for digits in steps:
+        spare = [s - max(0, c) for s, c in zip(spare, digits[-1])]
+        low = [n - s for n, s in zip(need, spare)]
+        if len(rows) == 2:
+            low_a, low_key = low
+            cands = [(a + da, key + dk) for da, dk in digits for a, key in front
+                     if a + da >= low_a and key + dk >= low_key]
+            cands.sort(key=itemgetter(1), reverse=True)
+            front = cands[:1]
+            for point in cands:
+                if point[0] > front[-1][0]:
+                    front.append(point)
+        else:
+            low_a, low_b, low_key = low
+            cands = [(a + da, b + db, key + dk)
+                     for da, db, dk in digits for a, b, key in front
+                     if a + da >= low_a and b + db >= low_b and key + dk >= low_key]
+            cands.sort(key=itemgetter(2), reverse=True)
+            front = _maximal_both(cands)
+    return front
 
 
-def _joined(head_key: int, tail_key: int, H: int, M: int) -> tuple[int, int]:
-    """(objective, index) of the point a head and a tail make, from their keys."""
-    return (head_key // H + tail_key // M,
-            (H - 1 - head_key % H) * M + M - 1 - tail_key % M)
+def _maximal_both(cands: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The (a, b, key) points, by descending key, that no earlier one meets on a and b.
 
-
-def _staircase(keys: list[int], bound: list[int]) -> tuple[list[int], list[int]]:
-    """The points of a half that no point of at least their bound total outranks.
-
-    Points go by bound total, highest first, and one is kept only when its
-    key beats every point before it. Returns the kept points' negated totals,
-    ascending, and their keys, strictly ascending.
+    Kept points' maximal (a, b) pairs form a staircase, a up and b down, so
+    the highest b of those meeting a point's a is at the first pair from a.
     """
-    negs: list[int] = []
-    kept: list[int] = []
-    top = None
-    for p in sorted(range(len(keys)), key=bound.__getitem__, reverse=True):
-        key = keys[p]
-        if top is None or key > top:
-            top = key
-            negs.append(-bound[p])
-            kept.append(key)
-    return negs, kept
+    kept, stair_a, stair_b = [], [], []
+    for point in cands:
+        a, b, _ = point
+        j = bisect_left(stair_a, a)
+        if j < len(stair_a) and stair_b[j] >= b:
+            continue
+        kept.append(point)
+        lo, hi = j, j + (j < len(stair_a) and stair_a[j] == a)
+        while lo and stair_b[lo - 1] <= b:
+            lo -= 1
+        stair_a[lo:hi] = [a]
+        stair_b[lo:hi] = [b]
+    return kept
 
 
-def _best_above(head_keys: list[int], head_a: list[int],
-                tail_keys: list[int], tail_a: list[int], t_a: int
-                ) -> Optional[tuple[int, int]]:
-    """Highest objective, lowest index, over points with a >= t_a.
+def _best_above(head: list[tuple[int, int]], tail: list[tuple[int, int]], t_a: int
+                ) -> Optional[int]:
+    """Highest key sum over points with a >= t_a, from the halves' (a, key) fronts.
 
-    Only staircase points can win: a head (or tail) that another one meets
-    on a and beats on its key is matched or beaten by that one with the same
-    partner, and on a tie the other has the lower index. Each head on its
-    staircase takes the last tail on the tail staircase that meets its need
-    on a, by one bisect; heads come by a descending, so their needs only
-    grow and the search range only shrinks.
+    Only front points can win: a head (or tail) that another one meets on a
+    and beats on its key is beaten by that one with the same partner. A
+    front by descending key has ascending a, so a head's best tail is the
+    first that meets its need, by one bisect; heads come by descending a.
     """
-    H, M = len(head_keys), len(tail_keys)
-    tail_negs, tail_best = _staircase(tail_keys, tail_a)
+    tail_a = [a for a, _ in tail]
     best = None
-    r = len(tail_negs)
-    for neg, head_key in zip(*_staircase(head_keys, head_a)):
-        r = bisect_right(tail_negs, -neg - t_a, 0, r)
-        if not r:
+    j = 0
+    for a, key in reversed(head):
+        j = bisect_left(tail_a, t_a - a, j)
+        if j == len(tail_a):
             break
-        total, index = _joined(head_key, tail_best[r - 1], H, M)
-        if best is None or (total, -index) > (best[0], -best[1]):
-            best = (total, index)
+        if best is None or key + tail[j][1] > best:
+            best = key + tail[j][1]
     return best
 
 
-def _best_above_both(head_keys: list[int], head_a: list[int], head_b: list[int],
-                     tail_keys: list[int], tail_a: list[int], tail_b: list[int],
-                     t_a: int, t_b: int) -> Optional[tuple[int, int]]:
-    """Highest objective, lowest index, over points with a >= t_a and b >= t_b.
+def _best_above_both(head: list[tuple[int, int, int]], tail: list[tuple[int, int, int]],
+                     t_a: int, t_b: int) -> Optional[int]:
+    """Highest key sum over points with a >= t_a and b >= t_b, from (a, b, key) fronts.
 
     Heads are taken from the strictest need on a down; tails join a
     max-Fenwick tree over their rank in b (highest b first) once their a
     meets the need, and each head queries the ranks that meet its need on b.
     """
-    H, M = len(head_keys), len(tail_keys)
-    by_a = sorted(range(M), key=tail_a.__getitem__, reverse=True)
-    levels = sorted(set(tail_b), reverse=True)
+    by_a = sorted(tail, reverse=True)
+    levels = sorted({b for _, b, _ in tail}, reverse=True)
     neg_levels = [-v for v in levels]
     rank = {v: r for r, v in enumerate(levels, 1)}
     n = len(levels)
-    low = min(tail_keys) - 1
+    low = min((key for _, _, key in tail), default=0) - 1
     tree = [low] * (n + 1)
     best = None
     j = 0
-    for h in sorted(range(H), key=head_a.__getitem__):
-        need_a = t_a - head_a[h]
-        while j < M and tail_a[by_a[j]] >= need_a:
-            t = by_a[j]
-            key = tail_keys[t]
-            r = rank[tail_b[t]]
+    for head_a, head_b, head_key in sorted(head):
+        need_a = t_a - head_a
+        while j < len(by_a) and by_a[j][0] >= need_a:
+            _, b, key = by_a[j]
+            r = rank[b]
             while r <= n:
                 if key > tree[r]:
                     tree[r] = key
                 r += r & -r
             j += 1
         key = low
-        r = bisect_right(neg_levels, head_b[h] - t_b)
+        r = bisect_right(neg_levels, head_b - t_b)
         while r:
             if tree[r] > key:
                 key = tree[r]
             r -= r & -r
-        if key > low:
-            total, index = _joined(head_keys[h], key, H, M)
-            if best is None or (total, -index) > (best[0], -best[1]):
-                best = (total, index)
+        if key > low and (best is None or head_key + key > best):
+            best = head_key + key
     return best
 
 
@@ -379,20 +391,21 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     """Best obeyed lattice point: (objective player's obey total, index), or None.
 
     The obey value is a constant plus that total, so the total alone ranks
-    the points. A point is obeyed when both totals clear their IC bounds; the
-    best tail under the other player's bound maximizes the objective, so a
-    head whose best point misses the objective's own bound has none.
+    the points. A point is obeyed when both totals clear their IC bounds.
     """
     view = game.int_view
     k = len(view.names)
-    R = resolution
     oidx, cidx = _players(view, objective, sender_index)
-    coef_o, coef_c = view.s[oidx], view.s[cidx]
-    t_o, t_c = view.ic_target(oidx, R), view.ic_target(cidx, R)
-    head, tail = range(k // 2), range(k // 2, k)
-    best = _best_above(_half_keys(coef_o, head, R), _half_sums(coef_c, head, R),
-                       _half_keys(coef_o, tail, R), _half_sums(coef_c, tail, R), t_c)
-    return best if best is not None and best[0] >= t_o else None
+    keys, size = _key_row(view.s[oidx], resolution)
+    rows = [view.s[cidx], keys]
+    t_c, t_o = view.ic_target(cidx, resolution), view.ic_target(oidx, resolution)
+    need = (t_c, (t_o - 1) * size + 1)     # the least key sum of a point with total >= t_o
+    best = _best_above(_front(rows, range(k // 2), resolution, need),
+                       _front(rows, range(k // 2, k), resolution, need), t_c)
+    if best is None:
+        return None
+    total, back = divmod(best + size - 1, size)
+    return (total, size - 1 - back) if total >= t_o else None
 
 
 def grid_search(game: Game, spec: GridSpec,
@@ -403,9 +416,8 @@ def grid_search(game: Game, spec: GridSpec,
 
     Every lattice point counts; ties go to the first filter in enumeration
     order (counting up in base R+1, last state fastest). The sweep meets in
-    the middle: it tabulates the two halves of the states, (R+1)^ceil(k/2)
-    points each, and pairs the halves' staircases under the constrained
-    player's bound by bisection. ``threads`` is accepted and has no effect.
+    the middle on the halves' fronts of (constrained player's bound,
+    objective) maximal points. ``threads`` is accepted and has no effect.
     """
     spec.check(game)
     view = game.int_view
@@ -467,9 +479,7 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
     follow regions and at most one unanimous region are swept. U0 lies in F1
     when A <= 0 and in F2 when B <= 0; U1 lies in F1 when A >= 0 and in F2
     when B >= 0. So U0 is swept only when A > 0 and B > 0, U1 only when
-    A < 0 and B < 0, and neither when the signs differ or a total is 0. The
-    follow regions have one bound each and are paired by staircases; only
-    the unanimous region takes the two-bound sweep.
+    A < 0 and B < 0, and neither when the signs differ or a total is 0.
     """
     view = game.int_view
     k = len(view.names)
@@ -477,24 +487,31 @@ def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, st
     ridx = view.receiver
     rtot_a, rtot_b = R * view.s_total[0], R * view.s_total[1]
     t_a, t_b, t_c = (view.ic_target(t, R) for t in (0, 1, ridx))
+    keys, size = _key_row(view.s[ridx], R)
     head, tail = range(k // 2), range(k // 2, k)
-    head_a, tail_a = (_half_sums(view.s[0], half, R) for half in (head, tail))
-    head_b, tail_b = (_half_sums(view.s[1], half, R) for half in (head, tail))
-    head_keys, tail_keys = (_half_keys(view.s[ridx], half, R) for half in (head, tail))
-    regions = [_best_above(head_keys, head_a, tail_keys, tail_a, t_a),
-               _best_above(head_keys, head_b, tail_keys, tail_b, t_b)]
+    floor = (t_c - 1) * size + 1          # the least key sum of a point with sc >= t_c
+    found = []
+    for rows, t in (([view.s[0], keys], t_a), ([view.s[1], keys], t_b)):
+        need = (t, floor)
+        found.append(_best_above(_front(rows, head, R, need), _front(rows, tail, R, need), t))
     if rtot_a * rtot_b > 0:
-        # U0 when both totals are positive, U1 when both are negative.
-        bounds = (0, 0) if rtot_a > 0 else (rtot_a, rtot_b)
-        regions.append(_best_above_both(head_keys, head_a, head_b,
-                                        tail_keys, tail_a, tail_b, *bounds))
-    found = [r for r in regions if r is not None and r[0] >= t_c]
+        # U0 when both totals are positive, U1 when both are negative. Only its
+        # points that beat both follow regions' best can change the answer.
+        beat = max([floor - 1, *(r for r in found if r is not None)]) + 1
+        need = ((0, 0) if rtot_a > 0 else (rtot_a, rtot_b)) + (beat,)
+        rows = [view.s[0], view.s[1], keys]
+        found.append(_best_above_both(_front(rows, head, R, need),
+                                      _front(rows, tail, R, need), *need[:2]))
+    found = [r for r in found if r is not None]
     if not found:
         return None
-    sc, index = max(found, key=lambda r: (r[0], -r[1]))
-    h, t = divmod(index, len(tail_keys))
-    sa = head_a[h] + tail_a[t]
-    sb = head_b[h] + tail_b[t]
+    sc, back = divmod(max(found) + size - 1, size)
+    if sc < t_c:
+        return None
+    index = size - 1 - back
+    digits = _decode(index, k, R + 1)
+    sa = sum(map(mul, view.s[0], digits))
+    sb = sum(map(mul, view.s[1], digits))
     if sa >= 0 and sb >= 0:
         profile = CandidateProfile.UNANIMOUS_0
     elif sa >= rtot_a and sb >= rtot_b:
@@ -515,8 +532,8 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
     and follow-one-sender play (whichever is compatible for the senders it
     relies on, with the receiver obeying); constant actions enter as
     filter-independent baselines. The sweep meets in the middle as in
-    :func:`grid_search`, with the same tie rule. ``threads`` is accepted and
-    has no effect.
+    :func:`grid_search`, with the same tie rule, on (a, key), (b, key) and
+    (a, b, key) fronts. ``threads`` is accepted and has no effect.
     """
     _require_senders(game, 2)
     spec.check(game)
