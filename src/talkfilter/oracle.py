@@ -9,24 +9,31 @@ two IC rows as one, s.x >= max(0, sum(s)) (see the ``equilibrium`` module
 docstring), against ``IntView.ic_target(player, R)`` on integers that carry
 the extra grid scale R, for the players that ``filter_opt._players`` names.
 
+Every grid question is one region search: the best point, by one player's
+key (which carries the lowest-index tie rule), of a union of regions, each
+one or two bound rows with their targets. Regions are swept in order, the
+best key so far as each later sweep's floor, and the winner's obey total is
+its value. Constant play needs no sweep: one of the all-0 and all-R points
+meets the player's own IC row, so in the two-sender grid, where both lie in
+a region, a lattice point always wins; the one-sender grid falls back to
+babbling only when no point meets both players' rows.
+
 Each sweep covers every lattice point exactly, in one process, by meeting in
 the middle (the subset-sum split of Horowitz and Sahni): it pairs points of
 the first k // 2 states with points of the rest, and only a half's maximal
 points can win (Kung, Luccio and Preparata): those that no point meeting all
-their bound totals beats on the objective's key, which carries the
-lowest-index tie rule. Each half's front is built state by state, never
-tabulated, as the maximal points of j + 1 states lie among those of the
-first j plus one digit of the next; a state whose forms all lean one way
-takes digit R or 0 outright, and points that cannot meet the sweep's bounds
-are dropped. So a sweep sorts at most the sum, over the states where the
-players disagree, of |front| * (R+1) candidates. One bound (the one-sender
-grid, the two-sender follow regions) pairs (bound, key) fronts by bisection;
-two (the unanimous region that no follow region contains) pair (a, b, key)
-fronts by a max-Fenwick sweep. Seeded games' fronts hold tens to hundreds of
-points, but if all disagreeing states share one gap ratio and each point of
-a half has its own totals, none is dominated: a sweep costs about a tabulated
-half. So ``GridSpec.check`` caps a half at MAX_HALF_POINTS (14 states at R =
-4, 12 at R = 6, 10 at R = 8).
+their bound totals beats on the key. Each half's front is built state by
+state, never tabulated, as the maximal points of j + 1 states lie among
+those of the first j plus one digit of the next; a state whose forms all
+lean one way takes digit R or 0 outright, and points that cannot meet the
+sweep's bounds are dropped. So a sweep sorts at most the sum, over the
+states where the players disagree, of |front| * (R+1) candidates. One bound
+row pairs (bound, key) fronts by bisection, two pair (a, b, key) fronts by a
+max-Fenwick sweep. Seeded games' fronts hold tens to hundreds of points, but
+if all disagreeing states share one gap ratio and each point of a half has
+its own totals, none is dominated: a sweep costs about a tabulated half. So
+``GridSpec.check`` caps a half at MAX_HALF_POINTS (14 states at R = 4, 12 at
+R = 6, 10 at R = 8).
 
 ``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
 from the definition, in Fractions read from the game's ``StateRecord``s and
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import add, ge, itemgetter, mul
+from operator import add, ge, itemgetter, lt, mul
 from typing import NamedTuple, Optional
 
 from ._intview import IntView, check_sender
@@ -373,17 +380,43 @@ def _best_above_both(head: list[tuple[int, int, int]], tail: list[tuple[int, int
     return best
 
 
+def _region_best(view: IntView, player: int, regions: list[tuple[tuple[int, ...], ...]],
+                 resolution: int) -> Optional[tuple[int, int]]:
+    """Best point of the regions' union by the player's key: (its obey total, index), or None.
+
+    A region is (bound players, their targets): one or two players whose obey
+    totals must meet the targets. A point qualifies when the player's own
+    total meets its IC target too. The regions are swept in order, each with
+    one above the best key so far as its floor: a key sum fixes the lattice
+    index, so a later point that ties the best is the same point.
+    """
+    k = len(view.names)
+    keys, size = _key_row(view.s[player], resolution)
+    floor = (view.ic_target(player, resolution) - 1) * size + 1   # least key sum that qualifies
+    best = None
+    for players, targets in regions:
+        rows = [*(view.s[p] for p in players), keys]
+        need = (*targets, floor)
+        found = (_best_above, _best_above_both)[len(players) - 1](
+            _front(rows, range(k // 2), resolution, need),
+            _front(rows, range(k // 2, k), resolution, need), *targets)
+        if found is not None and found >= floor:
+            best, floor = found, found + 1
+    if best is None:
+        return None
+    total, back = divmod(best + size - 1, size)
+    return total, size - 1 - back
+
+
 # ---------------------------------------------------------------------------
 # Single-sender grid search
 # ---------------------------------------------------------------------------
 
-def _lattice_filter(view: IntView, player: int, index: int, resolution: int
-                    ) -> tuple[BinaryFilter, Fraction]:
-    """The grid filter at an enumeration index and the player's obey value of it."""
-    probs = [Fraction(d, resolution) for d in _decode(index, len(view.names), resolution + 1)]
-    totals, scale = view.obey_totals(enumerate(probs))
-    return (BinaryFilter(signal0_prob=dict(zip(view.names, probs))),
-            view.obey_value(player, totals[player], scale))
+def _lattice_filter(view: IntView, index: int, resolution: int) -> BinaryFilter:
+    """The grid filter at an enumeration index."""
+    digits = _decode(index, len(view.names), resolution + 1)
+    return BinaryFilter(signal0_prob={name: Fraction(d, resolution)
+                                      for name, d in zip(view.names, digits)})
 
 
 def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: int
@@ -391,21 +424,13 @@ def _grid_best(game: Game, resolution: int, objective: Objective, sender_index: 
     """Best obeyed lattice point: (objective player's obey total, index), or None.
 
     The obey value is a constant plus that total, so the total alone ranks
-    the points. A point is obeyed when both totals clear their IC bounds.
+    the points. A point is obeyed when both totals clear their IC bounds: it
+    lies in the region of the constrained player's bound.
     """
     view = game.int_view
-    k = len(view.names)
     oidx, cidx = _players(view, objective, sender_index)
-    keys, size = _key_row(view.s[oidx], resolution)
-    rows = [view.s[cidx], keys]
-    t_c, t_o = view.ic_target(cidx, resolution), view.ic_target(oidx, resolution)
-    need = (t_c, (t_o - 1) * size + 1)     # the least key sum of a point with total >= t_o
-    best = _best_above(_front(rows, range(k // 2), resolution, need),
-                       _front(rows, range(k // 2, k), resolution, need), t_c)
-    if best is None:
-        return None
-    total, back = divmod(best + size - 1, size)
-    return (total, size - 1 - back) if total >= t_o else None
+    return _region_best(view, oidx, [((cidx,), (view.ic_target(cidx, resolution),))],
+                        resolution)
 
 
 def grid_search(game: Game, spec: GridSpec,
@@ -430,10 +455,10 @@ def grid_search(game: Game, spec: GridSpec,
     if best is None:
         # No grid point supports obeying the signal; everything scores babbling.
         return BinaryFilter(signal0_prob={n: _ZERO for n in view.names}), babble
-    filt, value = _lattice_filter(view, oidx, best[1], R)
+    value = view.obey_value(oidx, best[0], R)
     if value < babble:
         raise ArithmeticError("an obeyed grid filter scored below babbling")
-    return filt, value
+    return _lattice_filter(view, best[1], R), value
 
 
 def _verify(game: Game, filt: BinaryFilter, spec: GridSpec, objective: Objective,
@@ -463,93 +488,63 @@ def verify_filter_optimality(game: Game, filt: BinaryFilter, spec: GridSpec,
 # Two-sender grid search
 # ---------------------------------------------------------------------------
 
-def _two_sender_best(game: Game, resolution: int) -> Optional[tuple[int, int, str]]:
-    """Best point that a candidate profile makes an equilibrium.
+def _two_sender_best(game: Game, resolution: int) -> tuple[int, int, str]:
+    """Best point that a candidate profile makes an equilibrium: (receiver's
+    obey total, index, profile value).
 
-    Returns (receiver's obey total, index, profile value), or None. A point
-    qualifies when the receiver's total clears its bound and the senders'
-    totals (a, b) lie in one of four regions: unanimous 0, U0 = {a, b >= 0};
+    A point qualifies when the receiver's total clears its bound and the
+    senders' totals (a, b) lie in a region: unanimous 0, U0 = {a, b >= 0};
     unanimous 1, U1 = {a >= A, b >= B}, with A and B the senders' all-ones
-    totals; follow sender 1, F1 = {a >= max(0, A)}; or follow sender 2,
-    F2 = {b >= max(0, B)}. The best point of the union is the best of the
-    regions' best points, and its profile is the first region, in that
-    order, that holds it.
-
-    A region inside another can never change that best point, so only the
-    follow regions and at most one unanimous region are swept. U0 lies in F1
-    when A <= 0 and in F2 when B <= 0; U1 lies in F1 when A >= 0 and in F2
-    when B >= 0. So U0 is swept only when A > 0 and B > 0, U1 only when
-    A < 0 and B < 0, and neither when the signs differ or a total is 0.
+    totals; follow sender 1, F1 = {a >= max(0, A)}; or follow sender 2, F2 =
+    {b >= max(0, B)}. Its profile is the first of these that holds it. A
+    unanimous region inside a follow region cannot change the best point, so
+    it is swept, after both, only if its targets are below the follow ones:
+    U0 when A > 0 and B > 0, U1 when A < 0 and B < 0. The all-0 point lies
+    in U0 and the all-R point in U1, so one of them qualifies.
     """
     view = game.int_view
-    k = len(view.names)
     R = resolution
-    ridx = view.receiver
-    rtot_a, rtot_b = R * view.s_total[0], R * view.s_total[1]
-    t_a, t_b, t_c = (view.ic_target(t, R) for t in (0, 1, ridx))
-    keys, size = _key_row(view.s[ridx], R)
-    head, tail = range(k // 2), range(k // 2, k)
-    floor = (t_c - 1) * size + 1          # the least key sum of a point with sc >= t_c
-    found = []
-    for rows, t in (([view.s[0], keys], t_a), ([view.s[1], keys], t_b)):
-        need = (t, floor)
-        found.append(_best_above(_front(rows, head, R, need), _front(rows, tail, R, need), t))
-    if rtot_a * rtot_b > 0:
-        # U0 when both totals are positive, U1 when both are negative. Only its
-        # points that beat both follow regions' best can change the answer.
-        beat = max([floor - 1, *(r for r in found if r is not None)]) + 1
-        need = ((0, 0) if rtot_a > 0 else (rtot_a, rtot_b)) + (beat,)
-        rows = [view.s[0], view.s[1], keys]
-        found.append(_best_above_both(_front(rows, head, R, need),
-                                      _front(rows, tail, R, need), *need[:2]))
-    found = [r for r in found if r is not None]
-    if not found:
-        return None
-    sc, back = divmod(max(found) + size - 1, size)
-    if sc < t_c:
-        return None
-    index = size - 1 - back
-    digits = _decode(index, k, R + 1)
-    sa = sum(map(mul, view.s[0], digits))
-    sb = sum(map(mul, view.s[1], digits))
-    if sa >= 0 and sb >= 0:
-        profile = CandidateProfile.UNANIMOUS_0
-    elif sa >= rtot_a and sb >= rtot_b:
-        profile = CandidateProfile.UNANIMOUS_1
-    elif sa >= t_a:
-        profile = CandidateProfile.FOLLOW_SENDER_1
-    else:
-        profile = CandidateProfile.FOLLOW_SENDER_2
+    follow = (view.ic_target(0, R), view.ic_target(1, R))
+    regions = [(CandidateProfile.UNANIMOUS_0, (0, 1), (0, 0)),
+               (CandidateProfile.UNANIMOUS_1, (0, 1), tuple(R * t for t in view.s_total[:2])),
+               (CandidateProfile.FOLLOW_SENDER_1, (0,), follow[:1]),
+               (CandidateProfile.FOLLOW_SENDER_2, (1,), follow[1:])]
+    best = _region_best(view, view.receiver,
+                        [(players, targets) for _, players, targets in reversed(regions)
+                         if len(players) == 1 or all(map(lt, targets, follow))], R)
+    if best is None:
+        raise ArithmeticError("no grid point meets the receiver's IC bound")
+    sc, index = best
+    digits = _decode(index, len(view.names), R + 1)
+    totals = [sum(map(mul, view.s[p], digits)) for p in (0, 1)]
+    profile = next(profile for profile, players, targets in regions
+                   if all(totals[p] >= t for p, t in zip(players, targets)))
     return sc, index, profile.value
 
 
 def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
-                           ) -> tuple[Fraction, Optional[BinaryFilter],
-                                      CandidateProfile]:
+                           ) -> tuple[Fraction, BinaryFilter, CandidateProfile]:
     """Best receiver value over grid filters scored by the candidate profiles.
 
     Each grid point is scored by the best equilibrium among unanimous-report
     and follow-one-sender play (whichever is compatible for the senders it
-    relies on, with the receiver obeying); constant actions enter as
-    filter-independent baselines. The sweep meets in the middle as in
-    :func:`grid_search`, with the same tie rule, on (a, key), (b, key) and
-    (a, b, key) fronts. ``threads`` is accepted and has no effect.
+    relies on, with the receiver obeying). Constant play needs no sweep: the
+    all-0 and all-R filters are constant play under a unanimous profile, and
+    one of them meets the receiver's IC bound, so the winner is a lattice
+    filter worth at least her better constant (ArithmeticError otherwise).
+    The region search is :func:`grid_search`'s, with its tie rule, on
+    (a, key), (b, key) and (a, b, key) fronts. ``threads`` has no effect.
     """
     _require_senders(game, 2)
     spec.check(game)
     view = game.int_view
     R = spec.resolution
-    best = _two_sender_best(game, R)
+    sc, index, profile = _two_sender_best(game, R)
     ridx = view.receiver
-    const_action, const_values = view.babbling()
-    const_value = const_values[ridx]
-    if best is not None:
-        filt, value = _lattice_filter(view, ridx, best[1], R)
-        if value >= const_value:
-            return value, filt, CandidateProfile(best[2])
-    profile = (CandidateProfile.CONSTANT_0 if const_action == 0
-               else CandidateProfile.CONSTANT_1)
-    return const_value, None, profile
+    value = view.obey_value(ridx, sc, R)
+    if value < view.babbling()[1][ridx]:
+        raise ArithmeticError("a two-sender grid filter scored below constant play")
+    return value, _lattice_filter(view, index, R), CandidateProfile(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,11 @@ def _walk_forcing_game(k: int, seed: int = 9) -> tf.Game:
 
 
 def _timings(make, runs_at_100k, check=None):
-    """Best-of-runs receiver solve time per k, with ``check`` on each result.
+    """Best-of-runs receiver solve CPU time per k, with ``check`` on each result.
 
+    Times are the process's CPU time (``time.process_time``), so the time
+    other processes hold the CPU does not count; a change in CPU speed, such
+    as frequency scaling or caches shared with a busy neighbour, still does.
     The k = 1,000 anchor scales both bounds, and one solve there takes about
     a millisecond, so it is the best of 25 runs: on a shared machine a best
     of a few runs still moves by half from one process to the next.
@@ -343,9 +346,9 @@ def _timings(make, runs_at_100k, check=None):
         runs = {1_000: 25, 10_000: 5}.get(k, runs_at_100k)
         best = math.inf
         for _ in range(runs):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             res = tf.receiver_optimal_filter(game)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         if check:
             check(k, res)
         timings[k] = best

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import talkfilter as tf
 from talkfilter._simplex import _disagree
+from talkfilter.cli import main
 from talkfilter.core import MAX_DECIMAL_EXPONENT
 
 F = Fraction
@@ -120,6 +121,38 @@ def test_empty_state_list_rejected():
         tf.validate_game({"states": []})
     with pytest.raises(tf.GameValidationError):
         tf.validate_game({})
+
+
+def _deep_game_file(tmp_path):
+    """The CLI's exit code on a game file nested 100,000 deep."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return main(["classify", str(path)])
+
+
+_ONE_STATE = tf.make_game([("a", "1", ("1", "0"), ("0", "1"))])
+
+
+@pytest.mark.parametrize("call, outcome, message", [
+    (lambda _: tf.make_game([]), tf.EmptyStateList, "at least one state"),
+    (_deep_game_file, 2, "game file nests deeper than the JSON parser allows"),
+    (lambda _: tf.GridSpec(resolution=0).check(_ONE_STATE), ValueError,
+     "resolution must be at least 1"),
+    (lambda _: tf.random_game(tf.RandomGameSpec(seed=1, num_states=2, prior="bogus")),
+     ValueError, "unknown prior kind 'bogus'"),
+    (lambda _: tf.UtilityProfile.of([F(1), F(2), F(3)]).sender, ValueError,
+     "needs a single-sender game"),
+    (lambda _: _ONE_STATE == object(), False, ""),
+], ids=["make-game-empty", "deep-json", "grid-resolution-0", "bogus-prior",
+        "two-senders-sender", "game-eq-object"])
+def test_input_checks(call, outcome, message, tmp_path, capsys):
+    """Each refuses with its error and message, or answers as documented."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome, match=message):
+            call(tmp_path)
+    else:
+        assert call(tmp_path) == outcome
+        assert message in capsys.readouterr().err
 
 
 def test_sender_count_mismatch():

@@ -382,8 +382,7 @@ def test_two_sender_beats_grid(seeded_games):
         best, _ = tf.two_sender_optimal(game)
         grid_value, grid_filter, _ = tf.two_sender_grid_search(game, tf.GridSpec(resolution=8))
         assert best.receiver_utility >= grid_value
-        if grid_filter is not None:
-            assert grid_value == tf.evaluate_sigma_s(game, grid_filter).receiver
+        assert grid_value == tf.evaluate_sigma_s(game, grid_filter).receiver
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import two_sender_constants
 
 import talkfilter as tf
 from talkfilter.filter_opt import sort_disagreement
@@ -233,6 +234,12 @@ def test_two_sender_grid_sweeps_at_most_one_unanimous_region(monkeypatch):
             cases.add("zero" if a * b == 0 else "mixed")
             assert calls == []
     assert cases == {"(+,+)", "(-,-)", "mixed", "zero"}
+
+
+@pytest.mark.parametrize("name", list(two_sender_constants.GAMES))
+def test_two_sender_grid_needs_no_constant_fallback(name):
+    """A lattice filter wins even where constant play is as good as any."""
+    two_sender_constants.check(two_sender_constants.GAMES[name])
 
 
 # ---------------------------------------------------------------------------
