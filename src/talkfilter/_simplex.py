@@ -106,23 +106,41 @@ def _solve(e: Sequence[int], b: Sequence[int], t: int
 
 
 class _Cut(NamedTuple):
-    lam: Fraction
-    h: Fraction      # h(lam)
-    g: Fraction      # a.x - ta, a slope of h at lam
-    x: list          # the kernel's point: 0/1 ints and the pivot's Fraction
-    mu: Fraction     # the b-row's multiplier for the objective c + lam * a
+    """One evaluation of h at lam = p / q: c.x and g = a.x - ta there, both over den."""
+
+    p: int           # lam = p / q, reduced, q > 0
+    q: int
+    cx: int          # c.x * den: h(lam) = (cx + lam * g) / den
+    g: int           # (a.x - ta) * den, a slope of h at lam
+    den: int         # the pivot's entry's reduced denominator, 1 without a pivot
+    x: list[int]     # the kernel's 0/1 point, its pivot's entry 0
+    pivot: int       # -1 without a pivot
+    num: int         # the pivot's entry times den
+    mp: int          # the b-row's multiplier for c + lam * a is mp / mq
+    mq: int
 
 
-def _cut(c: list[int], a: list[int], ta: int, b: list[int], tb: int,
-         lam: Fraction) -> _Cut:
-    p, q = lam.numerator, lam.denominator
+def _cut(c: list[int], a: list[int], ta: int, b: list[int], tb: int, p: int, q: int
+         ) -> _Cut:
+    """h at lam = p / q, by one kernel call on c + lam * a (times q)."""
     x, step, pivot, y = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, tb)
     cx, ax = sum(map(mul, c, x)), sum(map(mul, a, x))
+    num, den = 0, 1
     if step:
-        x[pivot] = Fraction(tb - sum(map(mul, b, x)), b[pivot])
-        cx += c[pivot] * x[pivot]
-        ax += a[pivot] * x[pivot]
-    return _Cut(lam, cx + lam * (ax - ta), Fraction(ax - ta), x, y / q)
+        num, den = tb - sum(map(mul, b, x)), b[pivot]
+        d = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // d, den // d
+        cx = cx * den + c[pivot] * num
+        ax = ax * den + a[pivot] * num
+    return _Cut(p, q, cx, ax - ta * den, den, x, pivot, num, y.numerator, y.denominator * q)
+
+
+def _fractions(cut: _Cut) -> list:
+    """The cut's point: 0/1 ints and the pivot's Fraction."""
+    x = list(cut.x)
+    if cut.pivot >= 0:
+        x[cut.pivot] = Fraction(cut.num, cut.den)
+    return x
 
 
 def _null3(u: list[int], v: list[int]) -> list[int]:
@@ -172,9 +190,15 @@ def maximize(c: Sequence[int], a: Sequence[int], ta: int, b: Sequence[int], tb: 
     3. Kelley's cutting planes: evaluate h where the lines of the bracket
        ends (slope < 0 at lo, > 0 at hi) cross. Stop when h meets the lines
        there; else the point replaces the end of its slope's sign, or is
-       optimal if that slope is 0.
+       optimal if that slope is 0. The search runs on integers: at a cut's
+       point h(lam) = c.x + lam * g, g = a.x - ta, a line with intercept
+       c.x, and ``_cut`` keeps c.x and g over the pivot entry's reduced
+       denominator; lam is a reduced p / q, the crossing is
+       (cx_hi - cx_lo) / (g_lo - g_hi), and the stop test
+       (cx - cx_lo) + lam * (g - g_lo) = 0 is cross-multiplied.
     4. At the stop both ends are optimal inside; their mix with a.x = ta is
-       optimal, and ``_purify`` leaves at most two entries fractional.
+       optimal, and ``_purify`` leaves at most two entries fractional. The
+       mix, run once per search, is on Fractions.
     5. Every solve checks the dual certificate: x is feasible and c.x =
        sum(max(0, c_i + lam1 * a_i + lam2 * b_i)) - lam1 * ta - lam2 * tb,
        lam1 the last lam evaluated and lam2 >= 0 the kernel's multiplier there.
@@ -189,34 +213,44 @@ def maximize(c: Sequence[int], a: Sequence[int], ta: int, b: Sequence[int], tb: 
     Tie rule among several optima: the first optimal point of steps 1-3,
     else the mix, whose purification raises the first entry each step moves.
     """
-    last = lo = _cut(c, a, ta, b, tb, _ZERO)
-    x = lo.x
+    last = end = lo = _cut(c, a, ta, b, tb, 0, 1)
     if lo.g < 0:
         big = max(map(abs, c), default=0) * max(map(abs, [*a, *b]), default=0)
-        last = hi = _cut(c, a, ta, b, tb, Fraction(2 * big + 1))
+        last = hi = _cut(c, a, ta, b, tb, 2 * big + 1, 1)
         if hi.g < 0:
             raise ArithmeticError("h still falls past its last breakpoint")
         while hi.g > 0:
-            lam = (hi.h - lo.h + lo.g * lo.lam - hi.g * hi.lam) / (lo.g - hi.g)
-            last = _cut(c, a, ta, b, tb, lam)
-            if last.h == lo.h + lo.g * (lam - lo.lam):
-                theta = hi.g / (hi.g - lo.g)
-                x = [u if u == v else theta * u + (1 - theta) * v
-                     for u, v in zip(lo.x, hi.x)]
-                _purify(x, a, b)
+            # The lines' crossing (hi.cx - lo.cx) / (lo.g - hi.g), over both
+            # ends' denominators; lo.g < 0 < hi.g, so the divisor is negative.
+            p = hi.cx * lo.den - lo.cx * hi.den
+            q = lo.g * hi.den - hi.g * lo.den
+            d = -gcd(p, q)
+            last = _cut(c, a, ta, b, tb, p // d, q // d)
+            # Stop when h(lam) lies on lo's line: (cx - lo.cx) + lam * (g - lo.g) = 0.
+            if ((last.cx * lo.den - lo.cx * last.den) * last.q
+                    + last.p * (last.g * lo.den - lo.g * last.den)) == 0:
+                end = None   # both ends are optimal inside: mix them
                 break
             if last.g < 0:
                 lo = last
             else:
                 hi = last
         else:
-            x = hi.x
+            end = hi
+
+    if end is None:
+        theta = Fraction(hi.g * lo.den, hi.g * lo.den - lo.g * hi.den)
+        x = [u if u == v else theta * u + (1 - theta) * v
+             for u, v in zip(_fractions(lo), _fractions(hi))]
+        _purify(x, a, b)
+    else:
+        x = _fractions(end)
 
     # The point over one common denominator, and its certificate in integers.
     den = lcm(*{v.denominator for v in x})
     xnum = [v.numerator * (den // v.denominator) for v in x]
     cx = sum(map(mul, c, xnum))
-    (p1, q1), (p2, q2) = last.lam.as_integer_ratio(), last.mu.as_integer_ratio()
+    p1, q1, p2, q2 = last.p, last.q, last.mp, last.mq
     bound = sum(max(0, q1 * q2 * ci + p1 * q2 * ai + p2 * q1 * bi)
                 for ci, ai, bi in zip(c, a, b)) - p1 * q2 * ta - p2 * q1 * tb
     if (p1 < 0 or p2 < 0 or sum(map(mul, a, xnum)) < ta * den

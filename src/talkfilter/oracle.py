@@ -36,9 +36,13 @@ its own totals, none is dominated: a sweep costs about a tabulated half. So
 R = 6, 10 at R = 8).
 
 ``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
-from the definition, in Fractions read from the game's ``StateRecord``s and
-never from its integer view. Each sums what it needs once: a state's masses
-in ``profile_value``, a signal's utility sums in ``exhaustive_nash_check``.
+from the definition, read from the game's ``StateRecord``s and never from
+its integer view. They work in integers of their own: the priors, each
+player's utilities, the filter's probabilities and the profile's sender and
+receiver probabilities are numerators over their own lcm denominators, and
+each comparison is made at one common scale. Each sums what it needs once:
+a state's masses in ``profile_value``, a signal's utility sums in
+``exhaustive_nash_check``; only the returned utilities are Fractions.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -48,14 +52,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from operator import add, ge, itemgetter, lt, mul
-from typing import NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from ._intview import IntView, check_sender
 from .core import (
     BinaryFilter,
     Game,
     GeneralFilter,
+    StateRecord,
     UtilityProfile,
     make_game,
 )
@@ -276,7 +283,8 @@ def _front(rows: list[list[int]], states: range, resolution: int, need: tuple[in
             offset = [o + resolution * c for o, c in zip(offset, col)]
             spare = [s - resolution * c for s, c in zip(spare, col)]
         elif max(col) > 0:
-            steps.append([tuple(d * c for c in col) for d in range(resolution + 1)])
+            steps.append(list(zip(*(range(0, (resolution + 1) * c, c) if c
+                                    else repeat(0, resolution + 1) for c in col))))
     front = [tuple(offset)] if all(map(ge, map(add, offset, spare), need)) else []
     for digits in steps:
         spare = [s - max(0, c) for s, c in zip(spare, digits[-1])]
@@ -551,6 +559,31 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
 # Exhaustive profile verification
 # ---------------------------------------------------------------------------
 
+def _num(p, den: int) -> int:
+    """p's numerator over den, a multiple of its denominator (p an int or Fraction)."""
+    return p.numerator * (den // p.denominator)
+
+
+def _lcm_den(values: Iterable) -> int:
+    return lcm(*{p.denominator for p in values})
+
+
+def _scaled(table: Mapping[str, Mapping[str, Fraction]]
+            ) -> tuple[dict[str, dict[str, int]], int]:
+    """A table of probabilities as numerators over the lcm of all their denominators."""
+    den = _lcm_den(p for row in table.values() for p in row.values())
+    return {key: {k: _num(p, den) for k, p in row.items()}
+            for key, row in table.items()}, den
+
+
+def _utilities(states: tuple[StateRecord, ...], player: int
+               ) -> tuple[list[tuple[int, int]], int]:
+    """A player's (u0, u1) per state as numerators over the lcm of their denominators."""
+    pairs = [(*rec.sender_utils, rec.receiver_utils)[player] for rec in states]
+    den = _lcm_den(u for pair in pairs for u in pair)
+    return [(_num(u0, den), _num(u1, den)) for u0, u1 in pairs], den
+
+
 def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
                   ) -> UtilityProfile:
     """Expected utilities of an arbitrary profile, straight from the definition.
@@ -562,31 +595,43 @@ def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
     profile must pass ``GeneralProfile.check_for``.
     """
     profile.check_for(game, filt)
-    signal_mass: dict[str, tuple[Fraction, Fraction]] = {}
+    states = game.states
+    table, fden = _scaled(filt.table)
+    sender, sden = _scaled(profile.sender_strategy)
+    rden = _lcm_den(profile.receiver_strategy.values())
+    play0 = {m: _num(p, rden) for m, p in profile.receiver_strategy.items()}
+    pden = _lcm_den(rec.prior for rec in states)
+    players = [_utilities(states, t) for t in range(game.num_senders + 1)]
+    signal_mass: dict[str, tuple[int, int]] = {}
 
-    def masses(sig: str) -> tuple[Fraction, Fraction]:
-        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over its messages.
+    def masses(sig: str) -> tuple[int, int]:
+        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over its
+        # messages, both over sden * rden.
         if sig not in signal_mass:
-            mass = mass0 = _ZERO
-            for m, mprob in profile.sender_strategy[sig].items():
+            mass = mass0 = 0
+            for m, mprob in sender[sig].items():
                 mass += mprob
-                mass0 += mprob * profile.receiver_strategy[m]
-            signal_mass[sig] = mass, mass0
+                mass0 += mprob * play0[m]
+            signal_mass[sig] = mass * rden, mass0
         return signal_mass[sig]
 
-    totals = [_ZERO] * (game.num_senders + 1)
-    for rec in game.states:
-        q = q0 = _ZERO
-        for sig, sprob in filt.table[rec.name].items():
+    totals = [0] * len(players)   # over pden * fden * sden * rden and the player's den
+    for i, rec in enumerate(states):
+        q = q0 = 0
+        for sig, sprob in table[rec.name].items():
             if sprob:
                 mass, mass0 = masses(sig)
                 q += sprob * mass
                 q0 += sprob * mass0
-        w0 = rec.prior * q0
-        w1 = rec.prior * q - w0
-        for t, (u0, u1) in enumerate((*rec.sender_utils, rec.receiver_utils)):
+        prior = _num(rec.prior, pden)
+        w0 = prior * q0
+        w1 = prior * q - w0
+        for t, (utils, _) in enumerate(players):
+            u0, u1 = utils[i]
             totals[t] += w0 * u0 + w1 * u1
-    return UtilityProfile.of(totals)
+    scale = pden * fden * sden * rden
+    return UtilityProfile.of([Fraction(total, scale * uden)
+                              for total, (_, uden) in zip(totals, players)])
 
 
 def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfile,
@@ -602,39 +647,46 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
     """
     check_sender(game.num_senders, sender_index)
     profile.check_for(game, filt)
-    sums: dict[str, list[Fraction]] = {}   # signal -> sender's V0, V1, receiver's V0, V1
-    for rec in game.states:
-        s0, s1 = rec.sender_utils[sender_index]
-        r0, r1 = rec.receiver_utils
-        for sig, prob in filt.table[rec.name].items():
-            wgt = rec.prior * prob
+    states = game.states
+    table, _ = _scaled(filt.table)
+    pden = _lcm_den(rec.prior for rec in states)
+    sender_utils, _ = _utilities(states, sender_index)
+    receiver_utils, _ = _utilities(states, game.num_senders)
+    # signal -> sender's V0, V1, receiver's V0, V1; each player's at one scale.
+    sums: dict[str, list[int]] = {}
+    for rec, (s0, s1), (r0, r1) in zip(states, sender_utils, receiver_utils):
+        prior = _num(rec.prior, pden)
+        for sig, prob in table[rec.name].items():
+            wgt = prior * prob
             if wgt:
-                acc = sums.setdefault(sig, [_ZERO] * 4)
+                acc = sums.setdefault(sig, [0] * 4)
                 acc[0] += wgt * s0
                 acc[1] += wgt * s1
                 acc[2] += wgt * r0
                 acc[3] += wgt * r1
     live = {sig: sums[sig] for sig in filt.signals() if sig in sums}
+    sender, sden = _scaled(profile.sender_strategy)
+    rden = _lcm_den(profile.receiver_strategy.values())
+    play0 = {m: _num(p, rden) for m, p in profile.receiver_strategy.items()}
 
     for sig, (v0, v1, _, _) in live.items():
-        dist = profile.sender_strategy[sig]
-        value = {m: p0 * v0 + (1 - p0) * v1 for m, p0 in profile.receiver_strategy.items()}
-        current = sum((prob * value[m] for m, prob in dist.items()), _ZERO)
-        for m in profile.receiver_strategy:
-            if value[m] > current:
+        # Each message's value over rden, and the signal's current one over sden * rden.
+        value = {m: p0 * v0 + (rden - p0) * v1 for m, p0 in play0.items()}
+        current = sum(prob * value[m] for m, prob in sender[sig].items())
+        for m in play0:
+            if value[m] * sden > current:
                 return False, {"player": "sender", "signal": sig, "better": m}
 
-    for m in profile.receiver_strategy:
+    for m, p0 in play0.items():
         # A message that is never sent has v0 = v1 = 0: any reply is a best response.
-        v0 = v1 = _ZERO
+        v0 = v1 = 0
         for sig, (_, _, r0, r1) in live.items():
-            prob = profile.sender_strategy[sig].get(m)
+            prob = sender[sig].get(m)
             if prob:
                 v0 += prob * r0
                 v1 += prob * r1
-        p0 = profile.receiver_strategy[m]
-        current = p0 * v0 + (1 - p0) * v1
-        if v0 > current or v1 > current:
+        current = p0 * v0 + (rden - p0) * v1    # over rden
+        if v0 * rden > current or v1 * rden > current:
             better = 0 if v0 >= v1 else 1
             return False, {"player": "receiver", "message": m, "better": better}
     return True, None

@@ -3,9 +3,11 @@
 ``oracle_reference`` keeps ``profile_value`` and ``exhaustive_nash_check`` as
 they summed every (state, signal, message) term. On seeded games, filters and
 profiles, the oracle's versions must return exactly the same utilities, the
-same verdict and the same deviation witness.
+same verdict and the same deviation witness (``reference_checks``
+compares them), on ``random_game``'s integer utilities and on
+``reference_checks.rational_game``'s mixed denominators.
 """
-import oracle_reference
+import reference_checks
 
 import talkfilter as tf
 
@@ -22,15 +24,24 @@ def test_evaluators_match_the_term_by_term_sums():
                     game = tf.random_game(tf.RandomGameSpec(
                         seed=seed, num_states=k, num_senders=num_senders,
                         utility_range=utility_range, prior=prior))
-                    for j in range(4):
-                        filt = tf.random_general_filter(game, seed=seed * 10 + j)
-                        profile = tf.random_profile(game, filt, seed=seed * 10 + j + 5)
-                        assert (tf.profile_value(game, filt, profile)
-                                == oracle_reference.profile_value(game, filt, profile))
-                        for sender in range(num_senders):
-                            got = tf.exhaustive_nash_check(game, filt, profile, sender)
-                            assert got == oracle_reference.exhaustive_nash_check(
-                                game, filt, profile, sender)
-                            outcomes.add(got[1]["player"] if got[1] else "nash")
-                            compared += 1
+                    outcomes |= reference_checks.check_evaluators(game, seed, profiles=4)
+                    compared += 4 * num_senders
     assert compared >= 500 and outcomes == {"sender", "receiver", "nash"}
+
+
+def test_evaluators_match_on_rational_utilities():
+    """Priors and utilities with mixed denominators, where each player's sums scale apart."""
+    outcomes = set()
+    denominators = set()
+    for seed in range(200):
+        game = reference_checks.rational_game(81000 + seed)
+        denominators.update(u.denominator for rec in game.states
+                            for pair in (*rec.sender_utils, rec.receiver_utils) for u in pair)
+        outcomes |= reference_checks.check_evaluators(game, seed)
+    assert outcomes == {"sender", "receiver", "nash"}
+    assert denominators >= {1, 2, 3, 4, 5, 8, 12}
+
+
+def test_reference_checks_script():
+    """The script CI runs on every Python version."""
+    reference_checks.main()

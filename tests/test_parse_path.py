@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import parse_reference
 import talkfilter as tf
+from talkfilter._intview import IntView
 
 F = Fraction
 
@@ -216,6 +217,35 @@ def test_solve_and_check_build_no_records(records_built):
         assert not records_built
         assert len(game.states) == len(raws[0]["states"])
         assert len(records_built) == len(raws[0]["states"])
+
+
+def test_profile_evaluators_build_no_view(monkeypatch):
+    """The mirror of the check above: the from-definition evaluators read the
+    game's records and never build its integer view."""
+    built = []
+    init = IntView.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntView, "__init__", counting)
+    verdicts = set()
+    for i in range(12):
+        generated = tf.random_game(tf.RandomGameSpec(
+            seed=6700 + i, num_states=2 + i % 5, num_senders=1 + i % 3,
+            utility_range=5, prior="random-rational"))
+        general = tf.random_general_filter(generated, 6800 + i)
+        profile = tf.random_profile(generated, general, 6900 + i)
+        game = tf.validate_game(json.loads(json.dumps(_spelled(generated, i))))
+        built.clear()
+        tf.profile_value(game, general, profile)
+        for sender in range(game.num_senders):
+            verdicts.add(tf.exhaustive_nash_check(game, general, profile, sender)[0])
+        assert not built
+    assert verdicts == {True, False}
+    game.int_view
+    assert built == [1]
 
 
 def test_game_pickles_equal_and_stays_frozen():

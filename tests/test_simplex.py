@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from operator import mul
 
@@ -105,10 +106,10 @@ def test_random_thresholds_match_scipy():
 
 
 def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
-    """Stop the multiplier search one kernel call early: that call reports h
-    on the cutting-plane model, so the search mixes two bracket points that
-    are not both optimal. The mix is feasible, so only the dual certificate
-    can refuse it."""
+    """Stop the multiplier search one kernel call early: that call reports
+    lo's intercept and slope, so h at its lam lies on lo's line and the
+    search mixes two bracket points that are not both optimal. The mix is
+    feasible, so only the dual certificate can refuse it."""
     real_cut = _simplex._cut
     refused = 0
     for seed in range(10):
@@ -128,11 +129,11 @@ def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
                 continue
             stop, cuts = len(cuts) - 1, []
 
-            def early(c, a, ta, b, tb, lam):
-                cut = counted(c, a, ta, b, tb, lam)
+            def early(*args):
+                cut = counted(*args)
                 if len(cuts) == stop:
                     lo = next(k for k in reversed(cuts[:-1]) if k.g < 0)
-                    return cut._replace(h=lo.h + lo.g * (lam - lo.lam))
+                    return cut._replace(cx=lo.cx, g=lo.g, den=lo.den)
                 return cut
 
             monkeypatch.setattr(_simplex, "_cut", early)
@@ -140,3 +141,55 @@ def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
                 lp_solve(lp)
             refused += 1
     assert refused >= 5
+
+
+# maximize's path on fixed LPs, recorded from the Fraction search that the
+# integer one replaced: a digest of its (xnum, den) and its kernel calls.
+# Seeded LPs are build_lp of RandomGameSpec(seed, k, 2 senders, utility range
+# 100, random-rational prior) at both unanimous targets; 13 of the 20 stop
+# by mixing the bracket ends.
+PINNED_SEEDED = {
+    (9100, 6): (("7facd9269c0a97da", 1), ("340c246d98bd510f", 4)),
+    (9101, 6): (("b44a5e13841e5533", 6), ("63d2a5d7d8146e0b", 5)),
+    (9102, 6): (("8466d8de27e9a212", 6), ("8f1fb65b3b9950c7", 1)),
+    (9103, 6): (("cc8518773cc19b31", 4), ("340c246d98bd510f", 1)),
+    (9100, 12): (("c6f2bf07cb4cc25f", 7), ("36812a2e7f5e2b19", 6)),
+    (9101, 12): (("8b1e18db3087d59c", 5), ("4b28146f280140d0", 6)),
+    (9102, 12): (("42fdedcf3ec87bd3", 5), ("1e18f5a3b76b9d0a", 1)),
+    (9103, 12): (("4af4284d6b53fa42", 1), ("f1b89b35802da590", 6)),
+    (9100, 200): (("5edac6ccb899a097", 9), ("274937408c6b45ff", 9)),
+    (9101, 200): (("b3e83ac95752d5fc", 1), ("3abd0cd2994f0bd3", 9)),
+}
+# Kelley's adversary at k = 200, B = 400: b = 0, a = 1, -c_i = 2^(B*i // k) + i.
+PINNED_ADVERSARY = {1: ("214dea931ab810f3", 64), 10: ("1f257b956bc71276", 59),
+                    100: ("57cfa7416cf27df2", 27)}
+
+
+def test_search_path_is_pinned(monkeypatch):
+    """The same points and the same kernel calls as the Fraction search."""
+    real_solve = _simplex._solve
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real_solve(*args)
+
+    def run(c, a, ta, b, tb):
+        """(digest of maximize's (xnum, den), its number of kernel calls)."""
+        calls.clear()
+        xnum, den = maximize(c, a, ta, b, tb)
+        return hashlib.sha256(repr((xnum, den)).encode()).hexdigest()[:16], len(calls)
+
+    monkeypatch.setattr(_simplex, "_solve", counted)
+    for (seed, k), pins in PINNED_SEEDED.items():
+        game = random_game(RandomGameSpec(seed=seed, num_states=k, num_senders=2,
+                                          utility_range=100, prior="random-rational"))
+        for target, pin in zip((CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1),
+                               pins):
+            lp = build_lp(game, target)
+            (a, b), (ta, tb) = lp.rows, lp.bounds
+            assert run(lp.objective, a, ta, b, tb) == pin, (seed, k, target)
+    k, bits = 200, 400
+    c = [-(2 ** (bits * i // k) + i) for i in range(k)]
+    for ta, pin in PINNED_ADVERSARY.items():
+        assert run(c, [1] * k, ta, [0] * k, 0) == pin, ta

@@ -16,10 +16,10 @@ import pytest
 
 import simplex_reference
 import talkfilter as tf
+from reference_checks import TARGETS, check_lp, reference_value
 from talkfilter import _simplex
 
 F = Fraction
-TARGETS = (tf.CandidateProfile.UNANIMOUS_0, tf.CandidateProfile.UNANIMOUS_1)
 
 
 def ints(row):
@@ -46,18 +46,6 @@ def same_value(objective, rows):
     for row in rows:
         assert sum(r * v for r, v in zip(row, x)) >= 0
     return value
-
-
-def reference_value(lp):
-    """The reference's optimum of an LPInstance, times lp.scale.
-
-    Unanimous-1 is max s_r.x subject to s_j.x >= sum(s_j); in y = 1 - x it
-    is sum(s_r) plus max -s_r.y subject to -s_j.y >= 0.
-    """
-    if lp.target is tf.CandidateProfile.UNANIMOUS_0:
-        return simplex_reference.maximize(lp.objective, lp.rows)[1]
-    neg = [[-v for v in row] for row in (lp.objective, *lp.rows)]
-    return sum(lp.objective) + simplex_reference.maximize(neg[0], neg[1:])[1]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -98,16 +86,7 @@ def test_two_sender_lps(seeded_games, utility_range):
                          utility_range=utility_range, prior="random-rational")
     for game in games:
         for target in TARGETS:
-            lp = tf.build_lp(game, target)
-            (a, b), (ta, tb) = lp.rows, lp.bounds
-            xnum, den = _simplex.maximize(lp.objective, a, ta, b, tb)
-            assert all(type(v) is int for v in [*xnum, den]) and den > 0
-            x = [F(v, den) for v in xnum]
-            assert sum(c * v for c, v in zip(lp.objective, x)) == reference_value(lp)
-            assert all(0 <= v <= 1 for v in x)
-            assert sum(1 for v in x if 0 < v < 1) <= 2
-            for row, t in zip(lp.rows, lp.bounds):
-                assert sum(r * v for r, v in zip(row, x)) >= t
+            check_lp(tf.build_lp(game, target))
 
 
 def test_seeded_lps_match_reference_value():
