@@ -36,7 +36,10 @@ def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
 
 
 def check_sender(num_senders: int, sender: int) -> None:
-    """Refuse a sender index outside 0..num_senders-1, negative ones included."""
+    """Refuse a sender index that is not an int (bools included) or is outside
+    0..num_senders-1, negative ones included."""
+    if isinstance(sender, bool) or not isinstance(sender, int):
+        raise ValueError(f"sender index {sender!r} is not an int")
     if not 0 <= sender < num_senders:
         raise IndexError(f"sender index {sender} out of range for {num_senders} senders")
 

@@ -36,13 +36,13 @@ its own totals, none is dominated: a sweep costs about a tabulated half. So
 R = 6, 10 at R = 8).
 
 ``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
-from the definition, read from the game's ``StateRecord``s and never from
-its integer view. They work in integers of their own: the priors, each
-player's utilities, the filter's probabilities and the profile's sender and
-receiver probabilities are numerators over their own lcm denominators, and
-each comparison is made at one common scale. Each sums what it needs once:
-a state's masses in ``profile_value``, a signal's utility sums in
-``exhaustive_nash_check``; only the returned utilities are Fractions.
+from the definition. Both read one per-signal table, ``_signal_sums``: each
+emitted signal's prior-weighted utility sums (V0, V1) per player, built from
+the game's parsed (numerator, denominator) pairs, never from its records or
+its integer view. The priors, the filter, each player's utilities and the
+profile's probabilities are numerators over their own lcm denominators, and
+each comparison is made at one common scale; only the returned utilities
+are Fractions.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -53,16 +53,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add, ge, itemgetter, lt, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from ._intview import IntView, check_sender
+from ._intview import IntView, check_sender, scaled_ints
 from .core import (
     BinaryFilter,
     Game,
     GeneralFilter,
-    StateRecord,
     UtilityProfile,
     make_game,
 )
@@ -559,79 +557,74 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
 # Exhaustive profile verification
 # ---------------------------------------------------------------------------
 
-def _num(p, den: int) -> int:
-    """p's numerator over den, a multiple of its denominator (p an int or Fraction)."""
-    return p.numerator * (den // p.denominator)
+def _scaled(rows: list[Mapping[str, Fraction]]) -> tuple[list[dict[str, int]], int]:
+    """Rows of probabilities as numerators over one scale, the lcm of all their denominators."""
+    nums, den = scaled_ints([p.as_integer_ratio() for row in rows for p in row.values()])
+    flat = iter(nums)
+    return [dict(zip(row, flat)) for row in rows], den
 
 
-def _lcm_den(values: Iterable) -> int:
-    return lcm(*{p.denominator for p in values})
+def _signal_sums(game: Game, filt: GeneralFilter, players: Iterable[int]
+                 ) -> tuple[dict[str, list[tuple[int, int]]], list[int]]:
+    """Per emitted signal, in ``filt.emitted()`` order, each named player's (V0,
+    V1) = sum over w of prior(w) * P(sig | w) * (u0, u1), and each one's scale.
+
+    Read from the game's parsed rows: the priors, the filter and each
+    player's utilities are numerators over their own lcm denominators, so a
+    player's scale is the product of the three.
+    """
+    rows = game._rows
+    weight, wscale = scaled_ints([prior for _, prior, _ in rows])
+    index = {name: i for i, (name, _, _) in enumerate(rows)}
+    dists, fscale = _scaled(list(filt.table.values()))
+    terms = {sig: ([], []) for sig in filt.emitted()}   # states, prior * P(sig | w)
+    for name, dist in zip(filt.table, dists):
+        i = index[name]
+        for sig, prob in dist.items():
+            if prob:
+                states, weights = terms[sig]
+                states.append(i)
+                weights.append(weight[i] * prob)
+    k = len(rows)
+    utils, scales = [], []
+    for t in players:
+        pairs = [u[t] for _, _, u in rows]
+        vals, scale = scaled_ints([a for a, _ in pairs] + [b for _, b in pairs])
+        utils.append((vals[:k], vals[k:]))
+        scales.append(wscale * fscale * scale)
+    return {sig: [(sum(map(mul, weights, map(u0.__getitem__, states))),
+                   sum(map(mul, weights, map(u1.__getitem__, states)))) for u0, u1 in utils]
+            for sig, (states, weights) in terms.items()}, scales
 
 
-def _scaled(table: Mapping[str, Mapping[str, Fraction]]
-            ) -> tuple[dict[str, dict[str, int]], int]:
-    """A table of probabilities as numerators over the lcm of all their denominators."""
-    den = _lcm_den(p for row in table.values() for p in row.values())
-    return {key: {k: _num(p, den) for k, p in row.items()}
-            for key, row in table.items()}, den
-
-
-def _utilities(states: tuple[StateRecord, ...], player: int
-               ) -> tuple[list[tuple[int, int]], int]:
-    """A player's (u0, u1) per state as numerators over the lcm of their denominators."""
-    pairs = [(*rec.sender_utils, rec.receiver_utils)[player] for rec in states]
-    den = _lcm_den(u for pair in pairs for u in pair)
-    return [(_num(u0, den), _num(u1, den)) for u0, u1 in pairs], den
+def _scaled_profile(profile: GeneralProfile
+                    ) -> tuple[dict[str, dict[str, int]], dict[str, int], int]:
+    """The sender's and the receiver's probabilities as numerators over one scale."""
+    (*rows, play0), den = _scaled([*profile.sender_strategy.values(), profile.receiver_strategy])
+    return dict(zip(profile.sender_strategy, rows)), play0, den
 
 
 def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
                   ) -> UtilityProfile:
     """Expected utilities of an arbitrary profile, straight from the definition.
 
-    Each state's utilities enter only through two masses, summed once per
-    state over its signals and their messages: q = sum P(sig | w) * P(m | sig)
-    and its action-0 part q0, the same terms weighted by P(action 0 | m). The
-    state then adds prior * (q0 * u0 + (q - q0) * u1) to every player. The
-    profile must pass ``GeneralProfile.check_for``.
+    Sending message m on a signal whose prior-weighted utility sums are V0
+    and V1 is worth p0 * V0 + (1 - p0) * V1, with p0 the chance that m is
+    played 0; each player's value sums that over signals and their messages,
+    weighted by P(m | sig). The profile must pass ``GeneralProfile.check_for``.
     """
     profile.check_for(game, filt)
-    states = game.states
-    table, fden = _scaled(filt.table)
-    sender, sden = _scaled(profile.sender_strategy)
-    rden = _lcm_den(profile.receiver_strategy.values())
-    play0 = {m: _num(p, rden) for m, p in profile.receiver_strategy.items()}
-    pden = _lcm_den(rec.prior for rec in states)
-    players = [_utilities(states, t) for t in range(game.num_senders + 1)]
-    signal_mass: dict[str, tuple[int, int]] = {}
-
-    def masses(sig: str) -> tuple[int, int]:
-        # (sum of P(m | sig), the same weighted by P(action 0 | m)) over its
-        # messages, both over sden * rden.
-        if sig not in signal_mass:
-            mass = mass0 = 0
-            for m, mprob in sender[sig].items():
-                mass += mprob
-                mass0 += mprob * play0[m]
-            signal_mass[sig] = mass * rden, mass0
-        return signal_mass[sig]
-
-    totals = [0] * len(players)   # over pden * fden * sden * rden and the player's den
-    for i, rec in enumerate(states):
-        q = q0 = 0
-        for sig, sprob in table[rec.name].items():
-            if sprob:
-                mass, mass0 = masses(sig)
-                q += sprob * mass
-                q0 += sprob * mass0
-        prior = _num(rec.prior, pden)
-        w0 = prior * q0
-        w1 = prior * q - w0
-        for t, (utils, _) in enumerate(players):
-            u0, u1 = utils[i]
-            totals[t] += w0 * u0 + w1 * u1
-    scale = pden * fden * sden * rden
-    return UtilityProfile.of([Fraction(total, scale * uden)
-                              for total, (_, uden) in zip(totals, players)])
+    sums, scales = _signal_sums(game, filt, range(game.num_senders + 1))
+    sender, play0, den = _scaled_profile(profile)
+    totals = [0] * len(scales)   # over den^2 and the player's scale
+    for sig, pairs in sums.items():
+        dist = sender[sig].items()
+        q0 = sum(prob * play0[m] for m, prob in dist)
+        q1 = sum(prob * (den - play0[m]) for m, prob in dist)
+        for t, (v0, v1) in enumerate(pairs):
+            totals[t] += q0 * v0 + q1 * v1
+    return UtilityProfile.of([Fraction(total, den * den * scale)
+                              for total, scale in zip(totals, scales)])
 
 
 def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfile,
@@ -640,53 +633,34 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
 
     Sender deviations re-map one signal to one message; receiver deviations
     re-map one message to one pure action. Linearity makes pure deviations
-    sufficient. Each live signal's prior-weighted utilities of actions 0 and
-    1, V0 and V1, are summed once per player, so sending message m on it is
-    worth p0 * V0 + (1 - p0) * V1, with p0 the chance that m is played 0.
-    The profile must pass ``GeneralProfile.check_for``.
+    sufficient. With each signal's utility sums V0 and V1 from
+    ``_signal_sums``, sending message m on it is worth p0 * V0 + (1 - p0) *
+    V1, as in ``profile_value``. The profile must pass
+    ``GeneralProfile.check_for``.
     """
     check_sender(game.num_senders, sender_index)
     profile.check_for(game, filt)
-    states = game.states
-    table, _ = _scaled(filt.table)
-    pden = _lcm_den(rec.prior for rec in states)
-    sender_utils, _ = _utilities(states, sender_index)
-    receiver_utils, _ = _utilities(states, game.num_senders)
-    # signal -> sender's V0, V1, receiver's V0, V1; each player's at one scale.
-    sums: dict[str, list[int]] = {}
-    for rec, (s0, s1), (r0, r1) in zip(states, sender_utils, receiver_utils):
-        prior = _num(rec.prior, pden)
-        for sig, prob in table[rec.name].items():
-            wgt = prior * prob
-            if wgt:
-                acc = sums.setdefault(sig, [0] * 4)
-                acc[0] += wgt * s0
-                acc[1] += wgt * s1
-                acc[2] += wgt * r0
-                acc[3] += wgt * r1
-    live = {sig: sums[sig] for sig in filt.signals() if sig in sums}
-    sender, sden = _scaled(profile.sender_strategy)
-    rden = _lcm_den(profile.receiver_strategy.values())
-    play0 = {m: _num(p, rden) for m, p in profile.receiver_strategy.items()}
+    sums, _ = _signal_sums(game, filt, (sender_index, game.num_senders))
+    sender, play0, den = _scaled_profile(profile)
 
-    for sig, (v0, v1, _, _) in live.items():
-        # Each message's value over rden, and the signal's current one over sden * rden.
-        value = {m: p0 * v0 + (rden - p0) * v1 for m, p0 in play0.items()}
+    for sig, ((v0, v1), _) in sums.items():
+        # Each message's value over den, and the signal's current one over den^2.
+        value = {m: p0 * v0 + (den - p0) * v1 for m, p0 in play0.items()}
         current = sum(prob * value[m] for m, prob in sender[sig].items())
         for m in play0:
-            if value[m] * sden > current:
+            if value[m] * den > current:
                 return False, {"player": "sender", "signal": sig, "better": m}
 
     for m, p0 in play0.items():
         # A message that is never sent has v0 = v1 = 0: any reply is a best response.
         v0 = v1 = 0
-        for sig, (_, _, r0, r1) in live.items():
+        for sig, (_, (r0, r1)) in sums.items():
             prob = sender[sig].get(m)
             if prob:
                 v0 += prob * r0
                 v1 += prob * r1
-        current = p0 * v0 + (rden - p0) * v1    # over rden
-        if v0 * rden > current or v1 * rden > current:
+        current = p0 * v0 + (den - p0) * v1    # over den
+        if v0 * den > current or v1 * den > current:
             better = 0 if v0 >= v1 else 1
             return False, {"player": "receiver", "message": m, "better": better}
     return True, None

@@ -9,6 +9,7 @@ General profiles are validated by one ``GeneralProfile.check_for``, and
 sender indices are refused as ``IntView.check_sender`` refuses them.
 """
 import itertools
+import re
 import time
 from fractions import Fraction as F
 
@@ -220,6 +221,24 @@ def test_exhaustive_nash_check_refuses_sender_index(two_state, index):
     profile = tf.GeneralProfile(sender_strategy=OBEY, receiver_strategy={"t0": 1, "t1": 0})
     with pytest.raises(IndexError, match=f"sender index {index} out of range for 1 senders"):
         tf.exhaustive_nash_check(game, filt, profile, sender_index=index)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "0", None])
+def test_sender_index_that_is_no_int_is_refused(index):
+    """A bool is refused though it would index a sender: True would solve for sender 2."""
+    game = tf.random_game(tf.RandomGameSpec(seed=3, num_states=3, num_senders=2))
+    general = tf.GeneralFilter.identity(game)
+    profile = tf.random_profile(game, general, 5)
+    calls = [lambda: tf.receiver_optimal_filter(game, sender_index=index),
+             lambda: tf.classify_states(game, index),
+             lambda: tf.grid_search(game, tf.GridSpec(resolution=4), sender_index=index),
+             lambda: tf.canonical_equilibrium(game, general, index),
+             lambda: tf.canonical_equilibrium(game, tf.random_binary_filter(game, 5), index),
+             lambda: tf.check_nash_general(game, general, profile, index),
+             lambda: tf.exhaustive_nash_check(game, general, profile, index)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^sender index {re.escape(repr(index))} is not an int$"):
+            call()
 
 
 @pytest.mark.parametrize("index", [-1, 2])

@@ -219,9 +219,9 @@ def test_solve_and_check_build_no_records(records_built):
         assert len(records_built) == len(raws[0]["states"])
 
 
-def test_profile_evaluators_build_no_view(monkeypatch):
-    """The mirror of the check above: the from-definition evaluators read the
-    game's records and never build its integer view."""
+def test_profile_evaluators_build_no_view(monkeypatch, records_built):
+    """The from-definition evaluators read the game's parsed pairs: they
+    build neither its integer view nor its records."""
     built = []
     init = IntView.__init__
 
@@ -239,10 +239,12 @@ def test_profile_evaluators_build_no_view(monkeypatch):
         profile = tf.random_profile(generated, general, 6900 + i)
         game = tf.validate_game(json.loads(json.dumps(_spelled(generated, i))))
         built.clear()
+        records_built.clear()
         tf.profile_value(game, general, profile)
         for sender in range(game.num_senders):
             verdicts.add(tf.exhaustive_nash_check(game, general, profile, sender)[0])
         assert not built
+        assert not records_built
     assert verdicts == {True, False}
     game.int_view
     assert built == [1]
