@@ -118,14 +118,13 @@ class IntView:
         D is the lcm of the denominators. States are grouped by denominator d,
         and each total is the sum over d of (D / d) times the group's s times
         numerators: one multiply by D / d per distinct denominator, never one
-        per state. A probability outside [0, 1] raises ValueError.
+        per state. Probabilities must lie in [0, 1], and every caller's do: a
+        filter's come from its ``check_for``, and majority play is 0 or 1.
         """
         groups: dict[int, tuple[list[int], list[int]]] = {}   # d -> states, numerators
         for i, p in pairs:
             n, d = p.as_integer_ratio()
             if n:
-                if n < 0 or n > d:
-                    raise ValueError(f"probability {p} for {self.names[i]!r} is outside [0, 1]")
                 group = groups.get(d)
                 if group is None:
                     groups[d] = ([i], [n])

@@ -11,6 +11,13 @@ game's cached integer view (``Game.int_view``), built from the same pairs,
 and become Fractions only when reported; a game's ``StateRecord``s of
 Fractions are built only when a caller reads them.
 
+A filter's ``check_for`` is the only code that reads its table, and every
+function that takes a filter calls it once: it checks the table and returns
+the sparse (state index, probability) pairs that ``IntView.obey_totals``
+takes, one list for a binary filter and one per emitted signal for a
+general filter. Input that is not a mapping raises the package's own error,
+naming the state.
+
 Action convention: signal 0 stands for "play action 0". A binary filter is
 described by the per-state probability of emitting signal 0.
 
@@ -20,9 +27,11 @@ values, and copied with changes by ``_replace``.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import _simplex
 from ._intview import IntView, check_sender, scaled_ints
@@ -373,10 +382,16 @@ def validate_game(raw: Mapping) -> Game:
 # ---------------------------------------------------------------------------
 
 def _check_distribution(dist: Mapping[str, object], item: str, where: str,
-                        error: type[ValueError]) -> None:
-    """Refuse unless the values are ints or Fractions, none negative, summing to exactly 1."""
+                        error: type[ValueError]) -> list[tuple[str, Union[int, Fraction]]]:
+    """The items of a mapping of ints or Fractions, none negative, summing to exactly 1.
+
+    Reads ``dist`` once; anything else raises ``error``, naming the key or ``where``.
+    """
+    if not isinstance(dist, Mapping):
+        raise error(f"{item} distribution {where} must be a mapping, not {type(dist).__name__}")
+    items = list(dist.items())
     num, den = 0, 1   # the sum over the lcm of the denominators: cheaper than Fraction adds
-    for key, p in dist.items():
+    for key, p in items:
         if isinstance(p, bool) or not isinstance(p, (int, Fraction)):  # as in _ratio
             raise error(
                 f"probability {p!r} for {item} {key!r} {where} is not an int or Fraction")
@@ -389,14 +404,24 @@ def _check_distribution(dist: Mapping[str, object], item: str, where: str,
         num += n * (den // d)
     if num != den:
         raise error(f"{item} distribution {where} sums to {Fraction(num, den)}, expected 1")
+    return items
 
 
-def _check_domain(game: Game, have: Mapping[str, object]) -> None:
-    names, have = set(game.state_names), set(have)
-    if names != have:
+def _indexed(game: Game, table: Mapping) -> tuple[dict[str, int], list[tuple[str, object]]]:
+    """Each state's index in the game, and a filter table's (state, entry) items.
+
+    Reads the table once, and refuses it unless its keys are the game's states.
+    """
+    if not isinstance(table, Mapping):
+        table = dict.fromkeys(table)   # its items as states, each with no entry
+    index = {name: i for i, name in enumerate(game.state_names)}
+    items = list(table.items())
+    have = {name for name, _ in items}
+    if have != index.keys():
         raise FilterDomainMismatch(
-            f"filter domain mismatch: missing states {sorted(names - have)}, "
-            f"unknown states {sorted(have - names)}")
+            f"filter domain mismatch: missing states {sorted(index.keys() - have)}, "
+            f"unknown states {sorted(have - index.keys())}")
+    return index, items
 
 
 class BinaryFilter(NamedTuple):
@@ -404,33 +429,28 @@ class BinaryFilter(NamedTuple):
 
     signal0_prob: Mapping[str, Fraction]
 
-    def check_for(self, game: Game) -> None:
-        _check_domain(game, self.signal0_prob)
-        for name, x in self.signal0_prob.items():
+    def check_for(self, game: Game) -> list[tuple[int, Fraction]]:
+        """The filter's nonzero (state index, probability) pairs, in table order.
+
+        These are the pairs that ``IntView.obey_totals`` takes; the table is
+        read once. A table whose keys are not the game's states raises
+        ``FilterDomainMismatch``, and a probability that is not an int or
+        Fraction in [0, 1] ``FilterValidationError`` naming the state.
+        """
+        index, items = _indexed(game, self.signal0_prob)
+        for name, x in items:
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):  # as in _ratio
                 raise FilterValidationError(
                     f"probability {x!r} for state {name!r} is not an int or Fraction")
-            if not (0 <= x <= 1):
+            n, d = x.as_integer_ratio()
+            if n < 0 or n > d:
                 raise FilterValidationError(
                     f"signal0 probability for {name!r} is {x}, outside [0, 1]")
+        return [(index[name], x) for name, x in items if x]
 
     def obey_totals(self, game: Game) -> tuple[list[int], int]:
-        """``IntView.obey_totals`` of the filter: per player sum(s * x) at x / D, and D.
-
-        A filter that ``check_for`` rejects raises the same error here: an
-        entry whose type is not exactly int or Fraction (a bool, say), a
-        missing state or a probability outside [0, 1] goes to ``check_for``.
-        """
-        table = self.signal0_prob
-        view = game.int_view
-        try:
-            probs = [table[name] for name in view.names]
-            if len(probs) == len(table) and set(map(type, probs)) <= {int, Fraction}:
-                return view.obey_totals(enumerate(probs))
-        except (KeyError, ValueError):
-            pass
-        self.check_for(game)
-        return view.obey_totals(enumerate(probs))
+        """``IntView.obey_totals`` of the ``check_for`` pairs: per player s.x at x / D, and D."""
+        return game.int_view.obey_totals(self.check_for(game))
 
     def to_general(self) -> "GeneralFilter":
         table = {}
@@ -449,10 +469,25 @@ class GeneralFilter(NamedTuple):
 
     table: Mapping[str, Mapping[str, Fraction]]
 
-    def check_for(self, game: Game) -> None:
-        _check_domain(game, self.table)
-        for name, dist in self.table.items():
-            _check_distribution(dist, "signal", f"on state {name!r}", FilterValidationError)
+    def check_for(self, game: Game) -> dict[str, list[tuple[int, Fraction]]]:
+        """Each emitted signal's nonzero (state index, probability) pairs, in emitted() order.
+
+        Each signal's pairs, in table order, are what ``IntView.obey_totals``
+        takes; each state's distribution is read once. A table whose keys are
+        not the game's states raises ``FilterDomainMismatch``, and a
+        distribution that is not a mapping of ints or Fractions, none
+        negative, summing to exactly 1, ``FilterValidationError`` naming the
+        state.
+        """
+        index, items = _indexed(game, self.table)
+        signals = defaultdict(list)   # every signal named, in ``signals()`` order
+        for name, dist in items:
+            for sig, p in _check_distribution(dist, "signal", f"on state {name!r}",
+                                              FilterValidationError):
+                pairs = signals[sig]
+                if p:
+                    pairs.append((index[name], p))
+        return {sig: pairs for sig, pairs in signals.items() if pairs}
 
     def signals(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -527,17 +562,15 @@ def posterior(game: Game, filt: GeneralFilter, signal: str) -> dict[str, Fractio
 
     Computed on the game's ``StateRecord``s in Fractions, straight from the
     definition, apart from the integer rows that the solver and its checks
-    use. The filter must pass ``GeneralFilter.check_for``.
+    use: each state's prior times the signal's probability there, read from
+    the pairs of ``GeneralFilter.check_for``, which refuses a bad filter.
     """
-    filt.check_for(game)
-    weights = {}
-    for rec in game.states:
-        prob = filt.table[rec.name].get(signal, Fraction(0))
-        if prob:
-            weights[rec.name] = rec.prior * prob
-    total = sum(weights.values(), Fraction(0))
-    if total == 0:
+    pairs = filt.check_for(game).get(signal)
+    if not pairs:
         raise ZeroProbabilitySignal(f"signal {signal!r} is never emitted")
+    states = game.states
+    weights = {states[i].name: states[i].prior * prob for i, prob in sorted(pairs)}
+    total = sum(weights.values(), Fraction(0))
     return {name: w / total for name, w in weights.items()}
 
 

@@ -33,23 +33,29 @@ one obey total per player: ``binary_equilibrium`` sums a filter's totals once
 for them, and the optimizer sums them from its walk. Every obey-the-signal
 value, here and elsewhere, is ``IntView.obey_value`` of a total.
 
+No function here reads a filter's table: a filter's ``check_for`` reads
+it once per call and returns the sparse pairs that ``obey_totals`` takes,
+and ``GeneralProfile.check_for`` hands on its filter's pairs.
+
 General filters reduce to the same rows. ``_signal_table`` holds every
 player's obey total on each emitted signal, brought to one scale, and the
 signals that merge into signal 0 by the tie rule, ``_simplex._start``. It
-reads the filter's table once, collecting each signal's nonzero pairs, and
-makes one ``obey_totals`` call per signal, so a general filter costs
-O(k + entries), not O(k) per signal. ``merge_to_binary`` reads that
-choice; ``canonical_equilibrium`` sums the chosen rows and evaluates the
-general filter once, with no merged filter built; ``check_nash_general``
-reads its signal classes and the receiver's per-message gaps from the same
-rows, never from the game's ``StateRecord``s.
+makes one ``obey_totals`` call per signal of ``GeneralFilter.check_for``'s
+pairs, so a general filter costs O(k + entries), not O(k) per signal.
+``merge_to_binary`` sums the chosen signals' pairs per state;
+``canonical_equilibrium`` sums the chosen rows and evaluates the general
+filter once, with no merged filter built; ``check_nash_general`` reads its
+signal classes and the receiver's per-message gaps from the same rows,
+never from the game's ``StateRecord``s, and the profile's probabilities
+from the profile itself.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import _simplex
 from ._intview import IntView
@@ -115,33 +121,30 @@ def merge_to_binary(game: Game, filt: GeneralFilter, sender_index: int = 0) -> B
     the receiver is indifferent too. Obey-the-signal utilities are unchanged by
     the merge, and the merged filter is sender-compatible by construction.
     """
-    filt.check_for(game)
-    chosen = _signal_table(game, filt, sender_index)[2]
-    return BinaryFilter(signal0_prob={
-        name: sum((p for sig, p in filt.table[name].items() if sig in chosen), Fraction(0))
-        for name in game.int_view.names})
+    pairs = filt.check_for(game)
+    chosen = _signal_table(game, pairs, sender_index)[2]
+    names = game.int_view.names
+    probs = [Fraction(0)] * len(names)
+    for sig in chosen:
+        for i, p in pairs[sig]:
+            probs[i] += p
+    return BinaryFilter(signal0_prob=dict(zip(names, probs)))
 
 
-def _signal_table(game: Game, filt: GeneralFilter, sender_index: int
+def _signal_table(game: Game, pairs: dict[str, list[tuple[int, Fraction]]], sender_index: int
                   ) -> tuple[dict[str, list[int]], int, set[str]]:
     """Per emitted signal, every player's obey total sum(s * P(signal | state)).
 
-    One pass over the table, in view order, collects each signal's nonzero
-    (state index, probability) pairs; then one ``IntView.obey_totals`` call
-    per signal, its totals brought to L, the lcm of the per-signal scales, so
-    that totals of different signals compare and add. Returns those rows, in
-    ``GeneralFilter.emitted`` order, L, and the signals that
+    ``pairs`` are ``GeneralFilter.check_for``'s: one ``IntView.obey_totals``
+    call per signal, its totals brought to L, the lcm of the per-signal
+    scales, so that totals of different signals compare and add. Returns
+    those rows, in ``GeneralFilter.emitted`` order, L, and the signals that
     ``merge_to_binary`` sends to signal 0: those that the tie rule
     ``_simplex._start`` of the sender's and the receiver's totals sends to
-    action 0. The filter must have passed ``check_for``.
+    action 0.
     """
     view = game.int_view
     view.check_sender(sender_index)
-    pairs: dict[str, list[tuple[int, Fraction]]] = {sig: [] for sig in filt.emitted()}
-    for i, name in enumerate(view.names):
-        for sig, p in filt.table[name].items():
-            if p:
-                pairs[sig].append((i, p))
     rows = {sig: view.obey_totals(sig_pairs) for sig, sig_pairs in pairs.items()}
     scale = lcm(*(d for _, d in rows.values()))
     rows = {sig: [t * (scale // d) for t in totals] for sig, (totals, d) in rows.items()}
@@ -170,8 +173,7 @@ def canonical_equilibrium(game: Game,
 def _general_equilibrium(game: Game, filt: GeneralFilter, sender_index: int
                          ) -> tuple[ICReport, ICReport, EquilibriumOutcome]:
     """``binary_equilibrium`` of the merged filter, from the chosen signals' summed rows."""
-    filt.check_for(game)
-    rows, scale, chosen = _signal_table(game, filt, sender_index)
+    rows, scale, chosen = _signal_table(game, filt.check_for(game), sender_index)
     totals = [sum(rows[sig][t] for sig in chosen) for t in range(game.int_view.num_players)]
     return scaled_equilibrium(game, totals, scale, sender_index)
 
@@ -218,34 +220,40 @@ class GeneralProfile(NamedTuple):
     sender_strategy: Mapping[str, Mapping[str, Fraction]]
     receiver_strategy: Mapping[str, Fraction]
 
-    def check_for(self, game: Game, filt: GeneralFilter) -> None:
+    def check_for(self, game: Game, filt: GeneralFilter
+                  ) -> dict[str, list[tuple[int, Fraction]]]:
         """Refuse anything but a mixed profile on the filter's emitted signals.
 
-        Checks the filter first. The sender strategy must cover exactly the
-        emitted signals: an extra signal raises ``ZeroProbabilitySignal``. Every
-        probability must be an int or Fraction in [0, 1], and each signal's
-        distribution must sum to 1 over messages that the receiver strategy
-        names; any other fault raises ``ValueError``.
+        Checks the filter first, and returns its ``GeneralFilter.check_for``
+        pairs. The sender strategy must cover exactly the emitted signals: an
+        extra signal raises ``ZeroProbabilitySignal``. Both strategies and
+        each signal's distribution must be mappings, every probability an int
+        or Fraction in [0, 1], and each signal's distribution must sum to 1
+        over messages that the receiver strategy names; any other fault
+        raises ``ValueError``.
         """
-        filt.check_for(game)
-        emitted = filt.emitted()
-        live = set(emitted)
+        pairs = filt.check_for(game)
         for sig in self.sender_strategy:
-            if sig not in live:
+            if sig not in pairs:
                 raise ZeroProbabilitySignal(
                     f"profile defines behaviour on signal {sig!r}, which is never emitted")
-        missing = [sig for sig in emitted if sig not in self.sender_strategy]
+        missing = [sig for sig in pairs if sig not in self.sender_strategy]
         if missing:
             raise ValueError(f"profile missing sender behaviour for signals {sorted(missing)}")
-        for m, p in self.receiver_strategy.items():
+        play0 = self.receiver_strategy
+        for role, got in (("sender", self.sender_strategy), ("receiver", play0)):
+            if not isinstance(got, Mapping):
+                raise ValueError(f"{role} strategy must be a mapping, not {type(got).__name__}")
+        for m, p in play0.items():
             if isinstance(p, bool) or not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
                 raise ValueError(f"receiver plays action 0 on message {m!r} with probability "
                                  f"{p!r}, not an int or Fraction in [0, 1]")
         for sig, dist in self.sender_strategy.items():
-            for m in dist:
-                if m not in self.receiver_strategy:
+            for m in dist if isinstance(dist, Mapping) else ():
+                if m not in play0:
                     raise ValueError(f"message {m!r} has no receiver behaviour")
             _check_distribution(dist, "message", f"on signal {sig!r}", ValueError)
+        return pairs
 
 
 class MessageClass(enum.Enum):
@@ -292,8 +300,7 @@ def check_nash_general(game: Game, filt: GeneralFilter, profile: GeneralProfile,
     The receiver side is a per-message posterior best-response check. The
     profile must pass ``GeneralProfile.check_for``.
     """
-    profile.check_for(game, filt)
-    rows, _, _ = _signal_table(game, filt, sender_index)
+    rows, _, _ = _signal_table(game, profile.check_for(game, filt), sender_index)
     play0 = profile.receiver_strategy
 
     # Sender signal classes by posterior preference.

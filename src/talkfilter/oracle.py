@@ -38,11 +38,13 @@ R = 6, 10 at R = 8).
 ``profile_value`` and ``exhaustive_nash_check`` evaluate general profiles
 from the definition. Both read one per-signal table, ``_signal_sums``: each
 emitted signal's prior-weighted utility sums (V0, V1) per player, built from
-the game's parsed (numerator, denominator) pairs, never from its records or
-its integer view. The priors, the filter, each player's utilities and the
-profile's probabilities are numerators over their own lcm denominators, and
-each comparison is made at one common scale; only the returned utilities
-are Fractions.
+the game's parsed (numerator, denominator) pairs and the filter's pairs that
+``GeneralProfile.check_for`` hands on, never from the game's records, its
+integer view or the filter's table. The profile's own probabilities are read
+apart, by ``_scaled_profile``. The priors, the filter, each player's
+utilities and the profile's probabilities are numerators over their own lcm
+denominators, and each comparison is made at one common scale; only the
+returned utilities are Fractions.
 
 Random games come from a SplitMix64 generator with the draw order documented
 on each function, so failing cases reproduce from a single integer seed on
@@ -54,7 +56,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import repeat
 from operator import add, ge, itemgetter, lt, mul
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ._intview import IntView, check_sender, scaled_ints
 from .core import (
@@ -557,39 +559,28 @@ def two_sender_grid_search(game: Game, spec: GridSpec, threads: int = 1
 # Exhaustive profile verification
 # ---------------------------------------------------------------------------
 
-def _scaled(rows: list[Mapping[str, Fraction]]) -> tuple[list[dict[str, int]], int]:
-    """Rows of probabilities as numerators over one scale, the lcm of all their denominators."""
-    nums, den = scaled_ints([p.as_integer_ratio() for row in rows for p in row.values()])
-    flat = iter(nums)
-    return [dict(zip(row, flat)) for row in rows], den
+def _signal_sums(game: Game, pairs: dict[str, list[tuple[int, Fraction]]],
+                 players: Iterable[int]) -> tuple[dict[str, list[tuple[int, int]]], list[int]]:
+    """Per signal of ``pairs``, in their order, each named player's (V0, V1), and its scale.
 
-
-def _signal_sums(game: Game, filt: GeneralFilter, players: Iterable[int]
-                 ) -> tuple[dict[str, list[tuple[int, int]]], list[int]]:
-    """Per emitted signal, in ``filt.emitted()`` order, each named player's (V0,
-    V1) = sum over w of prior(w) * P(sig | w) * (u0, u1), and each one's scale.
-
-    Read from the game's parsed rows: the priors, the filter and each
-    player's utilities are numerators over their own lcm denominators, so a
-    player's scale is the product of the three.
+    ``pairs`` are ``GeneralFilter.check_for``'s, and (V0, V1) = sum over w of
+    prior(w) * P(sig | w) * (u0, u1), read from the game's parsed rows and
+    the pairs: the priors, the filter and each player's utilities are
+    numerators over their own lcm denominators, so a player's scale is the
+    product of the three.
     """
     rows = game._rows
     weight, wscale = scaled_ints([prior for _, prior, _ in rows])
-    index = {name: i for i, (name, _, _) in enumerate(rows)}
-    dists, fscale = _scaled(list(filt.table.values()))
-    terms = {sig: ([], []) for sig in filt.emitted()}   # states, prior * P(sig | w)
-    for name, dist in zip(filt.table, dists):
-        i = index[name]
-        for sig, prob in dist.items():
-            if prob:
-                states, weights = terms[sig]
-                states.append(i)
-                weights.append(weight[i] * prob)
+    nums, fscale = scaled_ints([p.as_integer_ratio()
+                                for sig_pairs in pairs.values() for _, p in sig_pairs])
+    flat = iter(nums)
+    terms = {sig: ([i for i, _ in sig_pairs], [weight[i] * next(flat) for i, _ in sig_pairs])
+             for sig, sig_pairs in pairs.items()}   # states, prior * P(sig | w)
     k = len(rows)
     utils, scales = [], []
     for t in players:
-        pairs = [u[t] for _, _, u in rows]
-        vals, scale = scaled_ints([a for a, _ in pairs] + [b for _, b in pairs])
+        utility = [u[t] for _, _, u in rows]
+        vals, scale = scaled_ints([a for a, _ in utility] + [b for _, b in utility])
         utils.append((vals[:k], vals[k:]))
         scales.append(wscale * fscale * scale)
     return {sig: [(sum(map(mul, weights, map(u0.__getitem__, states))),
@@ -599,9 +590,12 @@ def _signal_sums(game: Game, filt: GeneralFilter, players: Iterable[int]
 
 def _scaled_profile(profile: GeneralProfile
                     ) -> tuple[dict[str, dict[str, int]], dict[str, int], int]:
-    """The sender's and the receiver's probabilities as numerators over one scale."""
-    (*rows, play0), den = _scaled([*profile.sender_strategy.values(), profile.receiver_strategy])
-    return dict(zip(profile.sender_strategy, rows)), play0, den
+    """The profile's probabilities as numerators over the lcm of all their denominators."""
+    rows = [*profile.sender_strategy.values(), profile.receiver_strategy]
+    nums, den = scaled_ints([p.as_integer_ratio() for row in rows for p in row.values()])
+    flat = iter(nums)
+    *sender, play0 = [dict(zip(row, flat)) for row in rows]
+    return dict(zip(profile.sender_strategy, sender)), play0, den
 
 
 def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
@@ -613,8 +607,7 @@ def profile_value(game: Game, filt: GeneralFilter, profile: GeneralProfile
     played 0; each player's value sums that over signals and their messages,
     weighted by P(m | sig). The profile must pass ``GeneralProfile.check_for``.
     """
-    profile.check_for(game, filt)
-    sums, scales = _signal_sums(game, filt, range(game.num_senders + 1))
+    sums, scales = _signal_sums(game, profile.check_for(game, filt), range(game.num_senders + 1))
     sender, play0, den = _scaled_profile(profile)
     totals = [0] * len(scales)   # over den^2 and the player's scale
     for sig, pairs in sums.items():
@@ -639,8 +632,7 @@ def exhaustive_nash_check(game: Game, filt: GeneralFilter, profile: GeneralProfi
     ``GeneralProfile.check_for``.
     """
     check_sender(game.num_senders, sender_index)
-    profile.check_for(game, filt)
-    sums, _ = _signal_sums(game, filt, (sender_index, game.num_senders))
+    sums, _ = _signal_sums(game, profile.check_for(game, filt), (sender_index, game.num_senders))
     sender, play0, den = _scaled_profile(profile)
 
     for sig, ((v0, v1), _) in sums.items():

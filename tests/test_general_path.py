@@ -7,6 +7,9 @@ pairs, and no ``BinaryFilter`` evaluation. Its canonical outcome and IC
 reports equal those of ``binary_equilibrium`` on its merge.
 General profiles are validated by one ``GeneralProfile.check_for``, and
 sender indices are refused as ``IntView.check_sender`` refuses them.
+``check_for`` is the only read of a filter's table: every function that
+takes a filter reads each distribution once, and an input that is not a
+mapping raises the package's own error.
 """
 import itertools
 import re
@@ -15,6 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference_checks
 import talkfilter as tf
 from talkfilter._intview import IntView
 from talkfilter.equilibrium import _general_equilibrium, binary_equilibrium
@@ -179,6 +183,7 @@ BAD_PROFILES = {
     "unknown message": (OBEY, {"t0": F(1)}, "'t1' has no receiver behaviour"),
     "empty profile": ({}, {}, "missing sender behaviour"),
     "empty distributions": ({"a": {}, "b": {}}, {}, "expected 1"),
+    **reference_checks.NON_MAPPING_PROFILES,
 }
 
 
@@ -209,6 +214,23 @@ def test_valid_profile_passes_every_checker(two_state):
     assert tf.exhaustive_nash_check(game, filt, profile) == (True, None)
     assert tf.profile_value(game, filt, profile) == tf.UtilityProfile(senders=(F(1),),
                                                                       receiver=F(1))
+
+
+@pytest.mark.parametrize("case", list(reference_checks.NON_MAPPING_FILTERS))
+def test_non_mapping_filters_raise_filter_errors(case):
+    reference_checks.check_filter_case(case)
+
+
+# ---------------------------------------------------------------------------
+# One read per call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,name", [
+    *(("general", name) for name in reference_checks.GENERAL_READERS),
+    *(("binary", name) for name in reference_checks.BINARY_READERS)])
+def test_each_call_reads_each_distribution_once(kind, name):
+    for seed in range(6):
+        assert reference_checks.distribution_reads(kind, name, seed) == {1}, seed
 
 
 # ---------------------------------------------------------------------------
