@@ -3,16 +3,22 @@
 Each player's whole game, for binary-action purposes, is one prior-weighted
 gap row s = prior * (u0 - u1), plus the value of constant action 1. Priors
 and utilities are rescaled to integers by the lcm of their denominators, and
-this module is the only place that multiplies the two. It is also the only
-place that turns a filter's probabilities into integers: every binary
-filter, every signal of a general filter, every grid point and majority play
-enters through ``IntView.obey_totals``, as sparse (state index, probability)
-pairs. A general filter therefore costs O(k + entries), each entry of its
+this module multiplies the two for the solvers, the IC checks, the
+equilibrium values and the grid sweeps. The oracle's definition-level
+evaluator, ``oracle._signal_sums``, scales priors, a filter's probabilities
+and utilities to integers and multiplies them again on its own, so that it
+checks this view rather than shares it. Apart from it,
+``IntView.obey_totals`` is the one routine that turns a filter's
+probabilities into integer totals: every binary filter, every signal of a
+general filter, every grid point and majority play enters it as sparse
+(state index, probability) pairs. (``core._check_distribution`` also reads
+a distribution's numerators and denominators, only to check that they sum
+to 1.) A general filter therefore costs O(k + entries), each entry of its
 table read once, however many signals it emits. Sorting keys, incentive
 slacks and grid sweeps then run on plain ints (exact, and much faster than
-Fraction arithmetic at solver scale). Fractions are reconstructed only at API
-boundaries by dividing the scales back out. ``IntView.ic_target`` is the one
-spelling of the IC rule's right-hand side, max(0, sum(s)).
+Fraction arithmetic at solver scale). Fractions are reconstructed only at
+API boundaries by dividing the scales back out. ``IntView.ic_target`` is
+the one spelling of the IC rule's right-hand side, max(0, sum(s)).
 """
 from __future__ import annotations
 

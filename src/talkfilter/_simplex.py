@@ -5,6 +5,12 @@ ratio sort and a concession walk: it is the one-sender optimizer, and the
 inner problem of ``maximize``'s exact search over a row multiplier. Nothing
 here pivots a basis or solves a linear system. The module and both names
 are kept because the benchmark's tracer (``bench/tracer.py``) wraps them.
+The walk's answer is a 0/1 point plus at most one interior entry, the
+pivot's (a fractional knapsack answer), and ``_solve`` returns that whole
+stop: the entry is formed here once, as a reduced (num, den) from the row
+total the walk holds, and ``_total`` gives any row's total at a stop over
+den. ``_cut`` and the one-sender optimizer read both; neither sums b.x or
+reduces the entry again. ``_reduced`` is the module's one signed gcd.
 The tie rule lives here once: ``_plays0``, which babbling, majority play and
 the two-sender constant candidates read, and ``_start`` and ``_disagree``
 built on it, which the state classes, the optimizer's sort and the general
@@ -13,7 +19,7 @@ filter's merge read too.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -36,6 +42,12 @@ def _disagree(e: Sequence[int], b: Sequence[int]) -> list[int]:
     return [i for i, (v, w) in enumerate(zip(e, b)) if (v > 0 > w) or (v < 0 < w)]
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, with a positive denominator."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
 def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int]:
     """``dis`` by exact ascending e/(-b): float key first, exact fixup on collisions."""
 
@@ -48,24 +60,28 @@ def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int
             # the exact pass below.
             return float("inf")
 
-    keyed = sorted(((fkey(i), i) for i in dis))
-    order = [i for _, i in keyed]
+    # A stable sort of positions by float key, which sorts plain floats rather
+    # than (key, state) tuples and keeps input order on equal keys. Without
+    # equal keys that is the exact order.
+    keys = [fkey(i) for i in dis]
+    perm = sorted(range(len(dis)), key=keys.__getitem__)
+    order = [dis[j] for j in perm]
+    if len(set(keys)) == len(keys):
+        return order
+    keys = [keys[j] for j in perm]
     # Re-sort runs whose doubles collide by their exact ratios. States are
     # grouped by reduced ratio in input order, and the groups are ordered by
-    # exact value, which is the stable sort on the exact ratio.
-    # States with e < 0 < b have both terms negative; reducing by a gcd of
-    # the denominator's sign makes every denominator positive.
+    # exact value, which is the stable sort on the exact ratio. States with
+    # e < 0 < b have both terms negative; ``_reduced`` makes them one key.
     start = 0
     while start < len(order):
         end = start + 1
-        while end < len(order) and keyed[end][0] == keyed[start][0]:
+        while end < len(order) and keys[end] == keys[start]:
             end += 1
         if end - start > 1:
             groups: dict[tuple[int, int], list[int]] = {}
             for i in order[start:end]:
-                num, den = e[i], -b[i]
-                g = gcd(num, den) if den > 0 else -gcd(num, den)
-                groups.setdefault((num // g, den // g), []).append(i)
+                groups.setdefault(_reduced(e[i], -b[i]), []).append(i)
             if len(groups) > 1:
                 ratios = sorted(groups, key=lambda r: Fraction(*r))
                 order[start:end] = [i for r in ratios for i in groups[r]]
@@ -74,23 +90,26 @@ def _ratio_order(e: Sequence[int], b: Sequence[int], dis: list[int]) -> list[int
 
 
 def _solve(e: Sequence[int], b: Sequence[int], t: int
-           ) -> tuple[list[int], int, int, Fraction]:
+           ) -> tuple[list[int], int, int, Fraction, int, int]:
     """max e.x subject to b.x >= t and 0 <= x <= 1, by a sort and a concession walk.
 
     The start is ``_start(e, b)``, so the ``_disagree`` states (strict
     opposite signs) start on e's side. While b.x < t, they move to b's side
     in ascending order of e_i / -b_i. The first whose move would meet the
-    row is the pivot, worth (t - b.x) / b[pivot] at the optimum. Returns
-    (x, step, pivot, y): x is 0/1 with the pivot's entry 0, step the pivot's
-    1-based place in the order, and y = |e| / |b| there the row's
-    multiplier, so that e.x <= sum(max(0, e_i + y * b_i)) - y * t on the row,
-    with equality at the optimum. Without a walk, (x, 0, -1, 0). Raises
-    ArithmeticError when no point of the box meets the row.
+    row is the pivot. Returns the stop (x, step, pivot, y, num, den): x is
+    0/1 with the pivot's entry 0, step the pivot's 1-based place in the
+    order, y = |e| / |b| there the row's multiplier, so that
+    e.x <= sum(max(0, e_i + y * b_i)) - y * t on the row, with equality at
+    the optimum, and num / den the pivot's entry at the optimum, reduced,
+    den > 0: b.x * den + b[pivot] * num = t * den. It is formed from the
+    walk's own total, which holds b.x with the pivot still at its start.
+    Without a walk, (x, 0, -1, 0, 0, 1). Raises ArithmeticError when no
+    point of the box meets the row.
     """
     x = _start(e, b)
-    total = sum(map(mul, b, x))
+    total = sum(compress(b, x))
     if total >= t:
-        return x, 0, -1, _ZERO
+        return x, 0, -1, _ZERO, 0, 1
     order = _ratio_order(e, b, _disagree(e, b))
     for step, i in enumerate(order, start=1):
         bump = abs(b[i])
@@ -101,8 +120,18 @@ def _solve(e: Sequence[int], b: Sequence[int], t: int
         raise ArithmeticError("the walk moved every state and never met the row")
     for j in order[:step - 1]:
         x[j] = 1 - x[j]
+    num, den = _reduced(t - total + b[i] * x[i], b[i])
     x[i] = 0
-    return x, step, i, Fraction(abs(e[i]), bump)
+    return x, step, i, Fraction(abs(e[i]), bump), num, den
+
+
+def _total(row: Sequence[int], stop: tuple) -> int:
+    """den * row.x at a ``_solve`` stop: den times the row over x's 1s, plus row[pivot] * num.
+
+    num = 0 (no pivot, or a pivot at 0) adds nothing, and reads no pivot.
+    """
+    x, _, pivot, _, num, den = stop
+    return den * sum(compress(row, x)) + (row[pivot] * num if num else 0)
 
 
 class _Cut(NamedTuple):
@@ -123,16 +152,10 @@ class _Cut(NamedTuple):
 def _cut(c: list[int], a: list[int], ta: int, b: list[int], tb: int, p: int, q: int
          ) -> _Cut:
     """h at lam = p / q, by one kernel call on c + lam * a (times q)."""
-    x, step, pivot, y = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, tb)
-    cx, ax = sum(map(mul, c, x)), sum(map(mul, a, x))
-    num, den = 0, 1
-    if step:
-        num, den = tb - sum(map(mul, b, x)), b[pivot]
-        d = gcd(num, den) if den > 0 else -gcd(num, den)
-        num, den = num // d, den // d
-        cx = cx * den + c[pivot] * num
-        ax = ax * den + a[pivot] * num
-    return _Cut(p, q, cx, ax - ta * den, den, x, pivot, num, y.numerator, y.denominator * q)
+    stop = _solve([q * ci + p * ai for ci, ai in zip(c, a)], b, tb)
+    x, _, pivot, y, num, den = stop
+    return _Cut(p, q, _total(c, stop), _total(a, stop) - ta * den, den, x, pivot, num,
+                y.numerator, y.denominator * q)
 
 
 def _fractions(cut: _Cut) -> list:
@@ -221,11 +244,9 @@ def maximize(c: Sequence[int], a: Sequence[int], ta: int, b: Sequence[int], tb: 
             raise ArithmeticError("h still falls past its last breakpoint")
         while hi.g > 0:
             # The lines' crossing (hi.cx - lo.cx) / (lo.g - hi.g), over both
-            # ends' denominators; lo.g < 0 < hi.g, so the divisor is negative.
-            p = hi.cx * lo.den - lo.cx * hi.den
-            q = lo.g * hi.den - hi.g * lo.den
-            d = -gcd(p, q)
-            last = _cut(c, a, ta, b, tb, p // d, q // d)
+            # ends' denominators, reduced.
+            p, q = _reduced(hi.cx * lo.den - lo.cx * hi.den, lo.g * hi.den - hi.g * lo.den)
+            last = _cut(c, a, ta, b, tb, p, q)
             # Stop when h(lam) lies on lo's line: (cx - lo.cx) + lam * (g - lo.g) = 0.
             if ((last.cx * lo.den - lo.cx * last.den) * last.q
                     + last.p * (last.g * lo.den - lo.g * last.den)) == 0:

@@ -11,12 +11,14 @@ game's cached integer view (``Game.int_view``), built from the same pairs,
 and become Fractions only when reported; a game's ``StateRecord``s of
 Fractions are built only when a caller reads them.
 
-A filter's ``check_for`` is the only code that reads its table, and every
-function that takes a filter calls it once: it checks the table and returns
-the sparse (state index, probability) pairs that ``IntView.obey_totals``
-takes, one list for a binary filter and one per emitted signal for a
-general filter. Input that is not a mapping raises the package's own error,
-naming the state.
+A filter's ``check_for`` is the only code on a solve, check or evaluation
+path that reads its table, and every function that takes a filter calls it
+once: it checks the table and returns the sparse (state index, probability)
+pairs that ``IntView.obey_totals`` takes, one list for a binary filter and
+one per emitted signal for a general filter. Input that is not a mapping
+raises the package's own error, naming the state. ``GeneralFilter.signals``
+and ``GeneralFilter.emitted`` read the table too, unchecked, to list signal
+names for a caller; only ``emitted`` calls ``signals`` in the package.
 
 Action convention: signal 0 stands for "play action 0". A binary filter is
 described by the per-state probability of emitting signal 0.
@@ -451,17 +453,6 @@ class BinaryFilter(NamedTuple):
     def obey_totals(self, game: Game) -> tuple[list[int], int]:
         """``IntView.obey_totals`` of the ``check_for`` pairs: per player s.x at x / D, and D."""
         return game.int_view.obey_totals(self.check_for(game))
-
-    def to_general(self) -> "GeneralFilter":
-        table = {}
-        for name, x in self.signal0_prob.items():
-            dist = {}
-            if x > 0:
-                dist["0"] = x
-            if x < 1:
-                dist["1"] = 1 - x
-            table[name] = dist
-        return GeneralFilter(table)
 
 
 class GeneralFilter(NamedTuple):

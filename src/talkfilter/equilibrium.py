@@ -30,8 +30,10 @@ state.
 
 ``scaled_equilibrium`` derives both IC reports and the canonical outcome from
 one obey total per player: ``binary_equilibrium`` sums a filter's totals once
-for them, and the optimizer sums them from its walk. Every obey-the-signal
-value, here and elsewhere, is ``IntView.obey_value`` of a total.
+for them, and the optimizer reads them at its kernel stop
+(``_simplex._total``). Every obey-the-signal value, here and elsewhere (the
+two-sender unanimous candidates and the grid winners too), is
+``IntView.obey_value`` of a total.
 
 No function here reads a filter's table: a filter's ``check_for`` reads
 it once per call and returns the sparse pairs that ``obey_totals`` takes,

@@ -6,19 +6,23 @@ player o against the constrained player c, both named by ``_players``, is
 one call of the one-row kernel ``_simplex._solve``: maximize s_o.x subject
 to s_c.x >= ``IntView.ic_target(c)`` on the box, by a ratio sort and a
 concession walk. At most one state, the pivot, gets an interior
-probability, chosen by ``pivot_q`` so that c's row binds. When o's own row
-then fails, the answer is the always-signal-1 constant filter. Hot loops
-run on the integer-normalized game view; every reported number is an exact
-Fraction. The answer is 0/1 off the pivot, so each player's obey total at
-the pivot's denominator D is D * (s summed over the signal-0 states) +
-s[pivot] * D * q; both IC reports (kept on the result) and the canonical
-outcome come from those totals.
+probability, the one at which c's row binds. When o's own row then fails,
+the answer is the always-signal-1 constant filter. Hot loops run on the
+integer-normalized game view; every reported number is an exact Fraction.
+
+The kernel's stop carries the pivot's probability as a reduced num / den,
+and ``_simplex._total`` gives each player's obey total at it over D = den:
+D * (s summed over the signal-0 states) + s[pivot] * num. Both IC reports
+(kept on the result) and the canonical outcome come from those totals.
+Nothing here forms the pivot's probability or reduces it: ``pivot_q`` only
+builds the reported Fraction from the kernel's num / den, once per walk,
+and is kept as its own function because the benchmark's tracer
+(``bench/tracer.py``) counts its calls.
 """
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple, Optional
 
 from . import _simplex
@@ -77,16 +81,14 @@ def sort_disagreement(game: Game, objective: Objective = Objective.RECEIVER,
 # The walk
 # ---------------------------------------------------------------------------
 
-def pivot_q(base: int, target: int, coef: int) -> Fraction:
-    """Signal-0 probability q of the pivot at which base + coef * q == target.
+def pivot_q(num: int, den: int) -> Fraction:
+    """The pivot's signal-0 probability, num / den, from the kernel's reduced entry.
 
-    At a walk stop the constrained player's obey total is below the target
-    with the pivot at the objective player's extreme and at or above it
-    with the pivot conceded, so q lies in [0, 1]; of the probabilities at
-    which that player's row holds, it is the one nearest the objective
-    player's extreme.
+    It lies in [0, 1], and c's obey total meets c's target exactly there: of
+    the probabilities at which c's row holds, it is the one nearest the
+    objective player's extreme.
     """
-    return Fraction(target - base, coef)
+    return Fraction(num, den)
 
 
 def receiver_optimal_filter(game: Game, sender_index: int = 0) -> OptimizerResult:
@@ -103,16 +105,14 @@ def _optimize(game: Game, objective: Objective, sidx: int) -> OptimizerResult:
     view = game.int_view
     view.check_sender(sidx)
     o, c = _players(view, objective, sidx)
-    target_c = view.ic_target(c)
-    x, pos, pivot, _ = _simplex._solve(view.s[o], view.s[c], target_c)
-    # Every player's obey total, with the pivot at its binding q over D.
-    totals = [sum(compress(s, x)) for s in view.s]
+    stop = _simplex._solve(view.s[o], view.s[c], view.ic_target(c))
+    x, pos, pivot, _, num, den = stop
+    # Every player's obey total, with the pivot at its binding num / den, over den.
+    totals = [_simplex._total(s, stop) for s in view.s]
     probs = [_ONE if xi else _ZERO for xi in x]
-    q, den = None, 1
+    q = None
     if pos:
-        q = probs[pivot] = pivot_q(totals[c], target_c, view.s[c][pivot])
-        den = q.denominator
-        totals = [den * total + s[pivot] * q.numerator for total, s in zip(totals, view.s)]
+        q = probs[pivot] = pivot_q(num, den)
     sender, receiver, outcome = scaled_equilibrium(game, totals, den, sidx)
     reports = {sidx: sender, view.receiver: receiver}
     if not reports[c].holds:

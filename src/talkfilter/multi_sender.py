@@ -135,10 +135,11 @@ def two_sender_optimal(game: Game) -> tuple[CandidateOutcome, list[CandidateOutc
         if profile in (CandidateProfile.UNANIMOUS_0, CandidateProfile.UNANIMOUS_1):
             lp = build_lp(game, profile)
             x, value = lp_solve(lp)
-            # receiver_posthoc_ic holds exactly when value * scale meets the IC target.
-            feasible = value * lp.scale >= view.ic_target(view.receiver)
+            # The receiver's exact obey total over its denominator, as every IC check reads it.
+            total, scale = (value * lp.scale).as_integer_ratio()
+            feasible = total >= view.ic_target(view.receiver, scale)
             filt = BinaryFilter(signal0_prob=dict(zip(lp.names, x))) if feasible else None
-            utility = view.constant_value(view.receiver, 1) + value
+            utility = view.obey_value(view.receiver, total, scale)
         elif profile in (CandidateProfile.FOLLOW_SENDER_1,
                          CandidateProfile.FOLLOW_SENDER_2):
             sender_index = 0 if profile is CandidateProfile.FOLLOW_SENDER_1 else 1

@@ -229,13 +229,15 @@ def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> Genera
 def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile:
     """Random mixed profile on a filter's emitted signals.
 
-    Messages are t0..t{n-1} with n = 1 + below(3). Per emitted signal, a weight
-    below(4) per message (fall-back draw on all zeros); per message, the
-    receiver plays action 0 with probability below(5)/4.
+    Messages are t0..t{n-1} with n = 1 + below(3). Per emitted signal, in
+    the order of the filter's ``check_for`` (which is ``emitted()``'s, and
+    which refuses a filter that is not one on the game), a weight below(4)
+    per message (fall-back draw on all zeros); per message, the receiver
+    plays action 0 with probability below(5)/4.
     """
     rng = SplitMix64(seed)
     messages = [f"t{j}" for j in range(1 + rng.below(3))]
-    sender_strategy = {sig: _random_split(rng, messages) for sig in filt.emitted()}
+    sender_strategy = {sig: _random_split(rng, messages) for sig in filt.check_for(game)}
     receiver_strategy = {m: Fraction(rng.below(5), 4) for m in messages}
     return GeneralProfile(sender_strategy=sender_strategy,
                           receiver_strategy=receiver_strategy)

@@ -10,6 +10,13 @@ two-sender LPs at both unanimous targets, ``_simplex.maximize`` must return
 a point in the box, feasible, with at most two fractional entries, worth
 the reference's optimum.
 
+The one-row kernel's stop is checked from its definition on seeded rows
+(``check_stops``): small entries, so ties and zero gaps are common, rows
+that the start already meets, empty rows, and every kernel call of
+``maximize`` on seeded LPs and on Kelley's adversary. A stop's pivot entry
+num / den must make the row bind exactly, and ``_cut``'s totals must be
+the Fraction sums at its point.
+
 Two input checks ride along. Every function that takes a filter reads each
 of its distributions once per call, through ``check_for``
 (``check_one_read``), and a filter, a distribution or a strategy that is not
@@ -25,6 +32,8 @@ import re
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import oracle_reference
 import simplex_reference
@@ -113,6 +122,96 @@ def check_lp(lp: tf.LPInstance) -> None:
         assert sum(r * v for r, v in zip(row, x)) >= t
 
 
+def check_stop(e: list[int], b: list[int], t: int) -> bool:
+    """``_solve``'s stop on one row, from its definition; returns whether it walked.
+
+    Without a walk the start meets the row, and the stop is (x, 0, -1, 0, 0, 1).
+    With one, x is 0/1 with the pivot's entry 0, the entry num / den has
+    den > 0, gcd 1 and 0 <= num <= den, lies off the pivot's start value,
+    and makes the row bind: den * b.x + b[pivot] * num = t * den. Either
+    way y certifies the point: e.x = sum(max(0, e_i + y * b_i)) - y * t.
+    """
+    x, step, pivot, y, num, den = _simplex._solve(e, b, t)
+    assert len(x) == len(e) and all(v in (0, 1) for v in x), x
+    bx = sum(map(mul, b, x))
+    point = [Fraction(v) for v in x]
+    if step:
+        assert x[pivot] == 0 and den > 0 and gcd(num, den) == 1 and 0 <= num <= den
+        assert Fraction(num, den) != _simplex._start(e, b)[pivot]
+        assert den * bx + b[pivot] * num == t * den, (e, b, t)
+        point[pivot] = Fraction(num, den)
+    else:
+        assert (pivot, y, num, den) == (-1, 0, 0, 1) and bx >= t
+    assert (sum(map(mul, e, point))
+            == sum(max(0, u + y * v) for u, v in zip(e, b)) - y * t), (e, b, t)
+    return bool(step)
+
+
+def check_cut(args: tuple, cut) -> None:
+    """``_cut``'s totals are the Fraction sums at its point, the pivot's entry
+    taken from its definition, (tb - b.x) / b[pivot]."""
+    c, a, ta, b, tb, p, q = args
+    check_stop([q * ci + p * ai for ci, ai in zip(c, a)], b, tb)
+    point = [Fraction(v) for v in cut.x]
+    if cut.pivot >= 0:
+        entry = Fraction(tb - sum(map(mul, b, cut.x)), b[cut.pivot])
+        assert entry == Fraction(cut.num, cut.den)
+        point[cut.pivot] = entry
+    assert Fraction(cut.cx, cut.den) == sum(map(mul, c, point)), args
+    assert Fraction(cut.g, cut.den) == sum(map(mul, a, point)) - ta, args
+
+
+def maximize_cuts(c, a, ta, b, tb) -> list:
+    """The (arguments, result) of every ``_cut`` call of one ``maximize``."""
+    real, calls = _simplex._cut, []
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    _simplex._cut = recorded
+    try:
+        _simplex.maximize(c, a, ta, b, tb)
+    finally:
+        _simplex._cut = real
+    return calls
+
+
+def check_stops(count: int = 600) -> None:
+    """Every kind of stop on seeded rows, and every cut of seeded searches."""
+    rng = tf.SplitMix64(86000)
+    walked = set()
+    for n in range(count):
+        k, span = rng.below(9), (1, 3, 30)[n % 3]   # k = 0 is an empty row
+        e = [rng.below(2 * span + 1) - span for _ in range(k)]
+        b = [rng.below(2 * span + 1) - span for _ in range(k)]
+        low, high = sum(min(0, v) for v in b), sum(max(0, v) for v in b)
+        walked.add(check_stop(e, b, low + rng.below(high - low + 1)))
+        try:
+            _simplex._solve(e, b, high + 1)
+        except ArithmeticError:
+            pass
+        else:
+            raise AssertionError(("a row no point meets", e, b, high + 1))
+    assert walked == {False, True}
+    cuts = []
+    for seed in range(12):
+        game = tf.random_game(tf.RandomGameSpec(
+            seed=86100 + seed, num_states=(2, 5, 12, 30)[seed % 4], num_senders=2,
+            utility_range=(1, 100)[seed % 2], prior="random-rational"))
+        for target in TARGETS:
+            lp = tf.build_lp(game, target)
+            (a, b), (ta, tb) = lp.rows, lp.bounds
+            cuts += maximize_cuts(lp.objective, a, ta, b, tb)
+    k, bits = 40, 80   # Kelley's adversary: b = 0, a = 1, -c_i = 2^(B*i // k) + i
+    for ta in (1, 10, k // 2):
+        cuts += maximize_cuts([-(2 ** (bits * i // k) + i) for i in range(k)], [1] * k, ta,
+                              [0] * k, 0)
+    assert any(cut.pivot >= 0 for _, cut in cuts) and any(cut.pivot < 0 for _, cut in cuts)
+    for args, cut in cuts:
+        check_cut(args, cut)
+
+
 class CountingMapping(Mapping):
     """A read-only mapping that counts its reads: the calls that look at its keys or values."""
 
@@ -160,6 +259,7 @@ GENERAL_READERS = {
     "posterior": lambda g, f, p, s: tf.posterior(g, f, next(iter(p.sender_strategy))),
     "signal_utility": lambda g, f, p, s: tf.signal_utility(
         g, f, next(iter(p.sender_strategy)), s, 0),
+    "random_profile": lambda g, f, p, s: tf.random_profile(g, f, 5),
 }
 
 #: Every function that reads a binary filter, called as the general readers are.
@@ -294,9 +394,10 @@ def main() -> None:
             utility_range=(1, 100)[seed % 2], prior="random-rational"))
         for target in TARGETS:
             check_lp(tf.build_lp(game, target))
+    check_stops()
     check_one_read()
     check_non_mappings()
-    print("evaluators and LP search match their references; "
+    print("evaluators and LP search match their references; kernel stops are exact; "
           "each filter is read once, and non-mapping inputs are refused")
 
 

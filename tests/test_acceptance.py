@@ -6,6 +6,7 @@ lines; the suite is self-contained and uses only seeded corpora.
 import math
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -330,32 +331,49 @@ def _walk_forcing_game(k: int, seed: int = 9) -> tf.Game:
     return tf.make_game(states)
 
 
+#: The reference loop's fixed input: 10,000 ints in a scrambled order.
+_REFERENCE = [(i * 7919) % 10007 for i in range(10_000)]
+
+
+def _reference_cpu() -> float:
+    """CPU time of a fixed loop, a sort and a sum of products, about a millisecond."""
+    t0 = time.process_time()
+    sum(map(mul, sorted(_REFERENCE), _REFERENCE))
+    return time.process_time() - t0
+
+
 def _timings(make, runs_at_100k, check=None):
     """Best-of-runs receiver solve CPU time per k, with ``check`` on each result.
 
     Times are the process's CPU time (``time.process_time``), so the time
     other processes hold the CPU does not count; a change in CPU speed, such
     as frequency scaling or caches shared with a busy neighbour, still does.
+    So the growth bounds compare each solve's time in units of a fixed
+    reference loop timed just before it, which a slower CPU slows alike.
     The k = 1,000 anchor scales both bounds, and one solve there takes about
-    a millisecond, so it is the best of 25 runs: on a shared machine a best
-    of a few runs still moves by half from one process to the next.
+    a millisecond, so it is the best of 25 runs. Each size's bound is
+    checked as soon as the size is measured, so a solve that grows much
+    faster than k log k fails at 10,000 states, before the 100,000-state
+    runs. Returns the best solve time in seconds per k.
     """
-    timings = {}
+    seconds, units = {}, {}
     for k in (1_000, 10_000, 100_000):
         game = make(k)
         runs = {1_000: 25, 10_000: 5}.get(k, runs_at_100k)
-        best = math.inf
+        seconds[k] = units[k] = math.inf
         for _ in range(runs):
+            reference = _reference_cpu()
             t0 = time.process_time()
             res = tf.receiver_optimal_filter(game)
-            best = min(best, time.process_time() - t0)
+            elapsed = time.process_time() - t0
+            seconds[k] = min(seconds[k], elapsed)
+            units[k] = min(units[k], elapsed / reference)
         if check:
             check(k, res)
-        timings[k] = best
-    anchor = timings[1_000] / (1_000 * math.log(1_000))
-    for k in (10_000, 100_000):
-        assert timings[k] <= 2 * anchor * k * math.log(k), timings
-    return timings
+        if k > 1_000:
+            anchor = units[1_000] / (1_000 * math.log(1_000))
+            assert units[k] <= 2 * anchor * k * math.log(k), (units, seconds)
+    return seconds
 
 
 def test_criterion_9_complexity():

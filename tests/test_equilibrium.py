@@ -80,7 +80,9 @@ def test_merge_identity_art(art):
 
 
 def test_merge_idempotent_on_compatible_binary(art, art_optimal_filter):
-    merged = tf.merge_to_binary(art, art_optimal_filter.to_general())
+    # The binary filter as a general one on signals "0" and "1".
+    general = tf.GeneralFilter({"OG": {"1": F(1)}, "IF": {"0": F(1)}, "DF": {"0": F(1)}})
+    merged = tf.merge_to_binary(art, general)
     assert merged.signal0_prob == art_optimal_filter.signal0_prob
 
 

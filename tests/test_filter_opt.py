@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 import talkfilter as tf
-from talkfilter import filter_opt
+from talkfilter import _simplex
 from talkfilter._simplex import _disagree
 from talkfilter.equilibrium import binary_equilibrium
 from talkfilter.filter_opt import sort_disagreement
@@ -509,14 +509,21 @@ def test_prime_game_filters_are_evaluated_fast():
 
 
 def test_walk_missing_the_row_raises(monkeypatch, g3, seeded_games):
-    """A pivot probability one unit short of c's row raises instead of being reported."""
+    """A kernel stop whose pivot entry is one unit of 1/den short of c's row raises
+    instead of being reported: the unit moves the entry back towards the pivot's
+    start, down where c's gap b[pivot] is positive and up where it is negative."""
     games = [g3, prime_game(6, 7)] + seeded_games(20, ks=(3, 4, 5), seed0=2300)
     walks = [(game, run) for game in games
              for run in (tf.receiver_optimal_filter, tf.sender_optimal_filter)
              if run(game).pivot_index is not None]
     assert len(walks) >= 3
-    monkeypatch.setattr(filter_opt, "pivot_q",
-                        lambda base, target, coef: F(target - 1 - base, coef))
+    real_solve = _simplex._solve
+
+    def short(e, b, t):
+        x, step, pivot, y, num, den = real_solve(e, b, t)
+        return x, step, pivot, y, num - (1 if b[pivot] > 0 else -1), den
+
+    monkeypatch.setattr(_simplex, "_solve", short)
     for game, run in walks:
         with pytest.raises(ArithmeticError):
             run(game)

@@ -4,6 +4,7 @@ from operator import mul
 
 import pytest
 
+import reference_checks
 from talkfilter import (CandidateProfile, RandomGameSpec, SplitMix64, build_lp, lp_solve,
                         random_game)
 from talkfilter import _simplex
@@ -103,6 +104,13 @@ def test_random_thresholds_match_scipy():
         assert res.status == 0
         assert abs(float(value) + res.fun) < 1e-9
     assert nonzero >= 20
+
+
+def test_kernel_stops_are_exact():
+    """Each ``_solve`` stop's pivot entry makes its row bind, reduced with den > 0, on
+    seeded rows with ties, starts that meet the row, empty rows and Kelley's
+    adversary; ``_cut``'s totals are the Fraction sums at its point."""
+    reference_checks.check_stops()
 
 
 def test_certificate_refuses_a_search_stopped_one_step_early(monkeypatch):
