@@ -6,7 +6,8 @@ arguments, start the clock, load and validate the game (optimize, evaluate,
 verify and classify need exactly one sender), run the command, then write a
 short human summary followed by the machine report as JSON, in one write;
 --json keeps only the JSON for clean piping. A command only computes: it
-returns its result, its diagnostics (or None), its summary lines and its
+returns its result, its diagnostics (or None), its summary lines (an
+iterable, which optimize builds only when the summary is printed) and its
 exit code. Every report holds ``command``, ``game`` (state and sender
 counts), ``result``, ``diagnostics`` (optimize and evaluate: both IC rows)
 and ``timing_seconds``, the wall time from the start of the load to the
@@ -107,19 +108,19 @@ def _cmd_optimize(args, game: Game):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result["filter"], fh, indent=2)
             fh.write("\n")
-    lines = [f"{objective.value}-optimal filter:"]
-    for name, x in res.filter.signal0_prob.items():
-        lines.append(f"  P(signal 0 | {name}) = {x}")
-    outcome = res.outcome
-    lines.append(f"equilibrium: {outcome.kind.value}")
-    lines.append(f"utilities: senders "
-                 f"{[str(u) for u in outcome.utilities.senders]}, "
-                 f"receiver {outcome.utilities.receiver}")
-    if res.fell_back_to_constant:
-        lines.append("fell back to the constant filter (babbling value)")
-    if args.out:
-        lines.append(f"filter written to {args.out}")
-    return result, diagnostics, lines, 0
+
+    def lines():   # read only when the summary is printed, from the report's strings
+        yield f"{objective.value}-optimal filter:"
+        for name, x in result["filter"]["signal0_prob"].items():
+            yield f"  P(signal 0 | {name}) = {x}"
+        yield f"equilibrium: {res.outcome.kind.value}"
+        yield (f"utilities: senders {result['utilities']['senders']}, "
+               f"receiver {result['utilities']['receiver']}")
+        if res.fell_back_to_constant:
+            yield "fell back to the constant filter (babbling value)"
+        if args.out:
+            yield f"filter written to {args.out}"
+    return result, diagnostics, lines(), 0
 
 
 def _cmd_evaluate(args, game: Game):

@@ -2,14 +2,18 @@
 
 Everything numeric is a ``fractions.Fraction`` at the API: the solver
 decides incentive-compatibility on boundary cases (slacks exactly zero), so
-no rounding is tolerable anywhere on the solve path. Game files and
-``make_game`` tuples parse straight to reduced integer (numerator,
-denominator) pairs, and the checks run on those: a prior is positive when
-its numerator is, and the priors sum to exactly 1 when their numerators over
-the lcm of the denominators sum to that lcm. Sums over states run on each
-game's cached integer view (``Game.int_view``), built from the same pairs,
-and become Fractions only when reported; a game's ``StateRecord``s of
-Fractions are built only when a caller reads them.
+no rounding is tolerable anywhere on the solve path. Game files,
+``make_game`` tuples and ``Game(records)`` parse straight to reduced integer
+(numerator, denominator) pairs, each (u0, u1) pair by one rule
+(``_utility_pair``: a list or tuple of exactly two rationals), and the
+checks run on those: a prior is positive when its numerator is, and the
+priors sum to exactly 1 when their numerators over the lcm of the
+denominators sum to that lcm. A ``Game`` keeps only those rows and its
+sender count; its integer view (``Game.int_view``), its ``StateRecord``s of
+Fractions, its state names and its name-to-record map are
+``functools.cached_property``s, built from the rows when first read. Sums
+over states run on the integer view and become Fractions only when
+reported.
 
 A filter's ``check_for`` is the only code on a solve, check or evaluation
 path that reads its table, and every function that takes a filter calls it
@@ -32,6 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -174,14 +179,7 @@ class StateRecord(NamedTuple):
 
 
 def _records(rows: tuple[Row, ...]) -> tuple[StateRecord, ...]:
-    fractions: dict[Pair, Fraction] = {}   # one Fraction per distinct value
-
-    def frac(pair: Pair) -> Fraction:
-        value = fractions.get(pair)
-        if value is None:
-            value = fractions[pair] = Fraction(*pair)
-        return value
-
+    frac = cache(lambda pair: Fraction(*pair))   # one Fraction per distinct value
     return tuple(
         StateRecord(name, frac(prior),
                     tuple((frac(a), frac(b)) for a, b in utils[:-1]),
@@ -189,40 +187,47 @@ def _records(rows: tuple[Row, ...]) -> tuple[StateRecord, ...]:
         for name, prior, utils in rows)
 
 
+def _utility_pair(pair) -> tuple[Pair, Pair]:
+    """A (u0, u1) pair parsed: a list or tuple of exactly two rationals.
+
+    The one pair rule of ``Game(records)``, ``make_game`` and ``validate_game``.
+    """
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise GameValidationError(
+            f"a utility pair must be an array of two entries, not {pair!r}")
+    return _ratio(pair[0]), _ratio(pair[1])
+
+
 class Game:
     """A validated game: ordered states and a fixed sender count.
 
-    The game keeps each state as parsed, in integer (numerator, denominator)
-    pairs; ``int_view`` scales those to integer tables, and the
-    ``StateRecord``s of Fractions behind ``states`` and ``state`` are built
-    only on first access. Instances are immutable and safe to share between
-    threads. ``Game(records, num_senders)``, :func:`make_game` and
-    :func:`validate_game` run the same checks, so every instance is valid.
-    Equality and hashing are those of the parsed rows
-    and the sender count (equal exactly when the records are); repr shows the records.
+    The game keeps only each state as parsed, in integer (numerator,
+    denominator) pairs, and its sender count. Everything else is derived
+    from those on first read and kept, as a ``functools.cached_property``:
+    ``int_view`` scales the pairs to integer tables, ``states`` holds the
+    ``StateRecord``s of Fractions, ``state_names`` the names in order, and a
+    name-to-record map serves ``state``. Instances are immutable and safe to
+    share between threads; a pickle carries the parsed rows and no cache.
+    ``Game(records, num_senders)``, :func:`make_game` and
+    :func:`validate_game` parse each (u0, u1) pair by one rule and run the
+    same checks, so every instance is valid. Equality and hashing are those
+    of the parsed rows and the sender count (equal exactly when the records
+    are); repr shows the records.
     """
-
-    __slots__ = ("num_senders", "_rows", "_states", "_index", "_view")
 
     def __init__(self, states: Iterable[StateRecord], num_senders: int):
         """A game of the given records, checked as :func:`make_game` checks them."""
-        self._set(_checked_rows([
+        vars(self).update(_rows=_checked_rows([
             (rec.name, _ratio(rec.prior),
-             tuple((_ratio(a), _ratio(b)) for a, b in
-                   (*rec.sender_utils, rec.receiver_utils)))
-            for rec in states], num_senders), num_senders)
+             tuple(map(_utility_pair, (*rec.sender_utils, rec.receiver_utils))))
+            for rec in states], num_senders), num_senders=num_senders)
 
     @classmethod
     def _of_rows(cls, rows: tuple[Row, ...], num_senders: int) -> "Game":
         """A game of rows that are already checked."""
         game = cls.__new__(cls)
-        game._set(rows, num_senders)
+        vars(game).update(_rows=rows, num_senders=num_senders)
         return game
-
-    def _set(self, rows: tuple[Row, ...], num_senders: int) -> None:
-        for slot, value in (("num_senders", num_senders), ("_rows", rows),
-                            ("_states", None), ("_index", None), ("_view", None)):
-            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -246,25 +251,23 @@ class Game:
     def __reduce__(self):
         return type(self)._of_rows, (self._rows, self.num_senders)
 
-    @property
+    @cached_property
     def states(self) -> tuple[StateRecord, ...]:
-        if self._states is None:
-            object.__setattr__(self, "_states", _records(self._rows))
-        return self._states
+        return _records(self._rows)
 
-    @property
+    @cached_property
     def int_view(self) -> IntView:
         """The game's integer tables, built on first use and kept for its lifetime."""
-        if self._view is None:
-            object.__setattr__(self, "_view", IntView(self))
-        return self._view
+        return IntView(self)
+
+    @cached_property
+    def _by_name(self) -> dict[str, StateRecord]:
+        return {rec.name: rec for rec in self.states}
 
     def state(self, name: str) -> StateRecord:
-        if self._index is None:
-            object.__setattr__(self, "_index", {rec.name: rec for rec in self.states})
-        return self._index[name]
+        return self._by_name[name]
 
-    @property
+    @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(row[0] for row in self._rows)
 
@@ -311,23 +314,16 @@ def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:
     Each entry is ``(name, prior, sender_pairs, receiver_pair)`` where
     ``sender_pairs`` is one ``(u0, u1)`` pair for a single-sender game or a
     list of such pairs, and every scalar is anything ``parse_rational``
-    accepts.
+    accepts. A pair is a list or tuple of exactly two entries, as in
+    :func:`validate_game`; anything else raises ``GameValidationError``.
     """
     rows = []
     for name, prior, sender_pairs, receiver_pair in states:
         if sender_pairs and not isinstance(sender_pairs[0], (tuple, list)):
             sender_pairs = [sender_pairs]
-        rows.append((str(name), _ratio(prior), (
-            *((_ratio(u0), _ratio(u1)) for u0, u1 in sender_pairs),
-            (_ratio(receiver_pair[0]), _ratio(receiver_pair[1])))))
+        rows.append((str(name), _ratio(prior),
+                     tuple(map(_utility_pair, (*sender_pairs, receiver_pair)))))
     return _checked_game(rows, num_senders)
-
-
-def _utility_pair(pair) -> tuple[Pair, Pair]:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise GameValidationError(
-            f"a utility pair must be an array of two entries, not {pair!r}")
-    return _ratio(pair[0]), _ratio(pair[1])
 
 
 def validate_game(raw: Mapping) -> Game:
@@ -340,7 +336,9 @@ def validate_game(raw: Mapping) -> Game:
                      "sender_utilities": [[u0, u1], ...],
                      "receiver_utility": [u0, u1]}, ...]}
 
-    "transmission" demands exactly one sender utility pair per state.
+    "transmission" demands exactly one sender utility pair per state. Called
+    from Python, a pair may also be a tuple of two entries, as in
+    :func:`make_game`.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(

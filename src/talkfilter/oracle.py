@@ -82,11 +82,14 @@ MAX_HALF_POINTS = 2 * 10 ** 5
 
 
 class GridSpec(NamedTuple):
-    """Lattice {0, 1/R, ..., 1} per state, capped at MAX_HALF_POINTS points per half."""
+    """Lattice {0, 1/R, ..., 1} per state, R an int >= 1 (bools refused), capped at
+    MAX_HALF_POINTS points per half."""
 
     resolution: int = 8
 
     def check(self, game: Game) -> None:
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
+            raise ValueError(f"grid resolution {self.resolution!r} is not an int")
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
         k = len(game.int_view.names)

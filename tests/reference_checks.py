@@ -17,11 +17,13 @@ that the start already meets, empty rows, and every kernel call of
 num / den must make the row bind exactly, and ``_cut``'s totals must be
 the Fraction sums at its point.
 
-Two input checks ride along. Every function that takes a filter reads each
-of its distributions once per call, through ``check_for``
-(``check_one_read``), and a filter, a distribution or a strategy that is not
+Three input checks ride along. Every function that takes a filter reads
+each of its distributions once per call, through ``check_for``
+(``check_one_read``); a filter, a distribution or a strategy that is not
 a mapping raises the package's own error, naming the state or the signal
-(``check_non_mappings``).
+(``check_non_mappings``); and ``make_game``, ``Game(records)`` and
+``validate_game`` refuse the same malformed utility pairs with the same
+``GameValidationError`` (``check_pair_rule``).
 
 ``test_oracle_reference`` and ``test_simplex_reference`` run larger sets
 with these helpers. Run as a script
@@ -378,6 +380,44 @@ def check_non_mappings() -> None:
             check_refused(lambda: read(game, identity, profile, 0), ValueError, message)
 
 
+#: Utility pairs that no game constructor accepts: (pair, the player it is given to).
+BAD_PAIRS = {
+    "three-entry receiver pair": ((0, 1, 9), "receiver"),
+    "three-entry sender pair": (["1", "0", "0"], "sender"),
+    "string sender pair": ("10", "sender"),
+    "string receiver pair": ("01", "receiver"),
+    "one-entry sender pair": ((1,), "sender"),
+    "one-entry receiver pair": (["1"], "receiver"),
+}
+
+
+def check_pair_case(case: str) -> None:
+    """Each game constructor, given the case's pair, raises ``GameValidationError``
+    with ``validate_game``'s message."""
+    pair, player = BAD_PAIRS[case]
+    sender, receiver = (pair, (1, 0)) if player == "sender" else ((1, 0), pair)
+    builds = {
+        "make_game": lambda: tf.make_game([("a", 1, sender, receiver)]),
+        "Game": lambda: tf.Game([tf.StateRecord("a", Fraction(1), (sender,), receiver)], 1),
+        "validate_game": lambda: tf.validate_game({"states": [
+            {"name": "a", "prior": 1, "sender_utilities": [sender],
+             "receiver_utility": receiver}]}),
+    }
+    message = f"a utility pair must be an array of two entries, not {pair!r}"
+    for name, build in builds.items():
+        try:
+            build()
+        except tf.GameValidationError as exc:
+            assert str(exc) == message, (name, str(exc), message)
+        else:
+            raise AssertionError(f"{name} accepted the {case} {pair!r}")
+
+
+def check_pair_rule() -> None:
+    for case in BAD_PAIRS:
+        check_pair_case(case)
+
+
 def main() -> None:
     outcomes = set()
     for seed in range(60):
@@ -397,8 +437,10 @@ def main() -> None:
     check_stops()
     check_one_read()
     check_non_mappings()
+    check_pair_rule()
     print("evaluators and LP search match their references; kernel stops are exact; "
-          "each filter is read once, and non-mapping inputs are refused")
+          "each filter is read once, non-mapping inputs are refused, and every game "
+          "constructor refuses a malformed utility pair")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_checks
 import talkfilter as tf
 from talkfilter._simplex import _disagree
 from talkfilter.cli import main
@@ -178,6 +179,19 @@ def _game_refuses_as_make_game(states, num_senders, error):
     with pytest.raises(error) as got:
         tf.Game(records, num_senders)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", list(reference_checks.BAD_PAIRS))
+def test_every_constructor_refuses_a_malformed_utility_pair(case):
+    reference_checks.check_pair_case(case)
+
+
+def test_every_constructor_takes_a_list_or_tuple_pair():
+    want = tf.make_game([("a", "1/2", (1, 0), (0, 1)), ("b", "1/2", [[0, 2]], ["3", 1])])
+    assert tf.validate_game({"type": "transmission", "states": [
+        {"name": "a", "prior": "1/2", "sender_utilities": [(1, 0)], "receiver_utility": (0, 1)},
+        {"name": "b", "prior": "1/2", "sender_utilities": [[0, 2]],
+         "receiver_utility": ["3", 1]}]}) == want
 
 
 def test_game_constructor_refuses_a_sender_count_mismatch():

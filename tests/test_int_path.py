@@ -1,9 +1,12 @@
 """IC reports and obey values on the cached integer view, against sums from the definition."""
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import talkfilter as tf
+from talkfilter import core
+from talkfilter._intview import IntView
 
 F = Fraction
 
@@ -103,9 +106,48 @@ def test_int_view_is_cached_and_outside_identity(art):
         {"name": name, "prior": "1/2", "sender_utilities": [["1", "0"]],
          "receiver_utility": ["0", "1"]} for name in ("a", "b")]})
     hash(fresh)
-    assert fresh._states is None       # hashing builds no StateRecord
+    assert "states" not in vars(fresh)   # hashing builds no StateRecord
     assert repr(art) == repr(twin) and "IntView" not in repr(art)
     assert twin.int_view is not view and twin.int_view.weight == view.weight
+
+
+def test_each_cache_is_built_once_and_stays_frozen(monkeypatch, art):
+    """Every derived datum of a game is built on its first read and kept; none
+    can be assigned or deleted, and a pickle carries none of them."""
+    games = [tf.make_game([(rec.name, rec.prior, rec.sender_utils, rec.receiver_utils)
+                           for rec in art.states]),
+             tf.Game(art.states, 1),
+             tf.validate_game({"type": "transmission", "states": [
+                 {"name": rec.name, "prior": str(rec.prior),
+                  "sender_utilities": [[str(u) for u in rec.sender_utils[0]]],
+                  "receiver_utility": [str(u) for u in rec.receiver_utils]}
+                 for rec in art.states]})]
+    views, records = [], []
+    init, build = IntView.__init__, core._records
+
+    def counting_init(self, game):
+        views.append(game)
+        init(self, game)
+
+    monkeypatch.setattr(IntView, "__init__", counting_init)
+    monkeypatch.setattr(core, "_records", lambda rows: records.append(rows) or build(rows))
+    for game in games:
+        for _ in range(3):
+            assert game.int_view.names == ["OG", "IF", "DF"]
+            assert game.states == art.states
+            assert game.state("IF") is game.states[1]
+            assert game.state_names == ("OG", "IF", "DF")
+    assert [id(g) for g in views] == [id(g) for g in games]
+    assert records == [g._rows for g in games]
+    for game in games:
+        for name in ("states", "int_view", "state_names"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(game, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(game, name)
+        twin = pickle.loads(pickle.dumps(game))
+        assert vars(twin).keys() == {"_rows", "num_senders"}
+        assert twin == game and twin.int_view is not game.int_view
 
 
 @pytest.mark.parametrize("fn", [

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,20 @@ def test_grid_point_cap_checked_before_any_search():
     with pytest.raises(tf.GridTooLarge):                # too many digits to print the radix
         tf.GridSpec(resolution=10 ** 5000).check(
             tf.random_game(tf.RandomGameSpec(seed=3, num_states=2)))
+
+
+@pytest.mark.parametrize("resolution", [True, False, 2.0, 2.5, "3", None, F(2)])
+def test_grid_resolution_must_be_an_int(resolution):
+    one = tf.random_game(tf.RandomGameSpec(seed=3, num_states=3))
+    two = tf.random_game(tf.RandomGameSpec(seed=3, num_states=3, num_senders=2))
+    spec = tf.GridSpec(resolution=resolution)
+    filt = tf.BinaryFilter({name: F(0) for name in one.state_names})
+    for call in (lambda: spec.check(one), lambda: tf.grid_search(one, spec),
+                 lambda: tf.verify_filter_optimality(one, filt, spec),
+                 lambda: tf.two_sender_grid_search(two, spec)):
+        with pytest.raises(ValueError, match=f"^grid resolution {re.escape(repr(resolution))} "
+                                             "is not an int$"):
+            call()
 
 
 def test_grid_threads_have_no_effect_and_start_no_pool(monkeypatch):
