@@ -19,13 +19,17 @@ slacks and grid sweeps then run on plain ints (exact, and much faster than
 Fraction arithmetic at solver scale). Fractions are reconstructed only at
 API boundaries by dividing the scales back out. ``IntView.ic_target`` is
 the one spelling of the IC rule's right-hand side, max(0, sum(s)).
+
+``check_int`` is the package's one rule for an integer argument (an int,
+bools refused, perhaps with a least value), and ``check_sender`` adds the
+sender range to it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from . import _simplex
 
@@ -41,12 +45,25 @@ def scaled_ints(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in pairs], scale
 
 
+def check_int(value: int, what: str, least: Optional[int] = None) -> int:
+    """``value``, once it is an int (bools refused) of at least ``least``.
+
+    The package's one rule for an integer argument: sender counts and indices,
+    grid resolutions, generator sizes and seeds. Anything else raises
+    ``ValueError("{what} {value!r} is not an int")``, and an int below
+    ``least`` ``ValueError("{what} must be at least {least}, got {value}")``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an int")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def check_sender(num_senders: int, sender: int) -> None:
-    """Refuse a sender index that is not an int (bools included) or is outside
-    0..num_senders-1, negative ones included."""
-    if isinstance(sender, bool) or not isinstance(sender, int):
-        raise ValueError(f"sender index {sender!r} is not an int")
-    if not 0 <= sender < num_senders:
+    """Refuse a sender index that is not an int (``check_int``) or is outside
+    0..num_senders-1, negative ones included (``IndexError``)."""
+    if not 0 <= check_int(sender, "sender index") < num_senders:
         raise IndexError(f"sender index {sender} out of range for {num_senders} senders")
 
 

@@ -5,10 +5,11 @@ decides incentive-compatibility on boundary cases (slacks exactly zero), so
 no rounding is tolerable anywhere on the solve path. Game files,
 ``make_game`` tuples and ``Game(records)`` parse straight to reduced integer
 (numerator, denominator) pairs, each (u0, u1) pair by one rule
-(``_utility_pair``: a list or tuple of exactly two rationals), and the
-checks run on those: a prior is positive when its numerator is, and the
-priors sum to exactly 1 when their numerators over the lcm of the
-denominators sum to that lcm. A ``Game`` keeps only those rows and its
+(``_utility_pair``: a list or tuple of exactly two rationals) and each
+``make_game`` or ``Game(records)`` entry by another (``_state_row``: a list
+or tuple of four fields), and the checks run on those: a prior is positive
+when its numerator is, and the priors sum to exactly 1 when their numerators
+over the lcm of the denominators sum to that lcm. A ``Game`` keeps only those rows and its
 sender count; its integer view (``Game.int_view``), its ``StateRecord``s of
 Fractions, its state names and its name-to-record map are
 ``functools.cached_property``s, built from the rows when first read. Sums
@@ -41,7 +42,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import _simplex
-from ._intview import IntView, check_sender, scaled_ints
+from ._intview import IntView, check_int, check_sender, scaled_ints
 
 #: Alias for the exact scalar type used throughout the package.
 Rational = Fraction
@@ -198,6 +199,29 @@ def _utility_pair(pair) -> tuple[Pair, Pair]:
     return _ratio(pair[0]), _ratio(pair[1])
 
 
+def _sender_pairs(pairs) -> tuple[tuple[Pair, Pair], ...]:
+    """Each sender's (u0, u1) pair parsed, from a list or tuple of pairs."""
+    if not isinstance(pairs, (list, tuple)):
+        raise GameValidationError(f"'sender_utilities' must be an array of pairs, not {pairs!r}")
+    return tuple(map(_utility_pair, pairs))
+
+
+def _state_row(entry, one_pair: bool) -> Row:
+    """A ``Game(records)`` or ``make_game`` entry parsed: exactly four fields,
+    ``(name, prior, sender_pairs, receiver_pair)``, the name through ``str()``.
+
+    With ``one_pair`` (``make_game``), ``sender_pairs`` that is not a list or
+    tuple of pairs is read as the one sender's pair.
+    """
+    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+        raise GameValidationError(f"malformed state entry: {entry!r}")
+    name, prior, pairs, receiver = entry
+    if one_pair and (not isinstance(pairs, (list, tuple))
+                     or pairs and not isinstance(pairs[0], (list, tuple))):
+        pairs = [pairs]
+    return str(name), _ratio(prior), (*_sender_pairs(pairs), _utility_pair(receiver))
+
+
 class Game:
     """A validated game: ordered states and a fixed sender count.
 
@@ -216,11 +240,13 @@ class Game:
     """
 
     def __init__(self, states: Iterable[StateRecord], num_senders: int):
-        """A game of the given records, checked as :func:`make_game` checks them."""
-        vars(self).update(_rows=_checked_rows([
-            (rec.name, _ratio(rec.prior),
-             tuple(map(_utility_pair, (*rec.sender_utils, rec.receiver_utils))))
-            for rec in states], num_senders), num_senders=num_senders)
+        """A game of the given records, checked as :func:`make_game` checks them.
+
+        Each record's ``sender_utils`` is a list or tuple of pairs, with no
+        one-pair shorthand, and its name is passed through ``str()``.
+        """
+        vars(self).update(_rows=_checked_rows([_state_row(rec, False) for rec in states],
+                                              num_senders), num_senders=num_senders)
 
     @classmethod
     def _of_rows(cls, rows: tuple[Row, ...], num_senders: int) -> "Game":
@@ -278,8 +304,9 @@ class Game:
 
 
 def _checked_rows(rows: list[Row], num_senders: int) -> tuple[Row, ...]:
-    """The parsed rows, once every state and the priors check out."""
-    if num_senders < 1:
+    """The parsed rows, once the sender count (an int, ``check_int``), every
+    state and the priors check out."""
+    if check_int(num_senders, "num_senders") < 1:
         raise SenderCountMismatch(f"need at least one sender, got {num_senders}")
     if not rows:
         raise EmptyStateList("a game needs at least one state")
@@ -311,19 +338,16 @@ def _checked_game(rows: list[Row], num_senders: int) -> Game:
 def make_game(states: Iterable[tuple], num_senders: int = 1) -> Game:
     """Build a Game from plain tuples, mostly for tests and generators.
 
-    Each entry is ``(name, prior, sender_pairs, receiver_pair)`` where
-    ``sender_pairs`` is one ``(u0, u1)`` pair for a single-sender game or a
-    list of such pairs, and every scalar is anything ``parse_rational``
-    accepts. A pair is a list or tuple of exactly two entries, as in
-    :func:`validate_game`; anything else raises ``GameValidationError``.
+    Each entry is a list or tuple of exactly four fields, ``(name, prior,
+    sender_pairs, receiver_pair)``, where ``sender_pairs`` is one ``(u0, u1)``
+    pair for a single-sender game or a list or tuple of such pairs, and every
+    scalar is anything ``parse_rational`` accepts; the name is passed through
+    ``str()``. A pair is a list or tuple of exactly two entries, as in
+    :func:`validate_game`; any other entry or pair raises
+    ``GameValidationError``. ``num_senders`` is an int (``check_int``) of at
+    least 1 (``SenderCountMismatch`` otherwise).
     """
-    rows = []
-    for name, prior, sender_pairs, receiver_pair in states:
-        if sender_pairs and not isinstance(sender_pairs[0], (tuple, list)):
-            sender_pairs = [sender_pairs]
-        rows.append((str(name), _ratio(prior),
-                     tuple(map(_utility_pair, (*sender_pairs, receiver_pair)))))
-    return _checked_game(rows, num_senders)
+    return _checked_game([_state_row(entry, True) for entry in states], num_senders)
 
 
 def validate_game(raw: Mapping) -> Game:
@@ -337,8 +361,8 @@ def validate_game(raw: Mapping) -> Game:
                      "receiver_utility": [u0, u1]}, ...]}
 
     "transmission" demands exactly one sender utility pair per state. Called
-    from Python, a pair may also be a tuple of two entries, as in
-    :func:`make_game`.
+    from Python, a pair, or the array of sender pairs, may also be a tuple,
+    as in :func:`make_game`.
     """
     if not isinstance(raw, Mapping):
         raise GameValidationError(
@@ -358,11 +382,7 @@ def validate_game(raw: Mapping) -> Game:
         try:
             name = str(entry["name"])
             prior = _ratio(entry["prior"])
-            pairs = entry["sender_utilities"]
-            if not isinstance(pairs, list):
-                raise GameValidationError(
-                    f"'sender_utilities' must be an array of pairs, not {pairs!r}")
-            utils = tuple(map(_utility_pair, pairs))
+            utils = _sender_pairs(entry["sender_utilities"])
             receiver = _utility_pair(entry["receiver_utility"])
         except KeyError as exc:
             raise GameValidationError(f"state entry missing field {exc}") from exc
@@ -571,9 +591,11 @@ def signal_utility(game: Game, filt: GeneralFilter, signal: str,
     filter must pass ``GeneralFilter.check_for`` (``posterior`` checks it).
     """
     if player != RECEIVER:
-        if isinstance(player, bool) or not isinstance(player, int):
-            raise ValueError(f"player {player!r} is neither RECEIVER nor a sender index")
-        check_sender(game.num_senders, player)
+        try:
+            check_sender(game.num_senders, player)
+        except ValueError:
+            raise ValueError(
+                f"player {player!r} is neither RECEIVER nor a sender index") from None
     _check_action(action)
     post = posterior(game, filt, signal)
     total = Fraction(0)

@@ -58,7 +58,7 @@ from itertools import repeat
 from operator import add, ge, itemgetter, lt, mul
 from typing import Iterable, NamedTuple, Optional
 
-from ._intview import IntView, check_sender, scaled_ints
+from ._intview import IntView, check_int, check_sender, scaled_ints
 from .core import (
     BinaryFilter,
     Game,
@@ -82,16 +82,13 @@ MAX_HALF_POINTS = 2 * 10 ** 5
 
 
 class GridSpec(NamedTuple):
-    """Lattice {0, 1/R, ..., 1} per state, R an int >= 1 (bools refused), capped at
-    MAX_HALF_POINTS points per half."""
+    """Lattice {0, 1/R, ..., 1} per state, R an int >= 1 (``check_int``, as
+    "grid resolution"), capped at MAX_HALF_POINTS points per half."""
 
     resolution: int = 8
 
     def check(self, game: Game) -> None:
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
-            raise ValueError(f"grid resolution {self.resolution!r} is not an int")
-        if self.resolution < 1:
-            raise ValueError("grid resolution must be at least 1")
+        check_int(self.resolution, "grid resolution", 1)
         k = len(game.int_view.names)
         radix = self.resolution + 1
         half = k - k // 2
@@ -123,12 +120,13 @@ class SplitMix64:
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB  mod 2^64
         z ^ (z >> 31)
 
+    The seed is any int (``check_int``); its low 64 bits are the first state.
     ``below(n)`` reduces a draw modulo n; the tiny modulo bias is irrelevant
     for corpus generation and keeps the generator portable.
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = check_int(seed, "seed") & _MASK
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
@@ -149,9 +147,11 @@ class RandomGameSpec(NamedTuple):
     """Recipe for one reproducible random game.
 
     Utilities are uniform integers in [-utility_range, utility_range], with
-    utility_range >= 0, on num_states >= 1 states. The prior is uniform, or
-    per-state weights 1 + below(8) normalized to sum 1 when prior ==
-    "random-rational".
+    utility_range >= 0, on num_states >= 1 states, for num_senders senders.
+    Each size and the seed is an int (``check_int``, bools refused); a sender
+    count below 1 raises ``make_game``'s ``SenderCountMismatch``. The prior is
+    uniform, or per-state weights 1 + below(8) normalized to sum 1 when prior
+    == "random-rational".
     """
 
     seed: int
@@ -170,10 +170,9 @@ def random_game(spec: RandomGameSpec) -> Game:
     """
     if spec.prior not in ("uniform", "random-rational"):
         raise ValueError(f"unknown prior kind {spec.prior!r}")
-    if spec.utility_range < 0:
-        raise ValueError(f"utility_range must be at least 0, got {spec.utility_range}")
-    if spec.num_states < 1:
-        raise ValueError(f"num_states must be at least 1, got {spec.num_states}")
+    check_int(spec.utility_range, "utility_range", 0)
+    check_int(spec.num_states, "num_states", 1)
+    check_int(spec.num_senders, "num_senders")
     rng = SplitMix64(spec.seed)
     span = 2 * spec.utility_range + 1
 
@@ -197,9 +196,11 @@ def random_game(spec: RandomGameSpec) -> Game:
 
 
 def random_binary_filter(game: Game, seed: int, resolution: int = 8) -> BinaryFilter:
-    """Per-state signal-0 probability below(R+1)/R, in state order; R >= 1."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
+    """Per-state signal-0 probability below(R+1)/R, in state order.
+
+    The resolution R is an int of at least 1 and the seed an int (``check_int``).
+    """
+    check_int(resolution, "resolution", 1)
     rng = SplitMix64(seed)
     return BinaryFilter(signal0_prob={
         name: Fraction(rng.below(resolution + 1), resolution)
@@ -220,10 +221,10 @@ def random_general_filter(game: Game, seed: int, max_signals: int = 5) -> Genera
     """Random filter over 1 + below(max_signals) signals named m0, m1, ...
 
     Per state, one weight below(4) per signal, normalized; a fall-back draw
-    picks a single signal when every weight comes up zero. max_signals >= 1.
+    picks a single signal when every weight comes up zero. max_signals is an
+    int of at least 1 and the seed an int (``check_int``).
     """
-    if max_signals < 1:
-        raise ValueError(f"max_signals must be at least 1, got {max_signals}")
+    check_int(max_signals, "max_signals", 1)
     rng = SplitMix64(seed)
     signals = [f"m{j}" for j in range(1 + rng.below(max_signals))]
     return GeneralFilter({name: _random_split(rng, signals) for name in game.state_names})
@@ -236,7 +237,7 @@ def random_profile(game: Game, filt: GeneralFilter, seed: int) -> GeneralProfile
     the order of the filter's ``check_for`` (which is ``emitted()``'s, and
     which refuses a filter that is not one on the game), a weight below(4)
     per message (fall-back draw on all zeros); per message, the receiver
-    plays action 0 with probability below(5)/4.
+    plays action 0 with probability below(5)/4. The seed is an int (``check_int``).
     """
     rng = SplitMix64(seed)
     messages = [f"t{j}" for j in range(1 + rng.below(3))]

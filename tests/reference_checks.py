@@ -17,13 +17,16 @@ that the start already meets, empty rows, and every kernel call of
 num / den must make the row bind exactly, and ``_cut``'s totals must be
 the Fraction sums at its point.
 
-Three input checks ride along. Every function that takes a filter reads
+Input checks ride along. Every function that takes a filter reads
 each of its distributions once per call, through ``check_for``
 (``check_one_read``); a filter, a distribution or a strategy that is not
 a mapping raises the package's own error, naming the state or the signal
-(``check_non_mappings``); and ``make_game``, ``Game(records)`` and
+(``check_non_mappings``); ``make_game``, ``Game(records)`` and
 ``validate_game`` refuse the same malformed utility pairs with the same
-``GameValidationError`` (``check_pair_rule``).
+``GameValidationError`` (``check_pair_rule``), and the first two a state
+entry that is not four fields (``check_entry_rule``); and every integer
+argument refuses a bool, a float, a string, None or a Fraction, and a
+value below its least, with the package's own message (``check_int_rule``).
 
 ``test_oracle_reference`` and ``test_simplex_reference`` run larger sets
 with these helpers. Run as a script
@@ -418,6 +421,117 @@ def check_pair_rule() -> None:
         check_pair_case(case)
 
 
+#: State entries that ``make_game`` and ``Game(records)`` refuse with
+#: ``GameValidationError``: (entry, make_game's message, Game's message).
+BAD_ENTRIES = {
+    "two fields": (("a", 1), "malformed state entry: ('a', 1)", None),
+    "three fields": (("a", 1, (1, 0)), "malformed state entry: ('a', 1, (1, 0))", None),
+    "five fields": (("a", 1, [(1, 0)], (0, 1), 9),
+                    "malformed state entry: ('a', 1, [(1, 0)], (0, 1), 9)", None),
+    "four-character string": ("abcd", "malformed state entry: 'abcd'", None),
+    "None": (None, "malformed state entry: None", None),
+    "mapping": ({"name": "a"}, "malformed state entry: {'name': 'a'}", None),
+    # make_game reads sender pairs that are not a list or tuple of pairs as
+    # one pair; Game(records) has no such shorthand.
+    "int sender pairs": (("a", 1, 5, (0, 1)),
+                         "a utility pair must be an array of two entries, not 5",
+                         "'sender_utilities' must be an array of pairs, not 5"),
+    "None sender pairs": (("a", 1, None, (0, 1)),
+                          "a utility pair must be an array of two entries, not None",
+                          "'sender_utilities' must be an array of pairs, not None"),
+    "bare sender pair": (("a", 1, (1, 0), (0, 1)), None,
+                         "a utility pair must be an array of two entries, not 1"),
+}
+
+
+def check_entry_case(case: str) -> None:
+    """``make_game`` and ``Game(records)`` refuse the case's entry with their
+    message, each a ``GameValidationError``'s whole text (None: the first
+    message, or for ``make_game`` a valid entry)."""
+    entry, made, recorded = BAD_ENTRIES[case]
+    if made is None:
+        tf.make_game([entry])
+    else:
+        check_refused(lambda: tf.make_game([entry]), tf.GameValidationError,
+                      f"^{re.escape(made)}$")
+    check_refused(lambda: tf.Game([entry], 1), tf.GameValidationError,
+                  f"^{re.escape(recorded or made)}$")
+
+
+def check_entry_rule() -> None:
+    for case in BAD_ENTRIES:
+        check_entry_case(case)
+
+
+#: Values that no integer argument takes.
+NOT_INTS = (True, False, 1.0, 2.5, "3", None, Fraction(2))
+
+_ONE_STATE = [("a", 1, (1, 0), (0, 1))]
+
+
+def _seeded(**fields) -> tf.Game:
+    return tf.random_game(tf.RandomGameSpec(**{"seed": 3, "num_states": 3, **fields}))
+
+
+#: Each integer argument: the name its errors give, a call that passes it a
+#: value, and a value below its least with that value's error and whole
+#: message (None: every int is taken).
+INT_ARGUMENTS = {
+    "make_game num_senders": (
+        "num_senders", lambda v: tf.make_game(_ONE_STATE, num_senders=v),
+        (0, tf.SenderCountMismatch, "need at least one sender, got 0")),
+    "Game num_senders": (
+        "num_senders", lambda v: tf.Game(tf.make_game(_ONE_STATE).states, v),
+        (-1, tf.SenderCountMismatch, "need at least one sender, got -1")),
+    "RandomGameSpec num_senders": (
+        "num_senders", lambda v: _seeded(num_senders=v),
+        (0, tf.SenderCountMismatch, "need at least one sender, got 0")),
+    "RandomGameSpec num_states": (
+        "num_states", lambda v: _seeded(num_states=v),
+        (0, ValueError, "num_states must be at least 1, got 0")),
+    "RandomGameSpec utility_range": (
+        "utility_range", lambda v: _seeded(utility_range=v),
+        (-1, ValueError, "utility_range must be at least 0, got -1")),
+    "RandomGameSpec seed": ("seed", lambda v: _seeded(seed=v), None),
+    "random_binary_filter resolution": (
+        "resolution", lambda v: tf.random_binary_filter(_seeded(), 1, resolution=v),
+        (0, ValueError, "resolution must be at least 1, got 0")),
+    "random_binary_filter seed": ("seed", lambda v: tf.random_binary_filter(_seeded(), v), None),
+    "random_general_filter max_signals": (
+        "max_signals", lambda v: tf.random_general_filter(_seeded(), 1, max_signals=v),
+        (0, ValueError, "max_signals must be at least 1, got 0")),
+    "random_general_filter seed": (
+        "seed", lambda v: tf.random_general_filter(_seeded(), v), None),
+    "random_profile seed": (
+        "seed", lambda v: tf.random_profile(_seeded(), tf.GeneralFilter.identity(_seeded()), v),
+        None),
+    "SplitMix64 seed": ("seed", tf.SplitMix64, None),
+    "GridSpec resolution": (
+        "grid resolution", lambda v: tf.GridSpec(resolution=v).check(_seeded()),
+        (0, ValueError, "grid resolution must be at least 1, got 0")),
+    "sender index": (
+        "sender index", lambda v: tf.classify_states(_seeded(), v),
+        (-1, IndexError, "sender index -1 out of range for 1 senders")),
+}
+
+
+def check_int_case(case: str) -> None:
+    """The case's argument refuses every one of ``NOT_INTS`` with ``ValueError("{what}
+    {value!r} is not an int")``, and the value below its least with its own error."""
+    what, call, below = INT_ARGUMENTS[case]
+    for value in NOT_INTS:
+        check_refused(lambda: call(value), ValueError,
+                      f"^{re.escape(f'{what} {value!r} is not an int')}$")
+    if below is not None:
+        value, error, message = below
+        check_refused(lambda: call(value), error, f"^{re.escape(message)}$")
+
+
+def check_int_rule() -> None:
+    for case in INT_ARGUMENTS:
+        check_int_case(case)
+
+
 def main() -> None:
     outcomes = set()
     for seed in range(60):
@@ -438,9 +552,12 @@ def main() -> None:
     check_one_read()
     check_non_mappings()
     check_pair_rule()
+    check_entry_rule()
+    check_int_rule()
     print("evaluators and LP search match their references; kernel stops are exact; "
-          "each filter is read once, non-mapping inputs are refused, and every game "
-          "constructor refuses a malformed utility pair")
+          "each filter is read once, non-mapping inputs are refused, every game "
+          "constructor refuses a malformed utility pair or state entry, and every "
+          "integer argument refuses what is not an int")
 
 
 if __name__ == "__main__":

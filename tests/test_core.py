@@ -138,7 +138,7 @@ _ONE_STATE = tf.make_game([("a", "1", ("1", "0"), ("0", "1"))])
     (lambda _: tf.make_game([]), tf.EmptyStateList, "at least one state"),
     (_deep_game_file, 2, "game file nests deeper than the JSON parser allows"),
     (lambda _: tf.GridSpec(resolution=0).check(_ONE_STATE), ValueError,
-     "resolution must be at least 1"),
+     "^grid resolution must be at least 1, got 0$"),
     (lambda _: tf.random_game(tf.RandomGameSpec(seed=1, num_states=2, prior="bogus")),
      ValueError, "unknown prior kind 'bogus'"),
     (lambda _: tf.UtilityProfile.of([F(1), F(2), F(3)]).sender, ValueError,
@@ -184,6 +184,24 @@ def _game_refuses_as_make_game(states, num_senders, error):
 @pytest.mark.parametrize("case", list(reference_checks.BAD_PAIRS))
 def test_every_constructor_refuses_a_malformed_utility_pair(case):
     reference_checks.check_pair_case(case)
+
+
+@pytest.mark.parametrize("case", list(reference_checks.BAD_ENTRIES))
+def test_make_game_and_game_refuse_a_malformed_state_entry(case):
+    reference_checks.check_entry_case(case)
+
+
+def test_every_constructor_names_a_state_by_str():
+    want = tf.make_game([(5, 1, (1, 0), (0, 1))])
+    assert want.state_names == ("5",)
+    assert tf.Game([(5, 1, [(1, 0)], (0, 1))], 1) == want
+    assert tf.validate_game({"states": [{"name": 5, "prior": 1, "sender_utilities": [[1, 0]],
+                                         "receiver_utility": [0, 1]}]}) == want
+
+
+@pytest.mark.parametrize("case", list(reference_checks.INT_ARGUMENTS))
+def test_every_integer_argument_is_checked_by_one_rule(case):
+    reference_checks.check_int_case(case)
 
 
 def test_every_constructor_takes_a_list_or_tuple_pair():

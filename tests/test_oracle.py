@@ -65,10 +65,11 @@ def test_random_game_zero_utility_range():
     (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=0)), "num_states"),
     (lambda g: tf.random_game(tf.RandomGameSpec(seed=1, num_states=-1,
                                                 prior="random-rational")), "num_states"),
+    (lambda g: tf.GridSpec(resolution=-4).check(g), "grid resolution"),
 ])
 def test_generators_refuse_degenerate_arguments(make, name):
     game = tf.random_game(tf.RandomGameSpec(seed=1, num_states=3))
-    with pytest.raises(ValueError, match=f"{name} must be at least"):
+    with pytest.raises(ValueError, match=rf"^{name} must be at least [01], got -?\d+$"):
         make(game)
 
 
@@ -182,7 +183,7 @@ def test_grid_point_cap_checked_before_any_search():
             tf.random_game(tf.RandomGameSpec(seed=3, num_states=2)))
 
 
-@pytest.mark.parametrize("resolution", [True, False, 2.0, 2.5, "3", None, F(2)])
+@pytest.mark.parametrize("resolution", [True, False, 2.0, 2.5, "3", None, F(2), 1.0])
 def test_grid_resolution_must_be_an_int(resolution):
     one = tf.random_game(tf.RandomGameSpec(seed=3, num_states=3))
     two = tf.random_game(tf.RandomGameSpec(seed=3, num_states=3, num_senders=2))
